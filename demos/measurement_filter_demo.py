@@ -12,7 +12,7 @@ import numpy as np
 from gatelearn import (
     GroverInstance,
     OutcomeAmplitudes,
-    grover_kickstart,
+    invert_about_mean,
     sample_and_update,
     success_probability_map,
     uniform_init,
@@ -50,7 +50,7 @@ def main():
     print(f"  after one failed trial   |{sparkline(filtered.probabilities())}|"
           "  <- dip at the good phases")
 
-    kicked = grover_kickstart(filtered)
+    kicked = invert_about_mean(filtered)
     print(f"  after inversion kickstart|{sparkline(kicked.probabilities())}|"
           "  <- dip became the peak")
 

@@ -24,9 +24,7 @@ from .feedback import (
     FeedbackResult,
     WalkCoefficients,
     apply_quantum_walk,
-    grover_kickstart,
     on_failure,
-    single_push_step,
     walk_coefficients,
 )
 from .grover import (
@@ -62,6 +60,7 @@ from .parameter import (
 )
 from .qft import (
     AqftInstance,
+    ProductFormTrials,
     apply_aqft,
     apply_aqft_inverse,
     average_success,

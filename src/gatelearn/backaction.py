@@ -12,10 +12,16 @@ total outcome probability.  Repeated conditioning concentrates |chi|^2
 where the observed outcomes are likely: the measurement itself acts as
 a Bayesian-style filter on the parameter.
 
-Everything here works block-wise, one grid cell at a time, so memory
-scales with (cells + outcomes) rather than their product.  The explicit
-joint-state construction in :func:`brute_force_joint_step` exists solely
-as an independent cross-check at small sizes.
+The filter needs two things from a trial: the outcome distribution for
+the current |chi|^2 and the amplitude column A_r of the one sampled
+outcome.  Any trial object that provides ``grid_shape``,
+``distribution(weights)`` and ``outcome_amplitude(r)`` will do:
+:class:`OutcomeAmplitudes` holds explicit per-cell amplitude tables
+(search trials, and the statevector oracle of the Fourier trials), and
+:class:`gatelearn.qft.TrialOutcomes` builds the Fourier trial's data
+from the circuit's product form.  The explicit joint-state construction
+in :func:`brute_force_joint_step` exists solely as an independent
+cross-check at small sizes.
 """
 
 from __future__ import annotations
@@ -116,29 +122,31 @@ class OutcomeAmplitudes:
             )
         return np.abs(self._full) ** 2
 
+    def distribution(self, weights: np.ndarray) -> np.ndarray:
+        """Outcome probabilities for flattened cell weights |chi_g|^2."""
+        return weights @ self.probability_table().reshape(-1, self.n_outcomes)
 
-def outcome_distribution(chi: ParameterState, amps: OutcomeAmplitudes) -> np.ndarray:
+
+def outcome_distribution(chi: ParameterState, amps) -> np.ndarray:
     """Outcome probabilities P(r) = sum_g |chi_g|^2 |A_r(phi_g)|^2."""
     if amps.grid_shape != chi.grid_shape:
         raise ValueError(
             f"amplitude grid {amps.grid_shape} != parameter grid {chi.grid_shape}"
         )
-    weights = chi.probabilities().reshape(-1)
-    table = amps.probability_table().reshape(-1, amps.n_outcomes)
-    dist = weights @ table
+    dist = amps.distribution(chi.probabilities().reshape(-1))
     if abs(dist.sum() - 1.0) > _CELL_NORM_TOL:
         raise NumericsError("outcome distribution does not sum to 1 within 1e-9")
     return dist
 
 
-def sample_and_update(
-    chi: ParameterState, amps: OutcomeAmplitudes, rng: np.random.Generator
-):
+def sample_and_update(chi: ParameterState, amps, rng: np.random.Generator):
     """Sample one projective outcome and apply the conditioning filter.
 
+    ``amps`` is a trial object as described in the module docstring.
     Returns ``(outcome, updated_state)``.  The outcome is drawn with a
     single uniform draw via the inverse CDF in fixed outcome order; the
-    updated wavefunction is chi_g * A_r(phi_g) renormalized.  For binary
+    updated wavefunction is chi_g * A_r(phi_g) renormalized, so only the
+    sampled outcome's amplitude column is ever needed.  For binary
     Grover trials the aggregated fail amplitude already absorbs the
     common factor shared by all wrong elements, so the aggregation is
     exact, not an approximation.

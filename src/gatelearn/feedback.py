@@ -45,8 +45,6 @@ __all__ = [
     "FeedbackResult",
     "walk_coefficients",
     "apply_quantum_walk",
-    "single_push_step",
-    "grover_kickstart",
     "on_failure",
 ]
 
@@ -73,6 +71,10 @@ class FeedbackConfig:
     walk.  ``push_asymmetry`` scales the leftward push magnitude
     relative to the rightward one; values below 1 give the distribution
     a slow net drift that scans the parameter circle.
+
+    Construction builds the walk series at the cap, so a strength the
+    series cannot reach (x above about 76 at the default cutoff) fails
+    here rather than at a run's first walk.
     """
 
     strategy: str = "double_push"
@@ -102,6 +104,7 @@ class FeedbackConfig:
             raise ValueError("walk_floor must be >= 0")
         if self.walk_escalation < 0:
             raise ValueError("walk_escalation must be >= 0")
+        walk_coefficients(self.walk_strength, self.series_cutoff)
 
 
 @dataclass(frozen=True)
@@ -290,36 +293,6 @@ def _push_move(failure_count: int, success_count: int, config: FeedbackConfig, n
     return axis, sign * max(1, round(base))
 
 
-def single_push_step(
-    chi: ParameterState, failure_count: int, success_count: int, config: FeedbackConfig
-) -> ParameterState:
-    """Alternating cyclic push with success-damped magnitude."""
-    if failure_count < 0 or success_count < 0:
-        raise ValueError("counts must be >= 0")
-    axis, shift = _push_move(failure_count, success_count, config, chi.ndim)
-    return translate(chi, shift, axis=axis)
-
-
-def grover_kickstart(chi: ParameterState) -> ParameterState:
-    """Inversion about the mean after a failed verification.
-
-    Right after a failed verification the still nearly uniform
-    wavefunction carries a dip where the circuit works well, and the
-    reflection turns that dip into a peak.  On pass/fail readouts the
-    reflected wavefunction stays close enough to uniform that the next
-    failure digs a dip again: for search at N=10000 on 256 cells a
-    second reflection gives a pass probability of 0.030, against 0.0134
-    for a uniform wavefunction.  So the double-push controller repeats
-    it on search trials until the first pass.  Everywhere else the
-    controller applies it only on the first failure: on a full-register
-    (Fourier) readout a failure singles out one wrong index rather than
-    digging a dip, once a run has passed the amplitudes are structured,
-    and under the single push repeating it lowers the search ensemble
-    mean (N=1024: 0.72 to 0.57 of the ideal success).
-    """
-    return invert_about_mean(chi)
-
-
 class FeedbackResult(NamedTuple):
     state: ParameterState
     action: str
@@ -344,16 +317,28 @@ def on_failure(
     ``history`` holds the verification counts *before* the current
     failure; ``binary_readout`` says the trial was read out as pass/fail
     only (search) rather than as a full outcome index (Fourier).  When
-    the kickstart is enabled, the first failure of a run triggers it,
-    and under the double push on a binary readout so does every failure
-    before the first pass.  Otherwise the configured strategy applies: a
-    single push, or the quantum walk followed by random dephasing.
-    Returns the new state together with a short action tag for the run
-    record.
+    the kickstart (the inversion about the mean) is enabled, the first
+    failure of a run triggers it, and under the double push on a binary
+    readout so does every failure before the first pass.  Otherwise the
+    configured strategy applies: a single push, or the quantum walk
+    followed by random dephasing.  Returns the new state together with
+    a short action tag for the run record.
+
+    Why the kickstart repeats only there: right after a failed
+    verification the still nearly uniform wavefunction carries a dip
+    where the circuit works well, and the reflection turns that dip into
+    a peak.  On pass/fail readouts the reflected wavefunction stays close
+    enough to uniform that the next failure digs a dip again (search at
+    N=10000 on 256 cells: a second reflection gives a pass probability of
+    0.030, against 0.0134 for a uniform wavefunction).  On a
+    full-register (Fourier) readout a failure singles out one wrong index
+    rather than digging a dip, once a run has passed the amplitudes are
+    structured, and under the single push repeating it lowers the search
+    ensemble mean (N=1024: 0.72 to 0.57 of the ideal success).
     """
     searching = binary_readout and config.strategy == "double_push" and history.successes == 0
     if config.kickstart_enabled and (history.failures == 0 or searching):
-        return FeedbackResult(grover_kickstart(chi), "kickstart")
+        return FeedbackResult(invert_about_mean(chi), "kickstart")
     if config.strategy == "single_push":
         axis, shift = _push_move(history.failures, history.successes, config, chi.ndim)
         tag = f"push{shift:+d}" if chi.ndim == 1 else f"push[ax{axis}]{shift:+d}"

@@ -1,7 +1,7 @@
 """Run-measure-verify-feedback training loops and seeded ensembles.
 
 One learning run repeats, for a fixed number of iterations: build the
-per-grid-cell outcome amplitudes of a fresh trial, sample one projective
+per-grid-cell outcome data of a fresh trial, sample one projective
 outcome (which filters the parameter wavefunction), verify the outcome
 classically, and on failure apply the configured feedback.  Everything
 is driven by a single per-run random stream, so a (config, seed) pair
@@ -9,7 +9,11 @@ fixes every number exactly, independent of thread count.
 
 Search trials reuse the fixed uniform input every iteration (the
 problem instance never changes); Fourier trials draw a fresh target
-index k each iteration so the filter sees varied verifications.
+index k each iteration so the filter sees varied verifications.  A
+Fourier trial's outcome distribution and sampled amplitude column come
+from the circuit's closed product form (:class:`qft.ProductFormTrials`);
+the gate-by-gate statevector simulation is not run in the loop and
+serves as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .parameter import (
     expected_success,
     uniform_init,
 )
-from .qft import AqftInstance, average_success_map, trial_output_batch
+from .qft import AqftInstance, ProductFormTrials, average_success_map
 
 __all__ = [
     "ExperimentConfig",
@@ -117,13 +121,13 @@ def _grover_tables(instance: GroverInstance, grid_size: int):
 
 @lru_cache(maxsize=64)
 def _aqft_tables(instance: AqftInstance, grid_size: int):
-    """(success map, per-cell phase table) for a Fourier problem."""
+    """(success map, product-form trial engine) for a Fourier problem."""
     shape = (grid_size,) * instance.band
     axes = [uniform_init(grid_size).axis_values(0) for _ in range(instance.band)]
     mesh = np.meshgrid(*axes, indexing="ij")
     phase_grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
     success = average_success_map(instance, phase_grid).reshape(shape)
-    return success, phase_grid
+    return success, ProductFormTrials(instance, phase_grid, shape)
 
 
 def _problem_success_map(config: ExperimentConfig) -> np.ndarray:
@@ -153,7 +157,7 @@ def run_learning(config: ExperimentConfig, run_seed) -> RunResult:
     if is_grover:
         _, grover_amps = _grover_tables(config.problem, config.grid_size)
     else:
-        _, phase_grid = _aqft_tables(config.problem, config.grid_size)
+        _, trials = _aqft_tables(config.problem, config.grid_size)
         dim = config.problem.dim
 
     records = []
@@ -167,10 +171,7 @@ def run_learning(config: ExperimentConfig, run_seed) -> RunResult:
             expected = PASS
         else:
             expected = int(rng.integers(dim))
-            outputs = trial_output_batch(config.problem, expected, phase_grid)
-            amps = OutcomeAmplitudes.full(
-                outputs.reshape(config.grid_shape + (dim,))
-            )
+            amps = trials.trial(expected)
         measured, chi = sample_and_update(chi, amps, rng)
         passed = measured == expected
         if passed:

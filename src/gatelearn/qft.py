@@ -10,10 +10,14 @@ pairs).
 
 Verification protocol: a trial prepares the exact inverse Fourier image
 of a uniformly drawn basis state |k>, runs the banded circuit, and
-passes iff the measured outcome equals k.  The k-averaged pass
-probability has a closed product form because the circuit maps basis
-states to tensor products of single-qubit phases; the statevector path
-and the product form are checked against each other in the tests.
+passes iff the measured outcome equals k.  The circuit maps basis
+states, and the trial input, to tensor products of single-qubit
+phases, so both the per-trial outcome amplitudes and the k-averaged
+pass probability have closed product forms.  The training loop takes
+its per-trial outcome data from :class:`ProductFormTrials`; the
+gate-by-gate statevector path (:func:`trial_output_batch`,
+:func:`trial_success_amplitude`) is the independent oracle the tests
+check both product forms against.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .backaction import _CELL_NORM_TOL
+from .errors import NumericsError
 from .statevector import (
     HADAMARD,
     PureState,
@@ -37,6 +43,8 @@ __all__ = [
     "apply_aqft",
     "apply_aqft_inverse",
     "trial_success_amplitude",
+    "ProductFormTrials",
+    "TrialOutcomes",
     "average_success",
     "average_success_map",
 ]
@@ -158,16 +166,21 @@ def trial_success_amplitude(instance: AqftInstance, k: int):
     return amps[0], k
 
 
-def trial_output_batch(instance: AqftInstance, k: int, phase_grid: np.ndarray) -> np.ndarray:
-    """Trial output vectors for many phase assignments at once.
-
-    ``phase_grid`` has shape (cells, band); returns (cells, 2**n).  Used
-    by the learning loop, where every parameter grid cell runs the same
-    trial with its own gate angles.
-    """
+def _checked_phase_grid(instance: AqftInstance, phase_grid) -> np.ndarray:
     phase_grid = np.atleast_2d(np.asarray(phase_grid, dtype=float))
     if phase_grid.shape[1] != instance.band:
         raise ValueError(f"phase grid needs {instance.band} columns")
+    return phase_grid
+
+
+def trial_output_batch(instance: AqftInstance, k: int, phase_grid: np.ndarray) -> np.ndarray:
+    """Trial output vectors for many phase assignments at once.
+
+    ``phase_grid`` has shape (cells, band); returns (cells, 2**n) by
+    gate-by-gate simulation.  The training loop uses the product form
+    (:class:`ProductFormTrials`) instead; this is its oracle.
+    """
+    phase_grid = _checked_phase_grid(instance, phase_grid)
     cells = phase_grid.shape[0]
     amps = np.broadcast_to(
         _fourier_input(instance.n_qubits, k), (cells, instance.dim)
@@ -175,6 +188,100 @@ def trial_output_batch(instance: AqftInstance, k: int, phase_grid: np.ndarray) -
     per_cell = [phase_grid[:, d] for d in range(instance.band)]
     _run_circuit(amps, instance.n_qubits, instance.band, per_cell)
     return amps
+
+
+# ---------------------------------------------------------------------------
+# product-form trial engine
+
+class TrialOutcomes:
+    """Outcome data of one verification trial on every parameter grid cell.
+
+    ``table`` is the outcome-major (2**n, cells) array of |A_r(phi_g)|^2
+    in ascending outcome order; the complex column A_r of the one
+    sampled outcome is built on demand from the factor angles.
+    """
+
+    __slots__ = ("grid_shape", "n_outcomes", "table", "_angles")
+
+    def __init__(self, table: np.ndarray, angles: list, grid_shape: tuple):
+        if np.abs(table.sum(axis=0) - 1.0).max() > _CELL_NORM_TOL:
+            raise NumericsError("per-cell outcome norm deviates from 1 beyond 1e-9")
+        self.table, self._angles = table, angles
+        self.grid_shape, self.n_outcomes = grid_shape, table.shape[0]
+
+    def distribution(self, weights: np.ndarray) -> np.ndarray:
+        """Outcome probabilities for flattened cell weights |chi_g|^2."""
+        return self.table @ weights
+
+    def outcome_amplitude(self, outcome: int) -> np.ndarray:
+        """Per-cell amplitude A_r(phi_g) of one outcome, shape ``grid_shape``."""
+        if not 0 <= outcome < self.n_outcomes:
+            raise ValueError(f"outcome {outcome} out of range")
+        column = np.ones(self._angles[0].shape[1], dtype=np.complex128)
+        for q, theta in enumerate(self._angles):
+            w = theta.shape[0].bit_length() - 1
+            sign = -1.0 if (outcome >> q) & 1 else 1.0
+            window = (outcome >> (q - w)) & ((1 << w) - 1)
+            column *= 0.5 * (1.0 + sign * np.exp(1j * theta[window]))
+        return column.reshape(self.grid_shape)
+
+
+class ProductFormTrials:
+    """Per-trial outcome data of the banded circuit, from its product form.
+
+    The circuit maps the product-state input of a trial to a product
+    state, so every outcome amplitude factorizes over the qubits:
+
+        A_r(phi) = prod_i (1 + (-1)^{b_i} e^{i theta_i}) / 2,
+        theta_i  = alpha_i(k) + sum_{d=1..w} phi_d b_{i+d},
+        alpha_i(k) = -2 pi k 2^i / 2^n,   w = min(band, n-1-i),
+
+    with b the bit reversal of the outcome r, and |factor i|^2 is
+    cos^2(theta_i/2) or sin^2(theta_i/2) = 1 - cos^2 as b_i is 0 or 1.
+    Factor i reads only the outcome bits q-w..q, q = n-1-i, so theta_i
+    is a (2^w, cells) table whose k-independent part is built here once;
+    a trial adds the scalar alpha_i(k), tiles the factors into the
+    outcome-major probability table and keeps the angles for the sampled
+    column.  :func:`trial_output_batch` is the oracle.
+    """
+
+    def __init__(self, instance: AqftInstance, phase_grid, grid_shape: tuple | None = None):
+        phase_grid = _checked_phase_grid(instance, phase_grid)
+        n, band, cells = instance.n_qubits, instance.band, phase_grid.shape[0]
+        self.n_qubits = n
+        self.grid_shape = (cells,) if grid_shape is None else tuple(grid_shape)
+        if int(np.prod(self.grid_shape)) != cells:
+            raise ValueError(f"grid shape {self.grid_shape} does not hold {cells} cells")
+        self._base = []  # indexed by outcome bit q, which carries b_i of qubit i = n-1-q
+        for q in range(n):
+            w = min(band, q)
+            window = np.arange(1 << w)[:, None]  # outcome bits q-w..q-1
+            angles = np.zeros((1 << w, cells))
+            for d in range(1, w + 1):
+                angles += ((window >> (w - d)) & 1) * phase_grid[:, d - 1]
+            self._base.append(angles)
+
+    def trial(self, k: int) -> TrialOutcomes:
+        """Outcome data of the trial whose expected outcome is ``k``."""
+        n = self.n_qubits
+        dim = 1 << n
+        if not 0 <= k < dim:
+            raise ValueError(f"basis index {k} out of range")
+        cells = self._base[0].shape[1]
+        table = np.empty((dim, cells))
+        table[0] = 1.0
+        angles = []
+        for q, base in enumerate(self._base):
+            w = base.shape[0].bit_length() - 1
+            theta = base + (-2.0 * np.pi * ((k << (n - 1 - q)) % dim) / dim)
+            cos2 = (np.cos(theta / 2.0) ** 2)[:, None, :]
+            # grow the table from the low q outcome bits to the low q+1
+            low = table[: 1 << q].reshape(1 << w, 1 << (q - w), cells)
+            high = table[1 << q : 2 << q].reshape(low.shape)
+            np.multiply(low, 1.0 - cos2, out=high)
+            low *= cos2
+            angles.append(theta)
+        return TrialOutcomes(table, angles, self.grid_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +374,5 @@ def average_success(instance: AqftInstance) -> float:
 
 def average_success_map(instance: AqftInstance, phase_grid: np.ndarray) -> np.ndarray:
     """Exact k-averaged success for every row of a (cells, band) phase table."""
-    phase_grid = np.atleast_2d(np.asarray(phase_grid, dtype=float))
-    if phase_grid.shape[1] != instance.band:
-        raise ValueError(f"phase grid needs {instance.band} columns")
+    phase_grid = _checked_phase_grid(instance, phase_grid)
     return _diagonal_model(instance.n_qubits, instance.band).success_many(phase_grid)

@@ -1,5 +1,7 @@
 """Feedback operators: walk series, pushes, kickstart, controller dispatch."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -12,10 +14,9 @@ from gatelearn import (
     OutcomeAmplitudes,
     ParameterState,
     apply_quantum_walk,
-    grover_kickstart,
+    invert_about_mean,
     on_failure,
     sample_and_update,
-    single_push_step,
     success_probability_map,
     uniform_init,
     walk_coefficients,
@@ -107,24 +108,31 @@ class TestApplyQuantumWalk:
         assert abs(out.norm() - 1.0) < 1e-9
 
 
+def single_push(chi, failures, successes, config):
+    """The controller's single-push branch, with the kickstart out of the way."""
+    config = replace(config, kickstart_enabled=False)
+    history = FeedbackHistory(successes=successes, failures=failures)
+    return on_failure(chi, history, config, np.random.default_rng(0)).state
+
+
 class TestSinglePush:
     def test_first_push_is_full_magnitude_right(self):
         chi = ParameterState(np.eye(1, 64, 10).ravel().astype(complex))
         config = FeedbackConfig(strategy="single_push", initial_push_cells=8)
-        out = single_push_step(chi, 0, 0, config)
+        out = single_push(chi, 0, 0, config)
         assert abs(out.amplitudes[18] - 1.0) < 1e-15
 
     def test_decayed_left_push(self):
         # 8 / sqrt(4) = 4 cells, odd failure count pushes left
         chi = ParameterState(np.eye(1, 64, 10).ravel().astype(complex))
         config = FeedbackConfig(strategy="single_push", initial_push_cells=8)
-        out = single_push_step(chi, 1, 3, config)
+        out = single_push(chi, 1, 3, config)
         assert abs(out.amplitudes[6] - 1.0) < 1e-15
 
     def test_magnitude_clamps_at_one_cell(self):
         chi = ParameterState(np.eye(1, 64, 10).ravel().astype(complex))
         config = FeedbackConfig(strategy="single_push", initial_push_cells=8)
-        out = single_push_step(chi, 0, 10_000, config)
+        out = single_push(chi, 0, 10_000, config)
         assert abs(out.amplitudes[11] - 1.0) < 1e-15
 
     def test_magnitude_non_increasing_in_successes(self):
@@ -154,11 +162,11 @@ class TestSinglePush:
 class TestKickstart:
     def test_uniform_unchanged(self):
         chi = uniform_init(32)
-        out = grover_kickstart(chi)
+        out = invert_about_mean(chi)
         np.testing.assert_allclose(out.amplitudes, chi.amplitudes, atol=1e-15)
 
     def test_norm_preserved(self):
-        assert abs(grover_kickstart(random_chi(64, 2)).norm() - 1.0) < 1e-12
+        assert abs(invert_about_mean(random_chi(64, 2)).norm() - 1.0) < 1e-12
 
     def test_dip_from_failed_trial_becomes_peak(self):
         # uniform chi filtered by one failed verification carries a dip at
@@ -175,7 +183,7 @@ class TestKickstart:
         pmap = success_probability_map(inst, grid)
         before = int(np.argmax(filtered.probabilities()))
         assert pmap[before] < 0.5  # the dip sits away from the optimum
-        kicked = grover_kickstart(filtered)
+        kicked = invert_about_mean(filtered)
         after = int(np.argmax(kicked.probabilities()))
         assert pmap[after] > 0.9  # now the peak marks the good phase
 
@@ -187,7 +195,7 @@ class TestController:
         result = on_failure(chi, FeedbackHistory(), config, np.random.default_rng(0))
         assert result.action == "kickstart"
         np.testing.assert_allclose(
-            result.state.amplitudes, grover_kickstart(chi).amplitudes, atol=1e-15
+            result.state.amplitudes, invert_about_mean(chi).amplitudes, atol=1e-15
         )
 
     def test_kickstart_can_be_disabled(self):
@@ -274,3 +282,9 @@ class TestController:
     def test_unknown_strategy_rejected_at_config(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             FeedbackConfig(strategy="triple_push")
+
+    def test_unreachable_walk_strength_rejected_at_config(self):
+        # the series needs more than 200 translation orders beyond x ~ 76
+        with pytest.raises(ValueError, match="translation orders"):
+            FeedbackConfig(walk_strength=120.0)
+        FeedbackConfig(walk_strength=64.0)

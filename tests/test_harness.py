@@ -15,13 +15,17 @@ from gatelearn import (
     quantile_analysis,
     run_ensemble,
     run_learning,
+    uniform_init,
 )
+from gatelearn import harness
+from gatelearn.backaction import OutcomeAmplitudes
 from gatelearn.harness import (
     target_success,
     write_histogram_csv,
     write_runs_csv,
     write_summary_json,
 )
+from gatelearn.qft import trial_output_batch
 
 
 def grover_config(**kw):
@@ -143,6 +147,48 @@ class TestRunLearning:
         result = run_learning(config, run_seed=0)
         assert len(result.records) == 2
         assert 0.0 <= result.records[-1].expected_success <= 1.0
+
+
+class StatevectorTrials:
+    """The training loop's trial engine, rebuilt from gate-by-gate simulation."""
+
+    def __init__(self, instance, grid_size):
+        axes = [uniform_init(grid_size).axis_values(0)] * instance.band
+        mesh = np.meshgrid(*axes, indexing="ij")
+        self.instance = instance
+        self.phase_grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        self.shape = mesh[0].shape
+
+    def trial(self, k):
+        outputs = trial_output_batch(self.instance, k, self.phase_grid)
+        return OutcomeAmplitudes.full(outputs.reshape(self.shape + (self.instance.dim,)))
+
+
+class TestProductFormEngine:
+    @pytest.mark.parametrize("n,band,grid_size", [(6, 1, 256), (4, 2, 16)])
+    def test_seeded_run_matches_statevector_oracle(self, monkeypatch, n, band, grid_size):
+        config = aqft_config(problem=AqftInstance.standard(n, band), grid_size=grid_size,
+                             iterations=120, feedback=FeedbackConfig())
+        fast = run_learning(config, run_seed=5).records
+        success = harness._aqft_tables(config.problem, grid_size)[0]
+        oracle = StatevectorTrials(config.problem, grid_size)
+        monkeypatch.setattr(harness, "_aqft_tables", lambda *args: (success, oracle))
+        slow = run_learning(config, run_seed=5).records
+        assert [(r.outcome, r.measured_index, r.feedback_action) for r in fast] == [
+            (r.outcome, r.measured_index, r.feedback_action) for r in slow
+        ]
+        np.testing.assert_allclose([r.expected_success for r in fast],
+                                   [r.expected_success for r in slow], rtol=0, atol=1e-12)
+        assert {r.outcome for r in fast} == {"pass", "fail"}
+
+    def test_loop_never_runs_the_statevector(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("statevector kernel called in the training loop")
+
+        for kernel in ("_apply_single_qubit", "_apply_cphase", "_apply_swap"):
+            monkeypatch.setattr(f"gatelearn.qft.{kernel}", refuse)
+        config = aqft_config(problem=AqftInstance.standard(5, 2), grid_size=8)
+        assert len(run_learning(config, run_seed=2).records) == 30
 
 
 class TestRunEnsemble:

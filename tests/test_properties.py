@@ -5,8 +5,11 @@ cases below exceed a thousand random instances while staying fast.
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatelearn import (
+    AqftInstance,
     FeedbackConfig,
     FeedbackHistory,
     GroverInstance,
@@ -25,6 +28,7 @@ from gatelearn import (
     translate,
     walk_coefficients,
 )
+from gatelearn.qft import ProductFormTrials, trial_output_batch
 
 RNG = np.random.default_rng(20260808)
 
@@ -136,6 +140,30 @@ def test_search_amplitude_closure_100_cases():
         inst = GroverInstance.standard(n_el)
         s, b = pass_fail_amplitudes(inst, float(RNG.uniform(0, 2 * np.pi)))
         assert abs(abs(s) ** 2 + abs(b) ** 2 - 1.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_form_trial_matches_statevector_oracle(data):
+    n = data.draw(st.integers(2, 9), label="n")
+    band = data.draw(st.sampled_from([1, 2] if n > 2 else [1]), label="band")
+    k = data.draw(st.integers(0, (1 << n) - 1), label="k")
+    angle = st.floats(-2 * np.pi, 2 * np.pi)
+    rows = data.draw(
+        st.lists(st.tuples(*[angle] * band), min_size=1, max_size=8), label="phase rows"
+    )
+    weights = np.array(
+        data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(rows), max_size=len(rows)))
+    ) + 1e-3
+    weights /= weights.sum()
+    instance = AqftInstance.standard(n, band)
+    oracle = trial_output_batch(instance, k, rows)  # (cells, 2**n)
+    trial = ProductFormTrials(instance, rows).trial(k)
+    np.testing.assert_allclose(
+        trial.distribution(weights), weights @ np.abs(oracle) ** 2, rtol=0, atol=1e-12
+    )
+    for r in range(1 << n):
+        np.testing.assert_allclose(trial.outcome_amplitude(r), oracle[:, r], rtol=0, atol=1e-12)
 
 
 def test_ensemble_determinism_across_thread_counts():
