@@ -22,10 +22,8 @@ from .feedback import (
     FeedbackConfig,
     FeedbackHistory,
     FeedbackResult,
-    WalkCoefficients,
     apply_quantum_walk,
     on_failure,
-    walk_coefficients,
 )
 from .grover import (
     GroverInstance,

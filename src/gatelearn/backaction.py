@@ -63,7 +63,7 @@ class OutcomeAmplitudes:
     so that sampling is reproducible for a fixed random stream.
     """
 
-    __slots__ = ("mode", "_pass", "_fail", "_full", "grid_shape", "n_outcomes")
+    __slots__ = ("mode", "_pass", "_fail", "_full", "_probs", "grid_shape", "n_outcomes")
 
     def __init__(self, *, pass_amp=None, fail_amp=None, full=None):
         if full is not None:
@@ -72,8 +72,8 @@ class OutcomeAmplitudes:
             table = np.asarray(full, dtype=np.complex128)
             if table.ndim < 2:
                 raise ValueError("full table needs grid axes plus an outcome axis")
-            cell_norms = np.sum(np.abs(table) ** 2, axis=-1)
-            if np.abs(cell_norms - 1.0).max() > _CELL_NORM_TOL:
+            probs = np.abs(table) ** 2
+            if np.abs(np.sum(probs, axis=-1) - 1.0).max() > _CELL_NORM_TOL:
                 raise NumericsError("per-cell outcome norm deviates from 1 beyond 1e-9")
             self.mode = "full"
             self._full = table
@@ -92,11 +92,14 @@ class OutcomeAmplitudes:
                 raise NumericsError(
                     "binary amplitudes do not close to 1 per cell within 1e-9"
                 )
+            probs = np.stack([np.abs(s) ** 2, np.abs(b) ** 2], axis=-1)
             self.mode = "binary"
             self._pass, self._fail = s, b
             self._full = None
             self.grid_shape = s.shape
             self.n_outcomes = 2
+        probs.flags.writeable = False
+        self._probs = probs
 
     @classmethod
     def binary(cls, pass_amp, fail_amp) -> "OutcomeAmplitudes":
@@ -115,12 +118,8 @@ class OutcomeAmplitudes:
         return self._full[..., outcome]
 
     def probability_table(self) -> np.ndarray:
-        """|A_r(phi_g)|^2 with the outcome axis last."""
-        if self.mode == "binary":
-            return np.stack(
-                [np.abs(self._pass) ** 2, np.abs(self._fail) ** 2], axis=-1
-            )
-        return np.abs(self._full) ** 2
+        """|A_r(phi_g)|^2 with the outcome axis last (read-only, built once)."""
+        return self._probs
 
     def distribution(self, weights: np.ndarray) -> np.ndarray:
         """Outcome probabilities for flattened cell weights |chi_g|^2."""

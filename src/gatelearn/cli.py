@@ -56,7 +56,8 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--push-asymmetry", type=float, default=1.0,
                         help="leftward/rightward push magnitude ratio")
     parser.add_argument("--walk-x", type=float, default=None,
-                        help="walk strength cap x = lambda*dt/hbar (default 24)")
+                        help="walk strength cap x = lambda*dt/hbar, any finite value >= 0;"
+                             " the walk is applied exactly (default 24)")
     parser.add_argument("--walk-step", type=int, default=None,
                         help="walk translation step in cells (default 1)")
     parser.add_argument("--walk-floor", type=float, default=None,
@@ -152,7 +153,6 @@ def _manifest(args: argparse.Namespace, config: ExperimentConfig, problem_desc: 
             "walk_floor": fb.walk_floor,
             "walk_escalation": fb.walk_escalation,
             "kickstart_enabled": fb.kickstart_enabled,
-            "series_cutoff": fb.series_cutoff,
             "push_asymmetry": fb.push_asymmetry,
         },
     }

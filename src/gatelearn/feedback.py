@@ -21,7 +21,9 @@ Three operators are provided, plus the controller that schedules them:
   superposition of translations generated by the hopping Hamiltonian
   H|phi> = lambda(|phi + dphi> + |phi - dphi>), followed by a
   pseudo-random dephasing that suppresses interference artifacts from
-  the complex walk coefficients.
+  the complex walk coefficients.  On the cyclic grid the walk is
+  diagonal in Fourier space, so it is applied exactly, at any strength,
+  by one FFT, a phase multiply and one inverse FFT.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NumericsError
 from .parameter import (
     ParameterState,
     dephase_random,
@@ -41,15 +44,12 @@ from .parameter import (
 __all__ = [
     "FeedbackConfig",
     "FeedbackHistory",
-    "WalkCoefficients",
     "FeedbackResult",
-    "walk_coefficients",
     "apply_quantum_walk",
     "on_failure",
 ]
 
-_MAX_WALK_ORDER = 200
-_UNITARITY_TOL = 1e-9
+_NORM_TOL = 1e-9
 
 STRATEGIES = ("single_push", "double_push")
 
@@ -72,9 +72,9 @@ class FeedbackConfig:
     relative to the rightward one; values below 1 give the distribution
     a slow net drift that scans the parameter circle.
 
-    Construction builds the walk series at the cap, so a strength the
-    series cannot reach (x above about 76 at the default cutoff) fails
-    here rather than at a run's first walk.
+    The walk is applied exactly in Fourier space, so any finite strength
+    is reachable.  Non-finite strengths, floors, escalation rates and
+    asymmetries fail here rather than minutes into an ensemble.
     """
 
     strategy: str = "double_push"
@@ -82,7 +82,6 @@ class FeedbackConfig:
     walk_strength: float = 24.0
     walk_step_cells: int = 1
     kickstart_enabled: bool = True
-    series_cutoff: float = 1e-12
     push_asymmetry: float = 1.0
     walk_floor: float = 1.5
     walk_escalation: float = 2.0
@@ -94,17 +93,17 @@ class FeedbackConfig:
             raise ValueError("initial_push_cells must be >= 1")
         if self.walk_step_cells < 1:
             raise ValueError("walk_step_cells must be >= 1")
+        for name in ("walk_strength", "walk_floor", "walk_escalation", "push_asymmetry"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.walk_strength < 0:
             raise ValueError("walk_strength must be >= 0")
-        if not 0 < self.series_cutoff < 1e-3:
-            raise ValueError("series_cutoff must be a small positive number")
         if self.push_asymmetry <= 0:
             raise ValueError("push_asymmetry must be > 0")
         if self.walk_floor < 0:
             raise ValueError("walk_floor must be >= 0")
         if self.walk_escalation < 0:
             raise ValueError("walk_escalation must be >= 0")
-        walk_coefficients(self.walk_strength, self.series_cutoff)
 
 
 @dataclass(frozen=True)
@@ -133,146 +132,33 @@ class FeedbackHistory:
         )
 
 
-@dataclass(frozen=True)
-class WalkCoefficients:
-    """Translation expansion of the walk unitary at strength ``x``.
-
-    ``coefficients[l]`` multiplies the symmetric translation pair
-    T(+l dphi) + T(-l dphi) (the l = 0 entry multiplies the identity).
-    Unitarity fixes |p_0|^2 + 2 sum_{l>=1} |p_l|^2 = 1; the series is
-    truncated at the first order whose coefficient falls below the
-    configured cutoff.
-    """
-
-    strength: float
-    coefficients: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def unitarity_sum(self) -> float:
-        mags = np.abs(self.coefficients) ** 2
-        return float(mags[0] + 2.0 * mags[1:].sum())
-
-
-_SERIES_MAX_X = 6.0
-
-
-def _ascending_series(x: float, cutoff: float) -> list:
-    """Power series p_l = sum_{j>=l} (-i x)^{2j-l} / (j! (j-l)!), term-wise.
-
-    Truncation happens at the first sub-cutoff coefficient in the
-    monotone tail l >= 2x; for l below 2x the magnitudes oscillate and
-    may pass through zeros without the series having converged.
-    """
-    tail_start = max(1, int(np.ceil(2.0 * x)))
-    coeffs = []
-    l = 0
-    while True:
-        # leading term (-i x)^l / l!, built incrementally to avoid overflow
-        term = 1.0 + 0.0j
-        for i in range(1, l + 1):
-            term *= (-1j * x) / i
-        total = term
-        j = l
-        while abs(term) > cutoff * 1e-3:
-            j += 1
-            term *= (-x * x) / (j * (j - l))
-            total += term
-        coeffs.append(total)
-        if l >= tail_start and abs(total) < cutoff:
-            return coeffs
-        l += 1
-        if l > _MAX_WALK_ORDER:
-            raise ValueError(
-                f"walk strength x={x} needs more than {_MAX_WALK_ORDER} translation orders"
-            )
-
-
-def _backward_recurrence(x: float, cutoff: float) -> list:
-    """p_l for large x via downward three-term recurrence.
-
-    The power series cancels catastrophically beyond x of a few, so the
-    Bessel values J_l(2x) are generated with backward recurrence from a
-    high order and normalized with J_0 + 2 sum J_{2k} = 1 (Miller's
-    method), then dressed with the (-i)^l walk phases.
-    """
-    z = 2.0 * x
-    start = int(z + 16 + 12 * z ** (1.0 / 3.0))
-    high, low = 0.0, 1e-280
-    values = np.zeros(start)  # orders 0 .. start-1
-    for l in range(start, 0, -1):
-        high, low = low, (2.0 * l / z) * low - high
-        values[l - 1] = low
-        if abs(low) > 1e250:  # rescale to dodge overflow; ratios survive
-            high *= 1e-250
-            low *= 1e-250
-            values[l - 1 :] *= 1e-250
-    norm = values[0] + 2.0 * values[2::2].sum()
-    values /= norm
-    tail_start = max(1, int(np.ceil(z)))
-    coeffs = []
-    for l, v in enumerate(values):
-        coeffs.append((-1j) ** (l % 4) * v)
-        if l >= tail_start and abs(v) < cutoff:
-            if l > _MAX_WALK_ORDER:
-                raise ValueError(
-                    f"walk strength x={x} needs more than {_MAX_WALK_ORDER}"
-                    " translation orders"
-                )
-            return coeffs
-    raise ValueError(
-        f"walk strength x={x} needs more than {_MAX_WALK_ORDER} translation orders"
-    )
-
-
-def walk_coefficients(x: float, cutoff: float = 1e-12) -> WalkCoefficients:
-    """Coefficients p_l(x) of the walk unitary exp(-i x (T + T^{-1})).
-
-    Each p_l is the power series sum_{j>=l} (-i x)^{2j-l} / (j! (j-l)!),
-    accumulated by term-wise recurrence until terms fall below the
-    cutoff with a safety margin; beyond x = 6 the equivalent Bessel
-    values (p_l = (-i)^l J_l(2x)) are generated by backward recurrence
-    instead, because the alternating series loses roughly e^{2x} in
-    precision to cancellation.  Rejects strengths so large that more
-    than 200 translation orders would be needed.
-    """
-    if x < 0:
-        raise ValueError("walk strength must be >= 0")
-    if x <= _SERIES_MAX_X:
-        coeffs = _ascending_series(x, cutoff)
-    else:
-        coeffs = _backward_recurrence(x, cutoff)
-    result = WalkCoefficients(float(x), np.asarray(coeffs, dtype=np.complex128))
-    if abs(result.unitarity_sum() - 1.0) > _UNITARITY_TOL:
-        raise ValueError(f"walk series at x={x} failed the unitarity check")
-    return result
-
-
-def apply_quantum_walk(
-    chi: ParameterState, coeffs: WalkCoefficients, step_cells: int, axis: int | None = None
-) -> ParameterState:
+def apply_quantum_walk(chi: ParameterState, strength: float, step_cells: int) -> ParameterState:
     """Split the wavefunction coherently toward both directions.
 
-    chi <- p_0 chi + sum_l p_l (T(+l step) + T(-l step)) chi on each
-    requested axis (all axes when ``axis`` is None).  Translations along
-    different axes commute, so the multi-axis walk is the sequential
-    product.  Norm is preserved to the series truncation level.
+    Applies exp(-i x (T^s + T^-s)) along every grid axis, with x the
+    walk ``strength`` and s = ``step_cells``.  On the cyclic grid this
+    operator is circulant: the Fourier mode m of an axis with N cells is
+    an eigenvector with eigenvalue exp(-2i x cos(2 pi m s / N)).  So one
+    ``fftn``, a multiply by the outer product of the axis spectra, and
+    one ``ifftn`` apply the walk exactly at any strength.  Translations
+    along different axes commute, so the product spectrum equals the
+    sequential per-axis walk.  In translation form the walk is
+    p_0 + sum_l p_l (T^{ls} + T^{-ls}) with p_l = (-i)^l J_l(2x).
     """
     if step_cells < 1:
         raise ValueError("step_cells must be >= 1")
-    axes = range(chi.ndim) if axis is None else (axis,)
-    amps = chi.amplitudes
-    p = coeffs.coefficients
-    for ax in axes:
-        out = p[0] * amps
-        for l in range(1, len(p)):
-            shift = l * step_cells
-            out = out + p[l] * (
-                np.roll(amps, shift, axis=ax) + np.roll(amps, -shift, axis=ax)
-            )
-        amps = out
+    if not 0 <= strength < np.inf:
+        raise ValueError(f"walk strength must be finite and >= 0, got {strength}")
+    spectrum = np.ones(())
+    for cells in chi.grid_shape:
+        # reduce m*s mod N in integers so the cosine argument stays exact
+        modes = (step_cells * np.arange(cells)) % cells
+        phase = np.exp(-2j * strength * np.cos(2.0 * np.pi / cells * modes))
+        spectrum = np.multiply.outer(spectrum, phase)
+    amps = np.fft.ifftn(np.fft.fftn(chi.amplitudes) * spectrum)
+    before, after = np.vdot(chi.amplitudes, chi.amplitudes), np.vdot(amps, amps)
+    if abs(after.real - before.real) > _NORM_TOL:
+        raise NumericsError(f"walk at x={strength} changed the norm beyond {_NORM_TOL:g}")
     return ParameterState(amps, chi.domains)
 
 
@@ -345,7 +231,6 @@ def on_failure(
         return FeedbackResult(translate(chi, shift, axis=axis), tag)
     if config.strategy == "double_push":
         x = _effective_walk_strength(config, history.consecutive_failures)
-        coeffs = walk_coefficients(x, config.series_cutoff)
-        walked = apply_quantum_walk(chi, coeffs, config.walk_step_cells)
+        walked = apply_quantum_walk(chi, x, config.walk_step_cells)
         return FeedbackResult(dephase_random(walked, rng), "walk+dephase")
     raise ValueError(f"unknown strategy {config.strategy!r}")

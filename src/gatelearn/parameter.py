@@ -15,6 +15,8 @@ non-negotiable: translations would otherwise leak probability.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import NumericsError
@@ -92,9 +94,7 @@ class ParameterState:
 
     def axis_values(self, axis: int = 0) -> np.ndarray:
         """Parameter values at the grid points of one axis."""
-        lo, hi = self.domains[axis]
-        n = self.grid_shape[axis]
-        return lo + np.arange(n) * (hi - lo) / n
+        return _grid_points(*self.domains[axis], self.grid_shape[axis])
 
     def probabilities(self) -> np.ndarray:
         """|chi|^2 over the grid."""
@@ -108,6 +108,19 @@ class ParameterState:
 
     def __repr__(self) -> str:
         return f"ParameterState(grid_shape={self.grid_shape}, domains={self.domains})"
+
+
+def _grid_points(lo: float, hi: float, cells: int) -> np.ndarray:
+    return lo + np.arange(cells) * (hi - lo) / cells
+
+
+@lru_cache(maxsize=64)
+def _axis_phasors(lo: float, hi: float, cells: int) -> np.ndarray:
+    """e^{i angle} at one axis's grid points, the domain mapped onto a full circle."""
+    angles = (_grid_points(lo, hi, cells) - lo) * (_TWO_PI / (hi - lo))
+    phasors = np.exp(1j * angles)
+    phasors.flags.writeable = False
+    return phasors
 
 
 def uniform_init(grid_size, domain=None) -> ParameterState:
@@ -189,9 +202,8 @@ def distribution_variance(state: ParameterState) -> float:
     total = 0.0
     for axis in range(state.ndim):
         marginal = w.sum(axis=tuple(a for a in range(state.ndim) if a != axis))
-        lo, hi = state.domains[axis]
-        # map the domain onto a full circle so the moment is scale-free
-        angles = (state.axis_values(axis) - lo) * (_TWO_PI / (hi - lo))
-        moment = np.abs(np.sum(marginal * np.exp(1j * angles)))
+        # the domain is mapped onto a full circle so the moment is scale-free
+        phasors = _axis_phasors(*state.domains[axis], state.grid_shape[axis])
+        moment = np.abs(np.sum(marginal * phasors))
         total += 1.0 - float(moment)
     return max(total, 0.0)

@@ -14,36 +14,75 @@ from scipy.linalg import expm
 from scipy.special import jv
 
 from .backaction import OutcomeAmplitudes, brute_force_joint_step, sample_and_update
-from .feedback import apply_quantum_walk, walk_coefficients
+from .feedback import apply_quantum_walk
 from .grover import GroverInstance, pass_fail_amplitudes
 from .parameter import ParameterState, invert_about_mean, uniform_init
 from .qft import AqftInstance, apply_aqft
 from .statevector import PureState, apply_single_qubit_gate
 
-__all__ = ["run_selftest"]
+__all__ = ["run_selftest", "walk_dense_deviation", "walk_kernel_deviation"]
 
 
-def _check_walk_series() -> str:
-    for x in (0.3, 0.8, 1.5, 5.0):
-        coeffs = walk_coefficients(x)
-        bessel = np.array([(-1j) ** l * jv(l, 2 * x) for l in range(len(coeffs.coefficients))])
-        if np.abs(coeffs.coefficients - bessel).max() > 1e-10:
-            raise AssertionError(f"walk series deviates from Bessel values at x={x}")
-        if abs(coeffs.unitarity_sum() - 1.0) > 1e-9:
-            raise AssertionError(f"walk series unitarity sum violated at x={x}")
-    return "walk coefficients match independent Bessel evaluation"
+#: bounds of the walk checks, shared with acceptance criterion 2
+WALK_DENSE_TOL = 1e-8
+WALK_BESSEL_TOL = 1e-10
+WALK_NORM_TOL = 1e-9
+
+
+def walk_kernel_deviation():
+    """(worst Bessel deviation, worst norm deviation) of the walk's kernel.
+
+    The walk applied to a delta on 256 cells (>> 2x) gives the
+    translation coefficients, amplitude (-i)^l J_l(2x) at distance l on
+    either side; the Bessel values come from scipy, independently of
+    the FFT.
+    """
+    cells = 256
+    worst_bessel = worst_norm = 0.0
+    distance = np.minimum(np.arange(cells), cells - np.arange(cells))
+    for x in (0.3, 0.8, 1.5, 5.0, 24.0):
+        delta = ParameterState(np.eye(1, cells).ravel())
+        kernel = apply_quantum_walk(delta, x, 1).amplitudes
+        oracle = (-1j) ** (distance % 4) * jv(distance, 2 * x)
+        worst_bessel = max(worst_bessel, np.abs(kernel - oracle).max())
+        worst_norm = max(worst_norm, abs(np.linalg.norm(kernel) - 1.0))
+    return worst_bessel, worst_norm
+
+
+def walk_dense_deviation():
+    """(worst deviation from the dense expm, worst norm deviation) of the walk.
+
+    Each (cells, x) case walks a seeded random state one cell per step
+    and compares with expm(-i x (T + T^-1)) built as a dense matrix.
+    """
+    worst_op = worst_norm = 0.0
+    for cells, x in ((32, 0.3), (32, 0.8), (32, 1.5), (64, 1.5), (64, 24.0)):
+        rng = np.random.default_rng(int(10 * x) + cells)
+        amps = rng.normal(size=cells) + 1j * rng.normal(size=cells)
+        chi = ParameterState(amps / np.linalg.norm(amps))
+        shift = np.roll(np.eye(cells), 1, axis=0)
+        dense = expm(-1j * x * (shift + shift.T))
+        walked = apply_quantum_walk(chi, x, 1)
+        worst_op = max(worst_op, np.abs(walked.amplitudes - dense @ chi.amplitudes).max())
+        worst_norm = max(worst_norm, abs(walked.norm() - 1.0))
+    return worst_op, worst_norm
+
+
+def _check_walk_kernel() -> str:
+    bessel, norm = walk_kernel_deviation()
+    if bessel > WALK_BESSEL_TOL:
+        raise AssertionError(f"walk kernel deviates from Bessel values by {bessel:.2e}")
+    if norm > WALK_NORM_TOL:
+        raise AssertionError(f"walk kernel norm deviates from 1 by {norm:.2e}")
+    return "walk kernel matches independent Bessel evaluation"
 
 
 def _check_walk_operator() -> str:
-    for n_cells, x in ((32, 0.3), (32, 0.8), (64, 1.5)):
-        rng = np.random.default_rng(11)
-        amps = rng.normal(size=n_cells) + 1j * rng.normal(size=n_cells)
-        chi = ParameterState(amps / np.linalg.norm(amps))
-        shift = np.roll(np.eye(n_cells), 1, axis=0)
-        dense = expm(-1j * x * (shift + shift.T))
-        walked = apply_quantum_walk(chi, walk_coefficients(x), 1)
-        if np.abs(walked.amplitudes - dense @ chi.amplitudes).max() > 1e-8:
-            raise AssertionError(f"walk disagrees with dense exponential at x={x}")
+    dense, norm = walk_dense_deviation()
+    if dense > WALK_DENSE_TOL:
+        raise AssertionError(f"walk disagrees with dense exponential by {dense:.2e}")
+    if norm > WALK_NORM_TOL:
+        raise AssertionError(f"walk changes the norm by {norm:.2e}")
     return "quantum walk matches dense circulant exponential"
 
 
@@ -120,7 +159,7 @@ def _check_inversion() -> str:
 
 
 _CHECKS = (
-    _check_walk_series,
+    _check_walk_kernel,
     _check_walk_operator,
     _check_joint_oracle,
     _check_grover_subspace,

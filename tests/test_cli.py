@@ -143,15 +143,21 @@ class TestUsageErrors:
         assert status == 2
         assert "runs" in capsys.readouterr().err
 
-    def test_unreachable_walk_strength_exits_2_before_any_run(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("flag,value", [
+        ("--walk-x", "nan"),
+        ("--walk-floor", "nan"),
+        ("--walk-escalation", "nan"),
+        ("--push-asymmetry", "inf"),
+    ])
+    def test_non_finite_feedback_constant_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, flag, value
     ):
         def no_run(*args, **kwargs):
             raise AssertionError("an ensemble started")
 
         monkeypatch.setattr("gatelearn.cli.run_ensemble", no_run)
         out = tmp_path / "x"
-        status = run_cli(["grover", "--n-elements", "64", "--walk-x", "120", "--out", str(out)])
+        status = run_cli(["grover", "--n-elements", "64", flag, value, "--out", str(out)])
         assert status == 2
-        assert "translation orders" in capsys.readouterr().err
+        assert "must be finite" in capsys.readouterr().err
         assert not out.exists()

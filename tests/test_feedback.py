@@ -1,4 +1,4 @@
-"""Feedback operators: walk series, pushes, kickstart, controller dispatch."""
+"""Feedback operators: quantum walk, pushes, kickstart, controller dispatch."""
 
 from dataclasses import replace
 
@@ -19,7 +19,6 @@ from gatelearn import (
     sample_and_update,
     success_probability_map,
     uniform_init,
-    walk_coefficients,
 )
 from gatelearn.grover import _amplitudes_for_phases
 
@@ -30,82 +29,105 @@ def random_chi(n, seed):
     return ParameterState(amps / np.linalg.norm(amps))
 
 
+def walk_kernel(x, cells=256):
+    """The walk applied to a delta: amplitude p_l at distance l on either side."""
+    delta = ParameterState(np.eye(1, cells).ravel())
+    return apply_quantum_walk(delta, x, 1).amplitudes
+
+
+def bessel_kernel(x, cells=256):
+    # independent oracle: p_l = (-i)^l J_l(2x) via scipy's Bessel J
+    distance = np.minimum(np.arange(cells), cells - np.arange(cells))
+    return (-1j) ** (distance % 4) * jv(distance, 2 * x)
+
+
 class TestWalkCoefficients:
+    """The walk's translation coefficients, read off as its kernel."""
+
     def test_zero_strength(self):
-        coeffs = walk_coefficients(0.0)
-        assert abs(coeffs.coefficients[0] - 1.0) < 1e-15
-        assert np.abs(coeffs.coefficients[1:]).max() == 0.0
+        kernel = walk_kernel(0.0)
+        assert abs(kernel[0] - 1.0) < 1e-15
+        assert np.abs(kernel[1:]).max() < 1e-15
 
     def test_half_strength_values(self):
-        # independent oracle: p_l = (-i)^l J_l(2x) via scipy's Bessel J
-        coeffs = walk_coefficients(0.5).coefficients
-        assert abs(coeffs[0] - 0.7652) < 1e-4
-        assert abs(coeffs[1] - (-0.4401j)) < 1e-4
-        for l, c in enumerate(coeffs):
-            assert abs(c - (-1j) ** l * jv(l, 1.0)) < 1e-10
+        kernel = walk_kernel(0.5)
+        assert abs(kernel[0] - 0.7652) < 1e-4
+        assert abs(kernel[1] - (-0.4401j)) < 1e-4
+        assert abs(kernel[-1] - (-0.4401j)) < 1e-4
+        np.testing.assert_allclose(kernel, bessel_kernel(0.5), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.5, 5.0])
     def test_matches_bessel_oracle(self, x):
-        coeffs = walk_coefficients(x).coefficients
-        oracle = np.array([(-1j) ** l * jv(l, 2 * x) for l in range(len(coeffs))])
-        np.testing.assert_allclose(coeffs, oracle, atol=1e-10)
+        np.testing.assert_allclose(walk_kernel(x), bessel_kernel(x), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("x", [0.0, 0.5, 1.5, 3.0, 5.0])
     def test_unitarity_sum(self, x):
-        assert abs(walk_coefficients(x).unitarity_sum() - 1.0) < 1e-9
+        # |p_0|^2 + 2 sum_{l>=1} |p_l|^2 = 1
+        assert abs(np.sum(np.abs(walk_kernel(x)) ** 2) - 1.0) < 1e-12
 
     def test_large_strength_stays_finite(self):
-        coeffs = walk_coefficients(60.0)
-        assert np.isfinite(coeffs.coefficients).all()
-        assert abs(coeffs.unitarity_sum() - 1.0) < 1e-9
+        kernel = walk_kernel(60.0, cells=512)  # the kernel spans about 2x cells each way
+        assert np.isfinite(kernel).all()
+        assert abs(np.linalg.norm(kernel) - 1.0) < 1e-12
+        np.testing.assert_allclose(kernel, bessel_kernel(60.0, 512), rtol=0, atol=1e-10)
 
     def test_unphysical_strength_rejected(self):
-        with pytest.raises(ValueError, match="translation orders"):
-            walk_coefficients(150.0)
+        for x in (np.nan, np.inf, -np.inf, -0.5):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                walk_kernel(x)
+
+
+def dense_walk(cells, x, step=1):
+    # oracle: expm of the hopping Hamiltonian as a dense matrix
+    shift = np.roll(np.eye(cells), step, axis=0)
+    return expm(-1j * x * (shift + shift.T))
 
 
 class TestApplyQuantumWalk:
     def test_zero_strength_is_identity(self):
         chi = random_chi(32, 0)
-        out = apply_quantum_walk(chi, walk_coefficients(0.0), 1)
+        out = apply_quantum_walk(chi, 0.0, 1)
         np.testing.assert_allclose(out.amplitudes, chi.amplitudes, atol=1e-15)
 
     def test_symmetric_split_of_a_delta(self):
         amps = np.zeros(16, dtype=complex)
         amps[8] = 1.0
-        out = apply_quantum_walk(ParameterState(amps), walk_coefficients(0.5), 1)
+        out = apply_quantum_walk(ParameterState(amps), 0.5, 1)
         probs = np.abs(out.amplitudes) ** 2
         assert abs(probs[7] - probs[9]) < 1e-12
         assert probs[7] > 1e-3
 
     @pytest.mark.parametrize("n_cells,x", [(32, 0.3), (32, 0.8), (32, 1.5), (64, 1.5)])
     def test_matches_dense_circulant_exponential(self, n_cells, x):
-        # oracle: expm of the hopping Hamiltonian as a dense matrix
         chi = random_chi(n_cells, seed=int(10 * x))
-        shift = np.roll(np.eye(n_cells), 1, axis=0)
-        dense = expm(-1j * x * (shift + shift.T))
-        out = apply_quantum_walk(chi, walk_coefficients(x), 1)
-        np.testing.assert_allclose(out.amplitudes, dense @ chi.amplitudes, atol=1e-8)
+        out = apply_quantum_walk(chi, x, 1)
+        np.testing.assert_allclose(
+            out.amplitudes, dense_walk(n_cells, x) @ chi.amplitudes, rtol=0, atol=1e-12
+        )
 
     def test_step_two_matches_dense_exponential(self):
         chi = random_chi(32, 5)
-        shift2 = np.roll(np.eye(32), 2, axis=0)
-        dense = expm(-1j * 0.8 * (shift2 + shift2.T))
-        out = apply_quantum_walk(chi, walk_coefficients(0.8), 2)
-        np.testing.assert_allclose(out.amplitudes, dense @ chi.amplitudes, atol=1e-8)
+        out = apply_quantum_walk(chi, 0.8, 2)
+        np.testing.assert_allclose(
+            out.amplitudes, dense_walk(32, 0.8, 2) @ chi.amplitudes, rtol=0, atol=1e-12
+        )
 
     def test_norm_preserved(self):
-        for x in (0.3, 1.0, 4.0, 18.0):
-            out = apply_quantum_walk(random_chi(64, 7), walk_coefficients(x), 1)
-            assert abs(out.norm() - 1.0) < 1e-9
+        for x in (0.3, 1.0, 4.0, 18.0, 120.0):
+            out = apply_quantum_walk(random_chi(64, 7), x, 1)
+            assert abs(out.norm() - 1.0) < 1e-12
 
     def test_two_axis_walk_acts_on_both(self):
         amps = np.zeros((8, 8), dtype=complex)
         amps[4, 4] = 1.0
-        out = apply_quantum_walk(ParameterState(amps), walk_coefficients(0.5), 1)
+        out = apply_quantum_walk(ParameterState(amps), 0.5, 1)
         probs = np.abs(out.amplitudes) ** 2
         assert probs[3, 4] > 1e-3 and probs[4, 3] > 1e-3
-        assert abs(out.norm() - 1.0) < 1e-9
+        assert abs(out.norm() - 1.0) < 1e-12
+        dense = np.kron(dense_walk(8, 0.5), dense_walk(8, 0.5))
+        np.testing.assert_allclose(
+            out.amplitudes.ravel(), dense @ amps.ravel(), rtol=0, atol=1e-12
+        )
 
 
 def single_push(chi, failures, successes, config):
@@ -223,7 +245,7 @@ class TestController:
         history = FeedbackHistory(successes=2, failures=1, consecutive_failures=1)
         result = on_failure(chi, history, config, np.random.default_rng(9))
         assert result.action == "walk+dephase"
-        walked = apply_quantum_walk(chi, walk_coefficients(0.8), 1)
+        walked = apply_quantum_walk(chi, 0.8, 1)
         np.testing.assert_allclose(
             np.abs(result.state.amplitudes), np.abs(walked.amplitudes), atol=1e-12
         )
@@ -283,8 +305,25 @@ class TestController:
         with pytest.raises(ValueError, match="unknown strategy"):
             FeedbackConfig(strategy="triple_push")
 
-    def test_unreachable_walk_strength_rejected_at_config(self):
-        # the series needs more than 200 translation orders beyond x ~ 76
-        with pytest.raises(ValueError, match="translation orders"):
-            FeedbackConfig(walk_strength=120.0)
-        FeedbackConfig(walk_strength=64.0)
+    def test_large_walk_strength_builds_and_matches_dense_exponential(self):
+        # the exact walk has no strength cap: x=120 builds and runs
+        config = FeedbackConfig(walk_strength=120.0, walk_escalation=0.0)
+        chi = random_chi(64, 13)
+        history = FeedbackHistory(successes=1, failures=1, consecutive_failures=1)
+        result = on_failure(chi, history, config, np.random.default_rng(3))
+        assert result.action == "walk+dephase"
+        oracle = dense_walk(64, 120.0) @ chi.amplitudes
+        np.testing.assert_allclose(
+            apply_quantum_walk(chi, 120.0, 1).amplitudes, oracle, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            np.abs(result.state.amplitudes), np.abs(oracle), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("field", [
+        "walk_strength", "walk_floor", "walk_escalation", "push_asymmetry",
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_constants_rejected_at_config(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FeedbackConfig(**{field: value})

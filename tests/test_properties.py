@@ -7,6 +7,7 @@ cases below exceed a thousand random instances while staying fast.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from gatelearn import (
     AqftInstance,
@@ -26,7 +27,6 @@ from gatelearn import (
     pass_fail_amplitudes,
     run_ensemble,
     translate,
-    walk_coefficients,
 )
 from gatelearn.qft import ProductFormTrials, trial_output_batch
 
@@ -121,17 +121,52 @@ def test_feedback_operations_preserve_norm_150_cases():
 
 
 def test_walk_unitarity_sum_100_cases():
+    # the walked delta holds the translation coefficients, sum |p_l|^2 = 1
     for _ in range(100):
         x = float(RNG.uniform(0.0, 30.0))
-        assert abs(walk_coefficients(x).unitarity_sum() - 1.0) < 1e-9
+        cells = int(RNG.integers(2, 256))
+        delta = ParameterState(np.eye(1, cells).ravel())
+        kernel = apply_quantum_walk(delta, x, int(RNG.integers(1, cells + 1))).amplitudes
+        assert abs(np.sum(np.abs(kernel) ** 2) - 1.0) < 1e-12
 
 
 def test_walk_norm_preservation_100_cases():
     for _ in range(100):
         chi = random_chi(int(RNG.integers(8, 64)))
-        coeffs = walk_coefficients(float(RNG.uniform(0.0, 8.0)))
+        x = float(RNG.uniform(0.0, 130.0))
         step = int(RNG.integers(1, 4))
-        assert abs(apply_quantum_walk(chi, coeffs, step).norm() - 1.0) < 1e-9
+        assert abs(apply_quantum_walk(chi, x, step).norm() - 1.0) < 1e-12
+
+
+def dense_walk(cells, x, step):
+    shift = np.roll(np.eye(cells), step, axis=0)
+    return expm(-1j * x * (shift + shift.T))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fft_walk_matches_dense_exponential(data):
+    two_axis = data.draw(st.booleans(), label="two axes")
+    # 2-axis grids stay small enough for the dense kron oracle
+    sizes = data.draw(
+        st.lists(st.integers(2, 24 if two_axis else 64),
+                 min_size=1 + two_axis, max_size=1 + two_axis),
+        label="cells per axis",
+    )
+    # steps that share a factor with an axis (and N/2, where T^s = T^-s) are included
+    step = data.draw(st.integers(1, max(1, min(sizes) - 1)), label="step_cells")
+    x = data.draw(st.floats(0.0, 130.0), label="x")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=sizes) + 1j * rng.normal(size=sizes)
+    chi = ParameterState(amps / np.linalg.norm(amps))
+    dense = dense_walk(sizes[0], x, step)
+    for cells in sizes[1:]:
+        dense = np.kron(dense, dense_walk(cells, x, step))
+    walked = apply_quantum_walk(chi, x, step).amplitudes
+    np.testing.assert_allclose(
+        walked.ravel(), dense @ chi.amplitudes.ravel(), rtol=0, atol=1e-12
+    )
 
 
 def test_search_amplitude_closure_100_cases():
