@@ -38,14 +38,13 @@ def main():
           f"p = {reference:.4f} after {problem.iterations} rounds\n")
 
     print("one seeded training run:")
-    result = run_learning(config, run_seed=123)
-    shown = {1, 2, 3, 5, 10, 20, 40, 80, 120}
-    for rec in result.records:
-        if rec.iteration in shown:
-            print(f"  iter {rec.iteration:3d}: {rec.outcome:4s} "
-                  f"feedback={rec.feedback_action:12s} "
-                  f"deployed success={rec.expected_success:.4f} "
-                  f"spread={rec.circular_variance:.4f}")
+    run = run_learning(config, run_seed=123)  # a batch of one run: row 0 of each column
+    for it in (1, 2, 3, 5, 10, 20, 40, 80, 120):
+        j = it - 1
+        print(f"  iter {it:3d}: {'pass' if run.passed[0, j] else 'fail':4s} "
+              f"feedback={run.feedback_action[0, j]:12s} "
+              f"deployed success={run.expected_success[0, j]:.4f} "
+              f"spread={run.circular_variance[0, j]:.4f}")
 
     print(f"\nensemble of {config.runs} independent trainings:")
     summary, _ = run_ensemble(config, threads=2)

@@ -35,8 +35,7 @@ from .grover import (
 from .harness import (
     EnsembleSummary,
     ExperimentConfig,
-    RunResult,
-    TrialRecord,
+    RunBatch,
     quantile_analysis,
     run_ensemble,
     run_learning,

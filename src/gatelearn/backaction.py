@@ -14,7 +14,10 @@ a Bayesian-style filter on the parameter.
 
 The filter needs two things from a trial: the outcome distribution for
 the current |chi|^2 and the amplitude column A_r of the one sampled
-outcome.  Any trial object that provides ``grid_shape``,
+outcome.  :func:`sample_batch` and :func:`filter_batch` do the sampling
+and the filtering for a batch of runs, one row of a ``(runs, ...)``
+array per run; :func:`sample_and_update` is the same kernels on one
+run.  Any trial object that provides ``grid_shape``,
 ``distribution(weights)`` and ``outcome_amplitude(r)`` will do:
 :class:`OutcomeAmplitudes` holds explicit per-cell amplitude tables
 (search trials, and the statevector oracle of the Fourier trials), and
@@ -36,6 +39,8 @@ __all__ = [
     "OutcomeAmplitudes",
     "outcome_distribution",
     "sample_and_update",
+    "sample_batch",
+    "filter_batch",
     "brute_force_joint_step",
 ]
 
@@ -122,8 +127,14 @@ class OutcomeAmplitudes:
         return self._probs
 
     def distribution(self, weights: np.ndarray) -> np.ndarray:
-        """Outcome probabilities for flattened cell weights |chi_g|^2."""
-        return weights @ self.probability_table().reshape(-1, self.n_outcomes)
+        """Outcome probabilities for flattened cell weights |chi_g|^2.
+
+        ``weights`` is one run's ``(cells,)`` vector or a ``(runs, cells)``
+        batch.  Each row is a separate vector-matrix product (one BLAS
+        gemv), so a row's result does not depend on the batch around it.
+        """
+        table = self.probability_table().reshape(-1, self.n_outcomes)
+        return np.matmul(weights[..., None, :], table)[..., 0, :]
 
 
 def outcome_distribution(chi: ParameterState, amps) -> np.ndarray:
@@ -133,9 +144,57 @@ def outcome_distribution(chi: ParameterState, amps) -> np.ndarray:
             f"amplitude grid {amps.grid_shape} != parameter grid {chi.grid_shape}"
         )
     dist = amps.distribution(chi.probabilities().reshape(-1))
-    if abs(dist.sum() - 1.0) > _CELL_NORM_TOL:
-        raise NumericsError("outcome distribution does not sum to 1 within 1e-9")
+    _check_sums([float(dist.sum())])
     return dist
+
+
+def _check_sums(totals) -> None:
+    # written so that a NaN total fails too
+    if not all(abs(t - 1.0) <= _CELL_NORM_TOL for t in totals):
+        raise NumericsError("outcome distribution does not sum to 1 within 1e-9")
+
+
+def sample_batch(dist: np.ndarray, rngs) -> np.ndarray:
+    """One projective outcome per run from its ``(runs, outcomes)`` distribution row.
+
+    Each run makes exactly one uniform draw from its own stream and takes
+    the inverse CDF, accumulated in fixed ascending outcome order, so a
+    run's outcome depends only on its row and its stream.  Raises when a
+    row does not sum to 1 within 1e-9 or an outcome of vanishing
+    probability is drawn.
+    """
+    cdf = np.cumsum(dist, axis=1)
+    totals = cdf[:, -1].tolist()
+    _check_sums(totals)
+    targets = np.array([rng.random() * total for rng, total in zip(rngs, totals)])
+    # the count of CDF entries <= u * total is searchsorted(..., side="right")
+    outcomes = (cdf <= targets[:, None]).sum(axis=1)
+    np.minimum(outcomes, dist.shape[1] - 1, out=outcomes)
+    if dist[np.arange(len(outcomes)), outcomes].min() < 1e-300:
+        raise NumericsError("sampled an outcome of vanishing probability")
+    return outcomes
+
+
+def _row_norms(amps: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every run's row, bit for bit.
+
+    ``np.linalg.norm`` adds one BLAS dot product of the real parts and
+    one of the imaginary parts; a stacked ``(1, cells) @ (cells, 1)``
+    matmul makes the same dot call for each row.
+    """
+    flat = amps.reshape(len(amps), 1, -1)
+    re, im = flat.real, flat.imag
+    squares = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
+    return np.sqrt(squares.reshape(len(amps)))
+
+
+def filter_batch(amps: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """chi_g * A_r(phi_g), renormalized, for each run's row and sampled column."""
+    # an explicit ufunc keeps the operand order: a * b and b * a may differ
+    # in the last bit for complex operands
+    filtered = np.multiply(amps, columns)
+    norms = _row_norms(filtered).reshape((-1,) + (1,) * (amps.ndim - 1))
+    return filtered / norms
 
 
 def sample_and_update(chi: ParameterState, amps, rng: np.random.Generator):
@@ -151,12 +210,9 @@ def sample_and_update(chi: ParameterState, amps, rng: np.random.Generator):
     exact, not an approximation.
     """
     dist = outcome_distribution(chi, amps)
-    r = _sample_index(dist, rng)
-    if dist[r] < 1e-300:
-        raise NumericsError("sampled an outcome of vanishing probability")
-    filtered = chi.amplitudes * amps.outcome_amplitude(r)
-    norm = np.linalg.norm(filtered)
-    return r, ParameterState(filtered / norm, chi.domains)
+    r = int(sample_batch(dist[None], [rng])[0])
+    filtered = filter_batch(chi.amplitudes[None], amps.outcome_amplitude(r)[None])[0]
+    return r, ParameterState(filtered, chi.domains)
 
 
 def brute_force_joint_step(

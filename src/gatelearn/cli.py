@@ -162,13 +162,12 @@ def _run_experiment(args: argparse.Namespace, problem, problem_desc: dict) -> in
     config, threads = _experiment_config(args, problem)
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary, results = run_ensemble(config, threads=threads)
-    write_runs_csv(results, out_dir / "runs.csv")
+    summary, batch = run_ensemble(config, threads=threads)
+    write_runs_csv(batch, out_dir / "runs.csv")
     write_summary_json(summary, out_dir / "summary.json", extra={"problem": problem_desc})
     write_histogram_csv(summary, out_dir / "histogram.csv")
     if config.snapshot_chi:
-        snaps = np.stack([run.chi_snapshots for run in results])
-        np.save(out_dir / "chi_snapshots.npy", snaps)
+        np.save(out_dir / "chi_snapshots.npy", batch.chi_snapshots)
     manifest = _manifest(args, config, problem_desc)
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

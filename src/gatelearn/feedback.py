@@ -24,11 +24,18 @@ Three operators are provided, plus the controller that schedules them:
   the complex walk coefficients.  On the cyclic grid the walk is
   diagonal in Fourier space, so it is applied exactly, at any strength,
   by one FFT, a phase multiply and one inverse FFT.
+
+:func:`on_failure_batch` and :func:`apply_quantum_walk_batch` act on the
+failed runs of a batch, one row of a ``(runs, *grid_shape)`` array per
+run; :func:`on_failure` and :func:`apply_quantum_walk` are the same
+kernels on one run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -36,9 +43,9 @@ import numpy as np
 from .errors import NumericsError
 from .parameter import (
     ParameterState,
-    dephase_random,
-    invert_about_mean,
-    translate,
+    dephase_batch,
+    invert_about_mean_batch,
+    translate_batch,
 )
 
 __all__ = [
@@ -46,7 +53,9 @@ __all__ = [
     "FeedbackHistory",
     "FeedbackResult",
     "apply_quantum_walk",
+    "apply_quantum_walk_batch",
     "on_failure",
+    "on_failure_batch",
 ]
 
 _NORM_TOL = 1e-9
@@ -132,6 +141,55 @@ class FeedbackHistory:
         )
 
 
+@lru_cache(maxsize=256)
+def _walk_spectrum(strength: float, step_cells: int, grid_shape: tuple) -> np.ndarray:
+    """Eigenvalues of the walk on a grid, the outer product of the axis spectra."""
+    if step_cells < 1:
+        raise ValueError("step_cells must be >= 1")
+    if not 0 <= strength < np.inf:
+        raise ValueError(f"walk strength must be finite and >= 0, got {strength}")
+    spectrum = np.ones(())
+    for cells in grid_shape:
+        # reduce m*s mod N in integers so the cosine argument stays exact
+        modes = (step_cells * np.arange(cells)) % cells
+        phase = np.exp(-2j * strength * np.cos(2.0 * np.pi / cells * modes))
+        spectrum = np.multiply.outer(spectrum, phase)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _norms_squared(amps: np.ndarray) -> np.ndarray:
+    rows = np.ascontiguousarray(amps).reshape(len(amps), -1)
+    parts = rows.view(np.float64)  # real, imag interleaved
+    return np.einsum("ij,ij->i", parts, parts)
+
+
+def apply_quantum_walk_batch(amps: np.ndarray, strengths, step_cells: int) -> np.ndarray:
+    """The walk of :func:`apply_quantum_walk` on each run, at that run's strength.
+
+    ``amps`` is ``(runs, *grid_shape)``.  The FFTs run over the grid
+    axes only, and each row is multiplied by the cached spectrum of its
+    own strength.  Raises ``NumericsError`` if a run's norm moves by
+    more than 1e-9.
+    """
+    spectra = [_walk_spectrum(float(x), step_cells, amps.shape[1:]) for x in strengths]
+    # one shared strength (always so for a single run) broadcasts its spectrum
+    spectra = spectra[0] if len(set(strengths)) == 1 else np.stack(spectra)
+    # the 1-D transforms over the grid axes, last axis first: np.fft.fftn's
+    # own order, so the result is fftn's, without its argument handling
+    walked = amps
+    for axis in range(amps.ndim - 1, 0, -1):
+        walked = np.fft.fft(walked, axis=axis)
+    np.multiply(walked, spectra, out=walked)
+    for axis in range(amps.ndim - 1, 0, -1):
+        walked = np.fft.ifft(walked, axis=axis)
+    within = np.abs(_norms_squared(walked) - _norms_squared(amps)) <= _NORM_TOL
+    if not within.all():
+        x = strengths[int(np.argmin(within))]
+        raise NumericsError(f"walk at x={x} changed the norm beyond {_NORM_TOL:g}")
+    return walked
+
+
 def apply_quantum_walk(chi: ParameterState, strength: float, step_cells: int) -> ParameterState:
     """Split the wavefunction coherently toward both directions.
 
@@ -145,21 +203,8 @@ def apply_quantum_walk(chi: ParameterState, strength: float, step_cells: int) ->
     sequential per-axis walk.  In translation form the walk is
     p_0 + sum_l p_l (T^{ls} + T^{-ls}) with p_l = (-i)^l J_l(2x).
     """
-    if step_cells < 1:
-        raise ValueError("step_cells must be >= 1")
-    if not 0 <= strength < np.inf:
-        raise ValueError(f"walk strength must be finite and >= 0, got {strength}")
-    spectrum = np.ones(())
-    for cells in chi.grid_shape:
-        # reduce m*s mod N in integers so the cosine argument stays exact
-        modes = (step_cells * np.arange(cells)) % cells
-        phase = np.exp(-2j * strength * np.cos(2.0 * np.pi / cells * modes))
-        spectrum = np.multiply.outer(spectrum, phase)
-    amps = np.fft.ifftn(np.fft.fftn(chi.amplitudes) * spectrum)
-    before, after = np.vdot(chi.amplitudes, chi.amplitudes), np.vdot(amps, amps)
-    if abs(after.real - before.real) > _NORM_TOL:
-        raise NumericsError(f"walk at x={strength} changed the norm beyond {_NORM_TOL:g}")
-    return ParameterState(amps, chi.domains)
+    walked = apply_quantum_walk_batch(chi.amplitudes[None], [strength], step_cells)[0]
+    return ParameterState(walked, chi.domains)
 
 
 def _push_move(failure_count: int, success_count: int, config: FeedbackConfig, ndim: int):
@@ -187,8 +232,76 @@ class FeedbackResult(NamedTuple):
 def _effective_walk_strength(config: FeedbackConfig, consecutive_failures: int) -> float:
     if config.walk_escalation == 0:
         return config.walk_strength
-    escalated = config.walk_floor * 2.0 ** (consecutive_failures / config.walk_escalation)
+    if config.walk_floor == 0:
+        return min(config.walk_strength, 0.0)
+    exponent = consecutive_failures / config.walk_escalation
+    if exponent < 1024:
+        escalated = config.walk_floor * 2.0**exponent
+    else:
+        # 2.0 ** exponent overflows a float; compare in the log domain instead
+        log2_escalated = math.log2(config.walk_floor) + exponent
+        escalated = math.inf if log2_escalated >= 1024 else 2.0**log2_escalated
     return min(config.walk_strength, escalated)
+
+
+def on_failure_batch(
+    amps: np.ndarray,
+    successes,
+    failures,
+    consecutive_failures,
+    config: FeedbackConfig,
+    rngs,
+    binary_readout: bool = False,
+):
+    """Feedback for a batch of runs that each just failed a verification.
+
+    ``amps`` is ``(runs, *grid_shape)``, one row per failed run; the
+    counts are per run and, as in :class:`FeedbackHistory`, exclude the
+    failure being handled; ``rngs`` are the runs' own streams.  Each row
+    gets what :func:`on_failure` gives that run alone.  Returns the new
+    rows and an object array of the action tags.
+    """
+    successes, failures = np.asarray(successes), np.asarray(failures)
+    consecutive_failures = np.asarray(consecutive_failures)
+    kick = failures == 0
+    if binary_readout and config.strategy == "double_push":
+        kick |= successes == 0  # still searching: no pass yet
+    if not (config.kickstart_enabled and kick.any()):
+        return _push_or_walk(amps, successes, failures, consecutive_failures, config, rngs)
+    rest = np.flatnonzero(~kick)
+    # the reflection is row-wise, so reflecting every row and overwriting
+    # the others leaves each kickstarted row as it would be alone
+    out = invert_about_mean_batch(amps)
+    tags = np.full(len(amps), "kickstart", dtype=object)
+    if rest.size:
+        out[rest], tags[rest] = _push_or_walk(
+            amps[rest],
+            successes[rest],
+            failures[rest],
+            consecutive_failures[rest],
+            config,
+            [rngs[i] for i in rest],
+        )
+    return out, tags
+
+
+def _push_or_walk(amps, successes, failures, consecutive_failures, config, rngs):
+    """The configured strategy's step on failed runs that take no kickstart."""
+    if config.strategy == "single_push":
+        ndim = amps.ndim - 1
+        moves = [
+            _push_move(f, n, config, ndim)
+            for f, n in zip(failures.tolist(), successes.tolist())
+        ]
+        axes, shifts = zip(*moves)
+        tags = [
+            f"push{shift:+d}" if ndim == 1 else f"push[ax{axis}]{shift:+d}"
+            for axis, shift in moves
+        ]
+        return translate_batch(amps, shifts, axes), np.array(tags, dtype=object)
+    strengths = [_effective_walk_strength(config, c) for c in consecutive_failures.tolist()]
+    walked = apply_quantum_walk_batch(amps, strengths, config.walk_step_cells)
+    return dephase_batch(walked, rngs), np.full(len(amps), "walk+dephase", dtype=object)
 
 
 def on_failure(
@@ -222,15 +335,13 @@ def on_failure(
     structured, and under the single push repeating it lowers the search
     ensemble mean (N=1024: 0.72 to 0.57 of the ideal success).
     """
-    searching = binary_readout and config.strategy == "double_push" and history.successes == 0
-    if config.kickstart_enabled and (history.failures == 0 or searching):
-        return FeedbackResult(invert_about_mean(chi), "kickstart")
-    if config.strategy == "single_push":
-        axis, shift = _push_move(history.failures, history.successes, config, chi.ndim)
-        tag = f"push{shift:+d}" if chi.ndim == 1 else f"push[ax{axis}]{shift:+d}"
-        return FeedbackResult(translate(chi, shift, axis=axis), tag)
-    if config.strategy == "double_push":
-        x = _effective_walk_strength(config, history.consecutive_failures)
-        walked = apply_quantum_walk(chi, x, config.walk_step_cells)
-        return FeedbackResult(dephase_random(walked, rng), "walk+dephase")
-    raise ValueError(f"unknown strategy {config.strategy!r}")
+    amps, tags = on_failure_batch(
+        chi.amplitudes[None],
+        [history.successes],
+        [history.failures],
+        [history.consecutive_failures],
+        config,
+        [rng],
+        binary_readout,
+    )
+    return FeedbackResult(ParameterState(amps[0], chi.domains), tags[0])

@@ -3,17 +3,31 @@
 One learning run repeats, for a fixed number of iterations: build the
 per-grid-cell outcome data of a fresh trial, sample one projective
 outcome (which filters the parameter wavefunction), verify the outcome
-classically, and on failure apply the configured feedback.  Everything
-is driven by a single per-run random stream, so a (config, seed) pair
-fixes every number exactly, independent of thread count.
+classically, and on failure apply the configured feedback.  Every run
+is driven by its own random stream, so a (config, seed) pair fixes
+every number exactly.
 
-Search trials reuse the fixed uniform input every iteration (the
-problem instance never changes); Fourier trials draw a fresh target
-index k each iteration so the filter sees varied verifications.  A
-Fourier trial's outcome distribution and sampled amplitude column come
-from the circuit's closed product form (:class:`qft.ProductFormTrials`);
-the gate-by-gate statevector simulation is not run in the loop and
-serves as the tests' oracle.
+All runs of an ensemble are stepped together: the wavefunctions form
+one ``(runs, *grid_shape)`` array, the feedback acts on the rows of the
+runs that failed, and the records are ``(runs, iterations)`` columns of
+a :class:`RunBatch`.  Each run still makes its own draws in the same
+order (the Fourier input k, the one uniform of the outcome draw, then
+the dephasing phases after a walk), and every kernel computes a run's
+row exactly as it would alone, so no output depends on how many runs
+share a batch or on the thread count.
+
+The loop sees a problem only through a small trial protocol (see
+:class:`_SearchTrials` and :class:`_FourierTrials`): its
+``success_map``, whether it reads out pass/fail only
+(``binary_readout``), each run's expected outcome
+(``draw_expected(rngs)``), and ``sample(expected, weights, rngs)``,
+which builds the batch's outcome distributions, draws each run's
+outcome with :func:`backaction.sample_batch` and returns the outcomes
+with their amplitude columns.  Search trials reuse the fixed uniform input every iteration;
+Fourier trials draw a fresh target index k per run and iteration, and
+take their outcome data from the circuit's closed product form
+(:class:`qft.ProductFormTrials`); the gate-by-gate statevector
+simulation is not run in the loop and serves as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -22,27 +36,25 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .backaction import PASS, OutcomeAmplitudes, sample_and_update
-from .feedback import FeedbackConfig, FeedbackHistory, on_failure
-from .grover import GroverInstance, success_probability_map, _amplitudes_for_phases
+from .backaction import PASS, OutcomeAmplitudes, filter_batch, sample_batch
+from .feedback import FeedbackConfig, on_failure_batch
+from .grover import GroverInstance, _amplitudes_for_phases
 from .parameter import (
-    ParameterState,
-    distribution_variance,
-    expected_success,
+    checked_success_map,
+    distribution_variance_batch,
+    expected_success_batch,
     uniform_init,
 )
 from .qft import AqftInstance, ProductFormTrials, average_success_map
 
 __all__ = [
     "ExperimentConfig",
-    "TrialRecord",
-    "RunResult",
+    "RunBatch",
     "EnsembleSummary",
     "run_learning",
     "run_ensemble",
@@ -89,112 +101,169 @@ class ExperimentConfig:
         return (self.grid_size,) * self.n_parameters
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Observable state of one training iteration (1-based)."""
+@dataclass(frozen=True, eq=False)
+class RunBatch:
+    """Records of a batch of runs, one ``(runs, iterations)`` array per column.
 
-    iteration: int
-    outcome: str  # "pass" or "fail"
-    measured_index: int | None
-    expected_success: float
-    circular_variance: float
-    feedback_action: str
+    Row i is run i; column j is iteration j + 1.  ``measured_index`` is
+    -1 where the trial is read out as pass/fail only (search).
+    ``chi_snapshots`` holds |chi|^2 after every iteration, shape
+    ``(runs, iterations, *grid_shape)``, when the config asks for it.
+    """
 
+    passed: np.ndarray
+    measured_index: np.ndarray
+    expected_success: np.ndarray
+    circular_variance: np.ndarray
+    feedback_action: np.ndarray
+    chi_snapshots: np.ndarray | None = None
 
-class RunResult(NamedTuple):
-    records: list
-    chi_snapshots: np.ndarray | None
+    @property
+    def runs(self) -> int:
+        return self.passed.shape[0]
+
+    @property
+    def iterations(self) -> int:
+        return self.passed.shape[1]
+
+    @classmethod
+    def concatenate(cls, batches) -> "RunBatch":
+        """The runs of several batches, in order, as one batch."""
+        columns = [[getattr(b, f.name) for b in batches] for f in fields(cls)]
+        return cls(*(None if c[0] is None else np.concatenate(c) for c in columns))
 
 
 # ---------------------------------------------------------------------------
-# cached per-problem tables
+# the trial protocol: one object per (problem, grid), shared by every run
+
+
+class _SearchTrials:
+    """Search: every trial reads pass/fail off one shared binary amplitude table."""
+
+    binary_readout = True
+
+    def __init__(self, instance: GroverInstance, grid_size: int):
+        t, u = _amplitudes_for_phases(instance, uniform_init(grid_size).axis_values(0))
+        self.success_map = checked_success_map(np.abs(t) ** 2, (grid_size,))
+        self.success_map.flags.writeable = False  # checked once, shared by every run
+        self._amps = OutcomeAmplitudes.binary(t, u)
+        self._columns = np.stack([t, u])  # indexed by outcome, PASS then FAIL
+
+    def draw_expected(self, rngs) -> np.ndarray:
+        return np.full(len(rngs), PASS)
+
+    def sample(self, expected, weights: np.ndarray, rngs):
+        outcomes = sample_batch(self._amps.distribution(weights), rngs)
+        return outcomes, self._columns[outcomes]
+
+
+class _FourierTrials:
+    """Fourier: each run draws its input k and reads out the full register."""
+
+    binary_readout = False
+
+    def __init__(self, instance: AqftInstance, grid_size: int):
+        shape = (grid_size,) * instance.band
+        axes = [uniform_init(grid_size).axis_values(0)] * instance.band
+        mesh = np.meshgrid(*axes, indexing="ij")
+        phase_grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        success = average_success_map(instance, phase_grid).reshape(shape)
+        self.success_map = checked_success_map(success, shape)
+        self.success_map.flags.writeable = False  # checked once, shared by every run
+        self._dim, self._shape = instance.dim, shape
+        self._trials = ProductFormTrials(instance, phase_grid, shape)
+
+    def draw_expected(self, rngs) -> np.ndarray:
+        return np.array([int(rng.integers(self._dim)) for rng in rngs])
+
+    def sample(self, expected, weights: np.ndarray, rngs):
+        # one run's trial at a time: at n=10 its table alone is 2 MB
+        outcomes = np.empty(len(rngs), dtype=int)
+        columns = np.empty((len(rngs),) + self._shape, dtype=np.complex128)
+        for i, (k, w, rng) in enumerate(zip(expected.tolist(), weights, rngs)):
+            trial = self._trials.trial(k)
+            outcomes[i] = sample_batch(trial.distribution(w)[None], [rng])[0]
+            columns[i] = trial.outcome_amplitude(outcomes[i])
+        return outcomes, columns
+
 
 @lru_cache(maxsize=64)
-def _grover_tables(instance: GroverInstance, grid_size: int):
-    """(success map, binary outcome amplitudes) for a search problem."""
-    grid = uniform_init(grid_size)
-    phis = grid.axis_values(0)
-    t, u = _amplitudes_for_phases(instance, phis)
-    amps = OutcomeAmplitudes.binary(t, u)
-    return np.abs(t) ** 2, amps
-
-
-@lru_cache(maxsize=64)
-def _aqft_tables(instance: AqftInstance, grid_size: int):
-    """(success map, product-form trial engine) for a Fourier problem."""
-    shape = (grid_size,) * instance.band
-    axes = [uniform_init(grid_size).axis_values(0) for _ in range(instance.band)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    phase_grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    success = average_success_map(instance, phase_grid).reshape(shape)
-    return success, ProductFormTrials(instance, phase_grid, shape)
-
-
-def _problem_success_map(config: ExperimentConfig) -> np.ndarray:
-    if isinstance(config.problem, GroverInstance):
-        return _grover_tables(config.problem, config.grid_size)[0]
-    return _aqft_tables(config.problem, config.grid_size)[0]
+def _trials(problem, grid_size: int):
+    """The trial protocol object of a problem on a grid (built once, read-only)."""
+    if isinstance(problem, GroverInstance):
+        return _SearchTrials(problem, grid_size)
+    return _FourierTrials(problem, grid_size)
 
 
 def target_success(config: ExperimentConfig) -> float:
     """Best deployable success on the configured grid (the training target)."""
-    return float(_problem_success_map(config).max())
+    return float(_trials(config.problem, config.grid_size).success_map.max())
 
 
 # ---------------------------------------------------------------------------
-# single run
+# the training loop
 
-def run_learning(config: ExperimentConfig, run_seed) -> RunResult:
-    """Execute one seeded training trajectory.
 
-    Returns the per-iteration records and, when ``config.snapshot_chi``
-    is set, an (iterations, *grid_shape) array of |chi|^2 snapshots.
-    """
-    rng = np.random.default_rng(run_seed)
-    chi = uniform_init(config.grid_shape)
-    success_map = _problem_success_map(config)
-    is_grover = isinstance(config.problem, GroverInstance)
-    if is_grover:
-        _, grover_amps = _grover_tables(config.problem, config.grid_size)
-    else:
-        _, trials = _aqft_tables(config.problem, config.grid_size)
-        dim = config.problem.dim
+def _run_batch(config: ExperimentConfig, seeds) -> RunBatch:
+    """Train one run per seed, all runs stepped together."""
+    trials = _trials(config.problem, config.grid_size)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    runs, iterations = len(rngs), config.iterations
+    start = uniform_init(config.grid_shape)
+    chi = np.repeat(start.amplitudes[None], runs, axis=0)
+    probs = np.abs(chi) ** 2
 
-    records = []
+    passed = np.empty((runs, iterations), dtype=bool)
+    measured = np.full((runs, iterations), -1)
+    success = np.empty((runs, iterations))
+    variance = np.empty((runs, iterations))
+    actions = np.full((runs, iterations), "none", dtype=object)
     snapshots = (
-        np.empty((config.iterations,) + config.grid_shape) if config.snapshot_chi else None
+        np.empty((runs, iterations) + config.grid_shape) if config.snapshot_chi else None
     )
-    history = FeedbackHistory()
-    for iteration in range(1, config.iterations + 1):
-        if is_grover:
-            amps = grover_amps
-            expected = PASS
-        else:
-            expected = int(rng.integers(dim))
-            amps = trials.trial(expected)
-        measured, chi = sample_and_update(chi, amps, rng)
-        passed = measured == expected
-        if passed:
-            action = "none"
-            history = history.after_success()
-        else:
-            chi, action = on_failure(
-                chi, history, config.feedback, rng, binary_readout=is_grover
+    successes = np.zeros(runs, dtype=int)
+    failures = np.zeros(runs, dtype=int)
+    consecutive = np.zeros(runs, dtype=int)
+    for it in range(iterations):
+        expected = trials.draw_expected(rngs)
+        outcomes, columns = trials.sample(expected, probs.reshape(runs, -1), rngs)
+        chi = filter_batch(chi, columns)
+        ok = outcomes == expected
+        failed = np.flatnonzero(~ok)
+        if failed.size:
+            # a slice when every run failed: views instead of gathered copies
+            rows = slice(None) if failed.size == runs else failed
+            chi[rows], actions[rows, it] = on_failure_batch(
+                chi[rows],
+                successes[rows],
+                failures[rows],
+                consecutive[rows],
+                config.feedback,
+                [rngs[i] for i in failed],
+                binary_readout=trials.binary_readout,
             )
-            history = history.after_failure()
-        records.append(
-            TrialRecord(
-                iteration=iteration,
-                outcome="pass" if passed else "fail",
-                measured_index=None if is_grover else measured,
-                expected_success=expected_success(chi, success_map),
-                circular_variance=distribution_variance(chi),
-                feedback_action=action,
-            )
-        )
+        successes += ok
+        failures += ~ok
+        consecutive = np.where(ok, 0, consecutive + 1)
+
+        probs = np.abs(chi) ** 2
+        passed[:, it] = ok
+        if not trials.binary_readout:
+            measured[:, it] = outcomes
+        success[:, it] = expected_success_batch(probs, trials.success_map)
+        variance[:, it] = distribution_variance_batch(probs, start.domains)
         if snapshots is not None:
-            snapshots[iteration - 1] = chi.probabilities()
-    return RunResult(records, snapshots)
+            snapshots[:, it] = probs
+    return RunBatch(passed, measured, success, variance, actions, snapshots)
+
+
+def run_learning(config: ExperimentConfig, run_seed) -> RunBatch:
+    """Execute one seeded training trajectory, as a batch of one run.
+
+    Its rows are bit for bit the row the same seed gives inside any
+    larger batch.
+    """
+    return _run_batch(config, [run_seed])
 
 
 # ---------------------------------------------------------------------------
@@ -243,53 +312,49 @@ class EnsembleSummary:
 def run_ensemble(config: ExperimentConfig, threads: int = 1) -> tuple:
     """Run ``config.runs`` independent trajectories and aggregate them.
 
-    Per-run seeds are spawned from the master seed, and aggregation is
-    ordered by run index, so neither the thread count nor scheduling
-    order affects any output number.  Returns
-    ``(summary, run_results)`` with run results in run-index order.
+    Per-run seeds are spawned from the master seed.  With ``threads`` >
+    1 the runs are split into that many contiguous batches, one per
+    worker thread; since a run's numbers do not depend on its batch,
+    the thread count never changes an output.  Returns ``(summary,
+    batch)`` with the runs in run-index order.
     """
-    children = np.random.SeedSequence(config.master_seed).spawn(config.runs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: run_learning(config, s), children))
+    seeds = np.random.SeedSequence(config.master_seed).spawn(config.runs)
+    workers = max(1, min(threads, config.runs))
+    if workers > 1:
+        chunks = np.array_split(np.arange(config.runs), workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            batches = list(
+                pool.map(lambda c: _run_batch(config, [seeds[i] for i in c]), chunks)
+            )
+        batch = RunBatch.concatenate(batches)
     else:
-        results = [run_learning(config, seed) for seed in children]
-    return summarize(config, results), results
+        batch = _run_batch(config, seeds)
+    return summarize(config, batch), batch
 
 
-def summarize(config: ExperimentConfig, results) -> EnsembleSummary:
-    """Build the ensemble summary from ordered run results."""
+def summarize(config: ExperimentConfig, batch: RunBatch) -> EnsembleSummary:
+    """Build the ensemble summary from a batch of runs in run-index order."""
     target = target_success(config)
     threshold = SUCCESS_FRACTION * target
-    expected = np.array(
-        [[rec.expected_success for rec in run.records] for run in results]
-    )
-    variance = np.array(
-        [[rec.circular_variance for rec in run.records] for run in results]
-    )
+    expected = batch.expected_success
     finals = expected[:, -1]
-    pass_counts = np.array(
-        [sum(rec.outcome == "pass" for rec in run.records) for run in results],
-        dtype=int,
-    )
+    pass_counts = batch.passed.sum(axis=1)
 
-    to_95 = []
-    for row in expected:
-        hits = np.nonzero(row >= threshold)[0]
-        to_95.append(float(hits[0] + 1) if hits.size else math.inf)
+    hits = expected >= threshold
+    to_95 = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1.0, math.inf).tolist()
 
     n_bins = int(round(1.0 / HISTOGRAM_BIN_WIDTH))
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    histogram = np.histogram(finals, bins=edges)[0] / len(results)
+    histogram = np.histogram(finals, bins=edges)[0] / batch.runs
 
     trained = finals[pass_counts > 0]
     return EnsembleSummary(
-        runs=len(results),
+        runs=batch.runs,
         iterations=config.iterations,
         target_success=target,
         mean_curve=expected.mean(axis=0),
         median_curve=np.median(expected, axis=0),
-        variance_curve=variance.mean(axis=0),
+        variance_curve=batch.circular_variance.mean(axis=0),
         final_values=finals,
         histogram=histogram,
         histogram_edges=edges,
@@ -326,8 +391,19 @@ def quantile_analysis(summaries: dict, quantiles=(0.10, 0.25)) -> list:
 # ---------------------------------------------------------------------------
 # file output (plot-ready, deterministic formatting)
 
-def write_runs_csv(results, path) -> None:
+def write_runs_csv(batch: RunBatch, path) -> None:
     """All runs' iteration records as one CSV with a leading run column."""
+    runs, iterations = batch.passed.shape
+    measured = batch.measured_index.ravel()
+    columns = (
+        np.repeat(np.arange(runs), iterations).tolist(),
+        np.tile(np.arange(1, iterations + 1), runs).tolist(),
+        np.where(batch.passed, "pass", "fail").ravel().tolist(),
+        map(repr, batch.expected_success.ravel().tolist()),
+        map(repr, batch.circular_variance.ravel().tolist()),
+        batch.feedback_action.ravel().tolist(),
+        np.where(measured < 0, "", measured.astype(str)).tolist(),
+    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -341,19 +417,7 @@ def write_runs_csv(results, path) -> None:
                 "measured_index",
             ]
         )
-        for run_index, run in enumerate(results):
-            for rec in run.records:
-                writer.writerow(
-                    [
-                        run_index,
-                        rec.iteration,
-                        rec.outcome,
-                        repr(rec.expected_success),
-                        repr(rec.circular_variance),
-                        rec.feedback_action,
-                        "" if rec.measured_index is None else rec.measured_index,
-                    ]
-                )
+        writer.writerows(zip(*columns))
 
 
 def write_summary_json(summary: EnsembleSummary, path, extra: dict | None = None) -> None:

@@ -11,6 +11,12 @@ All operators here (translation, random dephasing, inversion about the
 mean, the quantum-walk splitting applied in :mod:`gatelearn.feedback`)
 are unitary on the cyclic grid, which is why the periodic boundary is
 non-negotiable: translations would otherwise leak probability.
+
+Each operator and diagnostic is an array kernel over a batch of runs,
+an array of shape ``(runs, *grid_shape)``, named ``*_batch``; the
+functions on a single :class:`ParameterState` apply the same kernel to
+a batch of one.  Every kernel computes each run's row exactly as it
+would alone, so results never depend on how many runs share a batch.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 
 from .errors import NumericsError
 
@@ -29,6 +36,12 @@ __all__ = [
     "invert_about_mean",
     "expected_success",
     "distribution_variance",
+    "checked_success_map",
+    "translate_batch",
+    "dephase_batch",
+    "invert_about_mean_batch",
+    "expected_success_batch",
+    "distribution_variance_batch",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -141,6 +154,63 @@ def uniform_init(grid_size, domain=None) -> ParameterState:
     return ParameterState(amps, domains)
 
 
+def _grid_axes(amps: np.ndarray) -> tuple:
+    """The grid axes of a ``(runs, *grid_shape)`` batch."""
+    return tuple(range(1, amps.ndim))
+
+
+def translate_batch(amps: np.ndarray, shifts, axes) -> np.ndarray:
+    """Cyclic shift of each run by ``shifts[i]`` cells along grid axis ``axes[i]``."""
+    shifts, axes = np.asarray(shifts), np.asarray(axes)
+    out = amps.copy()
+    for axis in np.unique(axes):
+        rows = np.flatnonzero(axes == axis)
+        cells = amps.shape[1 + axis]
+        # new cell g holds old cell (g - shift) mod N, as np.roll
+        source = (np.arange(cells) - shifts[rows, None]) % cells
+        layout = [len(rows)] + [cells if a == axis else 1 for a in range(amps.ndim - 1)]
+        out[rows] = np.take_along_axis(amps[rows], source.reshape(layout), axis=1 + axis)
+    return out
+
+
+def dephase_batch(amps: np.ndarray, rngs) -> np.ndarray:
+    """Random phase per cell for each run, drawn from that run's own stream."""
+    theta = np.stack([rng.uniform(0.0, _TWO_PI, size=amps.shape[1:]) for rng in rngs])
+    # an explicit ufunc keeps the operand order: a * b and b * a may differ
+    # in the last bit for complex operands
+    return np.multiply(amps, np.exp(1j * theta))
+
+
+def invert_about_mean_batch(amps: np.ndarray) -> np.ndarray:
+    """chi_g -> 2*mean(chi) - chi_g for each run."""
+    mean = amps.mean(axis=_grid_axes(amps), keepdims=True)
+    return 2.0 * mean - amps
+
+
+def expected_success_batch(probs: np.ndarray, success_map: np.ndarray) -> np.ndarray:
+    """Each run's |chi|^2-weighted mean success, clamped to [0, 1].
+
+    ``probs`` holds |chi|^2 per run; ``success_map`` must have passed
+    :func:`checked_success_map`.
+    """
+    values = np.sum(probs * success_map, axis=_grid_axes(probs))
+    return np.minimum(np.maximum(values, 0.0), 1.0)
+
+
+def distribution_variance_batch(probs: np.ndarray, domains) -> np.ndarray:
+    """Each run's circular variance; ``probs`` holds |chi|^2 per run."""
+    ndim = probs.ndim - 1
+    total = np.zeros(probs.shape[0])
+    for axis in range(ndim):
+        others = tuple(1 + a for a in range(ndim) if a != axis)
+        marginal = probs.sum(axis=others) if others else probs
+        # the domain is mapped onto a full circle so the moment is scale-free
+        phasors = _axis_phasors(*domains[axis], probs.shape[1 + axis])
+        moment = np.abs(np.sum(np.multiply(marginal, phasors), axis=1))
+        total = total + (1.0 - moment)
+    return np.maximum(total, 0.0)
+
+
 def translate(state: ParameterState, shift_cells: int, axis: int = 0) -> ParameterState:
     """Cyclic shift by ``shift_cells`` grid cells along one axis.
 
@@ -148,7 +218,9 @@ def translate(state: ParameterState, shift_cells: int, axis: int = 0) -> Paramet
     (g - shift_cells) mod N: a positive shift moves the distribution
     toward larger parameter values.
     """
-    return ParameterState(np.roll(state.amplitudes, shift_cells, axis=axis), state.domains)
+    axis = normalize_axis_index(axis, state.ndim)
+    amps = translate_batch(state.amplitudes[None], [shift_cells], [axis])[0]
+    return ParameterState(amps, state.domains)
 
 
 def dephase_random(state: ParameterState, rng: np.random.Generator) -> ParameterState:
@@ -158,8 +230,7 @@ def dephase_random(state: ParameterState, rng: np.random.Generator) -> Parameter
     cells.  Phases are drawn uniformly from [0, 2*pi) in row-major cell
     order, so a fixed seed reproduces the same phase pattern.
     """
-    theta = rng.uniform(0.0, _TWO_PI, size=state.grid_shape)
-    return ParameterState(state.amplitudes * np.exp(1j * theta), state.domains)
+    return ParameterState(dephase_batch(state.amplitudes[None], [rng])[0], state.domains)
 
 
 def invert_about_mean(state: ParameterState) -> ParameterState:
@@ -169,8 +240,17 @@ def invert_about_mean(state: ParameterState) -> ParameterState:
     to a nearly uniform state carrying a dip, it converts the dip into a
     peak, which is exactly how the one-shot feedback boost uses it.
     """
-    mean = state.amplitudes.mean()
-    return ParameterState(2.0 * mean - state.amplitudes, state.domains)
+    return ParameterState(invert_about_mean_batch(state.amplitudes[None])[0], state.domains)
+
+
+def checked_success_map(success_map, grid_shape: tuple) -> np.ndarray:
+    """The success map as a float array, checked against the grid and [0, 1]."""
+    p = np.asarray(success_map, dtype=float)
+    if p.shape != tuple(grid_shape):
+        raise ValueError(f"success map shape {p.shape} != grid shape {tuple(grid_shape)}")
+    if p.min() < -1e-9 or p.max() > 1.0 + 1e-9:
+        raise NumericsError("success-map entries outside [0, 1] beyond 1e-9")
+    return p
 
 
 def expected_success(state: ParameterState, success_map) -> float:
@@ -179,13 +259,8 @@ def expected_success(state: ParameterState, success_map) -> float:
     This is the average success rate the trained circuit would show if
     deployed immediately, with the parameter drawn from |chi|^2.
     """
-    p = np.asarray(success_map, dtype=float)
-    if p.shape != state.grid_shape:
-        raise ValueError(f"success map shape {p.shape} != grid shape {state.grid_shape}")
-    if p.min() < -1e-9 or p.max() > 1.0 + 1e-9:
-        raise NumericsError("success-map entries outside [0, 1] beyond 1e-9")
-    value = float(np.sum(state.probabilities() * p))
-    return min(max(value, 0.0), 1.0)
+    p = checked_success_map(success_map, state.grid_shape)
+    return float(expected_success_batch(state.probabilities()[None], p)[0])
 
 
 def distribution_variance(state: ParameterState) -> float:
@@ -198,12 +273,4 @@ def distribution_variance(state: ParameterState) -> float:
     approaches sigma^2 / 2.  Diagnostic only; branch-cut free on the
     periodic grid.
     """
-    w = state.probabilities()
-    total = 0.0
-    for axis in range(state.ndim):
-        marginal = w.sum(axis=tuple(a for a in range(state.ndim) if a != axis))
-        # the domain is mapped onto a full circle so the moment is scale-free
-        phasors = _axis_phasors(*state.domains[axis], state.grid_shape[axis])
-        moment = np.abs(np.sum(marginal * phasors))
-        total += 1.0 - float(moment)
-    return max(total, 0.0)
+    return float(distribution_variance_batch(state.probabilities()[None], state.domains)[0])

@@ -20,7 +20,14 @@ from .parameter import ParameterState, invert_about_mean, uniform_init
 from .qft import AqftInstance, apply_aqft
 from .statevector import PureState, apply_single_qubit_gate
 
-__all__ = ["run_selftest", "walk_dense_deviation", "walk_kernel_deviation"]
+__all__ = [
+    "run_selftest",
+    "joint_oracle_deviation",
+    "search_closed_form_deviation",
+    "search_statevector_deviation",
+    "walk_dense_deviation",
+    "walk_kernel_deviation",
+]
 
 
 #: bounds of the walk checks, shared with acceptance criterion 2
@@ -86,48 +93,93 @@ def _check_walk_operator() -> str:
     return "quantum walk matches dense circulant exponential"
 
 
-def _check_joint_oracle() -> str:
-    rng_block = np.random.default_rng(123)
-    rng_joint = np.random.default_rng(123)
-    gate_rng = np.random.default_rng(5)
-    theta = gate_rng.uniform(0, np.pi, 3)
+def joint_oracle_deviation(theta, seed: int, steps: int = 20, cells: int = 8):
+    """(outcome mismatches, worst state deviation) of the filter against the joint state.
+
+    The circuit rotates qubit q by ``theta[q]`` about an axis set by the
+    trained phase phi.  Starting from a uniform parameter state on
+    ``cells`` cells, :func:`sample_and_update` (the training loop's
+    kernels) and the explicit joint-state measurement
+    :func:`brute_force_joint_step` each take ``steps`` chained
+    measurements, fed identical streams seeded with ``seed``.
+    """
 
     def circuit(phi, state):
         out = state
-        for q, th in enumerate(theta[: state.n_qubits]):
+        for q, th in enumerate(theta):
             c, s = np.cos(th), np.sin(th)
-            out = apply_single_qubit_gate(
-                out, q, np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]])
-            )
+            gate = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]])
+            out = apply_single_qubit_gate(out, q, gate)
         return out
 
-    chi_b = uniform_init(8)
-    chi_j = uniform_init(8)
-    src = PureState.basis(2, 0)
-    phis = chi_b.axis_values(0)
-    for _ in range(20):
-        table = np.stack([circuit(phi, src).amplitudes for phi in phis])
-        amps = OutcomeAmplitudes.full(table)
-        r_b, chi_b = sample_and_update(chi_b, amps, rng_block)
-        r_j, chi_j = brute_force_joint_step(chi_j, circuit, src, rng_joint)
-        if r_b != r_j:
-            raise AssertionError("block filter and joint-state oracle sampled differently")
-        if np.abs(chi_b.amplitudes - chi_j.amplitudes).max() > 1e-12:
-            raise AssertionError("block filter and joint-state oracle states diverged")
+    src = PureState.basis(len(theta), 0)
+    chi_block, chi_joint = uniform_init(cells), uniform_init(cells)
+    rng_block, rng_joint = np.random.default_rng(seed), np.random.default_rng(seed)
+    mismatches, worst = 0, 0.0
+    for _ in range(steps):
+        table = np.stack([circuit(phi, src).amplitudes for phi in chi_block.axis_values(0)])
+        r_block, chi_block = sample_and_update(chi_block, OutcomeAmplitudes.full(table), rng_block)
+        r_joint, chi_joint = brute_force_joint_step(chi_joint, circuit, src, rng_joint)
+        mismatches += r_block != r_joint
+        worst = max(worst, np.abs(chi_block.amplitudes - chi_joint.amplitudes).max())
+    return mismatches, worst
+
+
+def search_closed_form_deviation(sizes):
+    """(worst deviation at phase pi, worst deviation at phase 0) of the search recursion.
+
+    At phi = pi the success is sin^2((2K+1) theta) after K rounds; at
+    phi = 0 the oracle does nothing and the success stays 1/N.
+    """
+    worst_pi = worst_zero = 0.0
+    for n_el in sizes:
+        inst = GroverInstance.standard(n_el)
+        s, _ = pass_fail_amplitudes(inst, np.pi)
+        closed = np.sin((2 * inst.iterations + 1) * inst.theta) ** 2
+        worst_pi = max(worst_pi, abs(abs(s) ** 2 - closed))
+        s0, _ = pass_fail_amplitudes(inst, 0.0)
+        worst_zero = max(worst_zero, abs(abs(s0) ** 2 - 1.0 / n_el))
+    return worst_pi, worst_zero
+
+
+def search_statevector_deviation(sizes, phases_per_size: int, seed: int) -> float:
+    """Worst deviation of the 2x2 search recursion from the full N-element statevector.
+
+    For each size, ``phases_per_size`` oracle phases are drawn from a
+    stream seeded with ``seed``; the target and every wrong element's
+    amplitude b / sqrt(N - 1) are compared.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n_el in sizes:
+        inst = GroverInstance.standard(n_el)
+        for phi in rng.uniform(0, 2 * np.pi, phases_per_size):
+            s, b = pass_fail_amplitudes(inst, phi)
+            state = np.full(n_el, 1 / np.sqrt(n_el), dtype=complex)
+            uniform = state.copy()
+            for _ in range(inst.iterations):
+                state[0] *= np.exp(1j * phi)
+                state = 2 * uniform * (uniform.conj() @ state) - state
+            worst = max(worst, abs(s - state[0]), np.abs(state[1:] - b / np.sqrt(n_el - 1)).max())
+    return worst
+
+
+def _check_joint_oracle() -> str:
+    theta = np.random.default_rng(5).uniform(0, np.pi, 3)[:2]
+    mismatches, worst = joint_oracle_deviation(theta, seed=123)
+    if mismatches:
+        raise AssertionError("block filter and joint-state oracle sampled differently")
+    if worst > 1e-12:
+        raise AssertionError("block filter and joint-state oracle states diverged")
     return "block filter matches explicit joint-state measurement"
 
 
 def _check_grover_subspace() -> str:
-    for n_el in (4, 16):
-        inst = GroverInstance.standard(n_el)
-        theta = inst.theta
-        ref = np.sin((2 * inst.iterations + 1) * theta) ** 2
-        s, b = pass_fail_amplitudes(inst, np.pi)
-        if abs(abs(s) ** 2 - ref) > 1e-12:
-            raise AssertionError(f"phase pi success deviates from closed form at N={n_el}")
-        s0, _ = pass_fail_amplitudes(inst, 0.0)
-        if abs(abs(s0) ** 2 - 1.0 / n_el) > 1e-12:
-            raise AssertionError(f"zero-phase success is not 1/N at N={n_el}")
+    worst_pi, worst_zero = search_closed_form_deviation((4, 16))
+    if worst_pi > 1e-12:
+        raise AssertionError("phase pi success deviates from the closed form")
+    if worst_zero > 1e-12:
+        raise AssertionError("zero-phase success is not 1/N")
     return "search recursion reproduces closed-form success probabilities"
 
 

@@ -19,22 +19,18 @@ from gatelearn import (
     ExperimentConfig,
     FeedbackConfig,
     GroverInstance,
-    OutcomeAmplitudes,
-    PureState,
-    apply_single_qubit_gate,
-    brute_force_joint_step,
     optimize_phases,
-    pass_fail_amplitudes,
     reference_max_success,
     run_ensemble,
-    sample_and_update,
-    uniform_init,
 )
 from gatelearn.optimize import improvement_table
 from gatelearn.selftest import (
     WALK_BESSEL_TOL,
     WALK_DENSE_TOL,
     WALK_NORM_TOL,
+    joint_oracle_deviation,
+    search_closed_form_deviation,
+    search_statevector_deviation,
     walk_dense_deviation,
     walk_kernel_deviation,
 )
@@ -52,32 +48,9 @@ def report(criterion, passed, detail):
 
 def test_criterion_1_filter_matches_joint_state_oracle():
     start = time.time()
-    rng_gate = np.random.default_rng(5)
-    theta = rng_gate.uniform(0.2, np.pi - 0.2, 2)
-
-    def circuit(phi, state):
-        out = state
-        for q in range(2):
-            c, s = np.cos(theta[q]), np.sin(theta[q])
-            gate = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]])
-            out = apply_single_qubit_gate(out, q, gate)
-        return out
-
-    src = PureState.basis(2, 0)
-    chi_block, chi_joint = uniform_init(8), uniform_init(8)
-    rng_block = np.random.default_rng(MASTER_SEED)
-    rng_joint = np.random.default_rng(MASTER_SEED)
-    worst = 0.0
-    for _ in range(20):
-        table = np.stack(
-            [circuit(phi, src).amplitudes for phi in chi_block.axis_values(0)]
-        )
-        r_b, chi_block = sample_and_update(
-            chi_block, OutcomeAmplitudes.full(table), rng_block
-        )
-        r_j, chi_joint = brute_force_joint_step(chi_joint, circuit, src, rng_joint)
-        assert r_b == r_j
-        worst = max(worst, np.abs(chi_block.amplitudes - chi_joint.amplitudes).max())
+    theta = np.random.default_rng(5).uniform(0.2, np.pi - 0.2, 2)
+    mismatches, worst = joint_oracle_deviation(theta, seed=MASTER_SEED)
+    assert mismatches == 0
     elapsed = time.time() - start
     ok = worst < 1e-12 and elapsed < 1.0
     assert report(
@@ -115,32 +88,8 @@ def test_criterion_2_walk_operator_correctness():
 
 def test_criterion_3_search_physics():
     start = time.time()
-    worst_sv = 0.0
-    rng = np.random.default_rng(3)
-    for n_el in (4, 8, 16, 32):
-        inst = GroverInstance.standard(n_el)
-        for phi in rng.uniform(0, 2 * np.pi, 6):
-            s, b = pass_fail_amplitudes(inst, phi)
-            state = np.full(n_el, 1 / np.sqrt(n_el), dtype=complex)
-            uniform = state.copy()
-            for _ in range(inst.iterations):
-                state[0] *= np.exp(1j * phi)
-                state = 2 * uniform * (uniform.conj() @ state) - state
-            worst_sv = max(
-                worst_sv,
-                abs(s - state[0]),
-                np.abs(state[1:] - b / np.sqrt(n_el - 1)).max(),
-            )
-    worst_pi = worst_zero = 0.0
-    for n_el in (4, 8, 16, 32, 200, 10000):
-        inst = GroverInstance.standard(n_el)
-        theta = inst.theta
-        s, _ = pass_fail_amplitudes(inst, np.pi)
-        worst_pi = max(
-            worst_pi, abs(abs(s) ** 2 - np.sin((2 * inst.iterations + 1) * theta) ** 2)
-        )
-        s0, _ = pass_fail_amplitudes(inst, 0.0)
-        worst_zero = max(worst_zero, abs(abs(s0) ** 2 - 1.0 / n_el))
+    worst_sv = search_statevector_deviation((4, 8, 16, 32), phases_per_size=6, seed=3)
+    worst_pi, worst_zero = search_closed_form_deviation((4, 8, 16, 32, 200, 10000))
     elapsed = time.time() - start
     ok = worst_sv < 1e-10 and worst_pi < 1e-12 and worst_zero < 1e-12 and elapsed < 5.0
     assert report(

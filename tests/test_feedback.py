@@ -117,6 +117,16 @@ class TestApplyQuantumWalk:
             out = apply_quantum_walk(random_chi(64, 7), x, 1)
             assert abs(out.norm() - 1.0) < 1e-12
 
+    def test_strided_amplitudes_walk_like_a_copy(self):
+        amps = random_chi(64, 8).amplitudes
+        amps[::2] /= np.linalg.norm(amps[::2])
+        chi = ParameterState(amps[::2])
+        assert not chi.amplitudes.flags.c_contiguous
+        copy = ParameterState(chi.amplitudes.copy())
+        np.testing.assert_array_equal(
+            apply_quantum_walk(chi, 2.0, 1).amplitudes, apply_quantum_walk(copy, 2.0, 1).amplitudes
+        )
+
     def test_two_axis_walk_acts_on_both(self):
         amps = np.zeros((8, 8), dtype=complex)
         amps[4, 4] = 1.0
@@ -289,6 +299,27 @@ class TestController:
         assert strengths[2] == 4.0
         assert strengths[-1] == 18.0  # capped
         assert all(a <= b for a, b in zip(strengths, strengths[1:]))
+
+    @pytest.mark.parametrize("failures", [110, 10**6])
+    def test_escalation_saturates_without_overflow(self, failures):
+        from gatelearn.feedback import _effective_walk_strength
+
+        # at 110 failures, 2 ** (110 / 0.1) is past the largest float
+        fast = FeedbackConfig(walk_escalation=0.1)
+        assert _effective_walk_strength(fast, failures) == fast.walk_strength
+        assert _effective_walk_strength(replace(fast, walk_floor=0.0), failures) == 0.0
+        history = FeedbackHistory(successes=1, failures=failures, consecutive_failures=failures)
+        result = on_failure(random_chi(32, 4), history, fast, np.random.default_rng(0))
+        assert result.action == "walk+dephase"
+        assert abs(result.state.norm() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("floor,escalation", [(1.5, 2.0), (1.5, 0.1), (1e-300, 0.5), (0.0, 2.0)])
+    def test_escalation_equals_the_closed_form_where_it_is_finite(self, floor, escalation):
+        from gatelearn.feedback import _effective_walk_strength
+
+        config = FeedbackConfig(walk_floor=floor, walk_escalation=escalation)
+        for c in range(0, int(1023 * escalation) + 1):
+            assert _effective_walk_strength(config, c) == min(24.0, floor * 2.0 ** (c / escalation))
 
     def test_all_feedback_preserves_norm(self):
         rng = np.random.default_rng(11)

@@ -18,7 +18,7 @@ from gatelearn import (
     uniform_init,
 )
 from gatelearn import harness
-from gatelearn.backaction import OutcomeAmplitudes
+from gatelearn.backaction import OutcomeAmplitudes, sample_batch
 from gatelearn.harness import (
     target_success,
     write_histogram_csv,
@@ -26,6 +26,16 @@ from gatelearn.harness import (
     write_summary_json,
 )
 from gatelearn.qft import trial_output_batch
+
+
+COLUMNS = ("passed", "measured_index", "expected_success", "circular_variance",
+           "feedback_action")
+
+
+def assert_same_runs(a, b):
+    """Every column, and the snapshots, bit for bit."""
+    for column in COLUMNS + ("chi_snapshots",):
+        np.testing.assert_array_equal(getattr(a, column), getattr(b, column), err_msg=column)
 
 
 def grover_config(**kw):
@@ -57,8 +67,9 @@ def aqft_config(**kw):
 class TestRunLearning:
     def test_single_iteration_yields_one_record(self):
         result = run_learning(grover_config(iterations=1), run_seed=3)
-        assert len(result.records) == 1
-        assert result.records[0].iteration == 1
+        assert (result.runs, result.iterations) == (1, 1)
+        for column in COLUMNS:
+            assert getattr(result, column).shape == (1, 1)
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -68,41 +79,36 @@ class TestRunLearning:
         config = grover_config()
         a = run_learning(config, run_seed=5)
         b = run_learning(config, run_seed=5)
-        assert a.records == b.records
+        assert_same_runs(a, b)
 
     def test_different_seeds_differ(self):
         config = grover_config()
         a = run_learning(config, run_seed=5)
         b = run_learning(config, run_seed=6)
-        assert a.records != b.records
+        assert not np.array_equal(a.expected_success, b.expected_success)
 
     def test_expected_success_in_range_and_fields_consistent(self):
         result = run_learning(grover_config(), run_seed=1)
-        for rec in result.records:
-            assert 0.0 <= rec.expected_success <= 1.0
-            assert rec.circular_variance >= 0.0
-            assert rec.outcome in ("pass", "fail")
-            assert rec.measured_index is None  # search trials record pass/fail only
-            if rec.outcome == "pass":
-                assert rec.feedback_action == "none"
-            else:
-                assert rec.feedback_action != "none"
+        assert np.all((result.expected_success >= 0.0) & (result.expected_success <= 1.0))
+        assert np.all(result.circular_variance >= 0.0)
+        assert result.passed.dtype == bool
+        assert np.all(result.measured_index == -1)  # search trials record pass/fail only
+        assert np.all((result.feedback_action == "none") == result.passed)
 
     def test_kickstart_fires_exactly_once_on_first_failure(self):
         result = run_learning(grover_config(iterations=60), run_seed=2)
-        actions = [r.feedback_action for r in result.records]
-        fails = [r for r in result.records if r.outcome == "fail"]
+        actions = list(result.feedback_action[0])
+        first_fail = int(np.argmin(result.passed[0]))
+        assert not result.passed[0, first_fail]
         assert actions.count("kickstart") == 1
-        assert fails[0].feedback_action == "kickstart"
+        assert actions[first_fail] == "kickstart"
 
     def test_double_push_search_reflects_every_failure_before_first_pass(self):
         config = grover_config(problem=GroverInstance.standard(10000), grid_size=256)
-        _, results = run_ensemble(config)
+        _, batch = run_ensemble(config)
         most_reflections = 0
-        for run in results:
-            outcomes = [r.outcome for r in run.records]
-            first_pass = outcomes.index("pass") if "pass" in outcomes else len(outcomes)
-            actions = [r.feedback_action for r in run.records]
+        for passed, actions in zip(batch.passed, batch.feedback_action):
+            first_pass = int(np.argmax(passed)) if passed.any() else len(passed)
             assert all(a == "kickstart" for a in actions[:first_pass])
             assert "kickstart" not in actions[first_pass:]
             most_reflections = max(most_reflections, first_pass)
@@ -117,22 +123,21 @@ class TestRunLearning:
 
     def test_aqft_records_measured_index(self):
         result = run_learning(aqft_config(), run_seed=4)
-        outcomes = {rec.measured_index for rec in result.records}
-        assert all(isinstance(i, int) for i in outcomes)
-        fails = [r for r in result.records if r.outcome == "fail"]
-        passes = [r for r in result.records if r.outcome == "pass"]
-        assert passes, "trivially passing trials expected for a 4-qubit band-1 circuit"
-        assert len(fails) + len(passes) == len(result.records)
+        measured = result.measured_index
+        assert np.issubdtype(measured.dtype, np.integer)
+        assert np.all((measured >= 0) & (measured < 16))
+        assert result.passed.any(), "trivially passing trials expected for a 4-qubit band-1 circuit"
+        assert not result.passed.all()
 
     def test_chi_snapshots_shape_and_normalization(self):
         result = run_learning(grover_config(snapshot_chi=True), run_seed=9)
-        assert result.chi_snapshots.shape == (40, 64)
-        np.testing.assert_allclose(result.chi_snapshots.sum(axis=1), 1.0, atol=1e-9)
+        assert result.chi_snapshots.shape == (1, 40, 64)
+        np.testing.assert_allclose(result.chi_snapshots.sum(axis=2), 1.0, atol=1e-9)
 
     def test_two_axis_training_runs(self):
         config = aqft_config(problem=AqftInstance.standard(3, 2), grid_size=8)
         result = run_learning(config, run_seed=1)
-        assert len(result.records) == 30
+        assert result.iterations == 30
 
     def test_band_three_training_rejected(self):
         with pytest.raises(ValueError):
@@ -145,23 +150,35 @@ class TestRunLearning:
             problem=AqftInstance.standard(17, 1), grid_size=16, iterations=2
         )
         result = run_learning(config, run_seed=0)
-        assert len(result.records) == 2
-        assert 0.0 <= result.records[-1].expected_success <= 1.0
+        assert result.iterations == 2
+        assert 0.0 <= result.expected_success[0, -1] <= 1.0
 
 
 class StatevectorTrials:
-    """The training loop's trial engine, rebuilt from gate-by-gate simulation."""
+    """The training loop's Fourier trials, rebuilt from gate-by-gate simulation."""
 
-    def __init__(self, instance, grid_size):
+    binary_readout = False
+
+    def __init__(self, instance, grid_size, success_map):
         axes = [uniform_init(grid_size).axis_values(0)] * instance.band
         mesh = np.meshgrid(*axes, indexing="ij")
         self.instance = instance
         self.phase_grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
         self.shape = mesh[0].shape
+        self.success_map = success_map
 
     def trial(self, k):
         outputs = trial_output_batch(self.instance, k, self.phase_grid)
         return OutcomeAmplitudes.full(outputs.reshape(self.shape + (self.instance.dim,)))
+
+    def draw_expected(self, rngs):
+        return np.array([int(rng.integers(self.instance.dim)) for rng in rngs])
+
+    def sample(self, expected, weights, rngs):
+        trials = [self.trial(k) for k in expected]
+        dist = np.stack([t.distribution(w) for t, w in zip(trials, weights)])
+        outcomes = sample_batch(dist, rngs)
+        return outcomes, np.stack([t.outcome_amplitude(r) for t, r in zip(trials, outcomes)])
 
 
 class TestProductFormEngine:
@@ -169,17 +186,16 @@ class TestProductFormEngine:
     def test_seeded_run_matches_statevector_oracle(self, monkeypatch, n, band, grid_size):
         config = aqft_config(problem=AqftInstance.standard(n, band), grid_size=grid_size,
                              iterations=120, feedback=FeedbackConfig())
-        fast = run_learning(config, run_seed=5).records
-        success = harness._aqft_tables(config.problem, grid_size)[0]
-        oracle = StatevectorTrials(config.problem, grid_size)
-        monkeypatch.setattr(harness, "_aqft_tables", lambda *args: (success, oracle))
-        slow = run_learning(config, run_seed=5).records
-        assert [(r.outcome, r.measured_index, r.feedback_action) for r in fast] == [
-            (r.outcome, r.measured_index, r.feedback_action) for r in slow
-        ]
-        np.testing.assert_allclose([r.expected_success for r in fast],
-                                   [r.expected_success for r in slow], rtol=0, atol=1e-12)
-        assert {r.outcome for r in fast} == {"pass", "fail"}
+        fast = run_learning(config, run_seed=5)
+        success = harness._trials(config.problem, grid_size).success_map
+        oracle = StatevectorTrials(config.problem, grid_size, success)
+        monkeypatch.setattr(harness, "_trials", lambda *args: oracle)
+        slow = run_learning(config, run_seed=5)
+        for column in ("passed", "measured_index", "feedback_action"):
+            np.testing.assert_array_equal(getattr(fast, column), getattr(slow, column))
+        np.testing.assert_allclose(fast.expected_success, slow.expected_success,
+                                   rtol=0, atol=1e-12)
+        assert fast.passed.any() and not fast.passed.all()
 
     def test_loop_never_runs_the_statevector(self, monkeypatch):
         def refuse(*args):
@@ -188,15 +204,15 @@ class TestProductFormEngine:
         for kernel in ("_apply_single_qubit", "_apply_cphase", "_apply_swap"):
             monkeypatch.setattr(f"gatelearn.qft.{kernel}", refuse)
         config = aqft_config(problem=AqftInstance.standard(5, 2), grid_size=8)
-        assert len(run_learning(config, run_seed=2).records) == 30
+        assert run_learning(config, run_seed=2).iterations == 30
 
 
 class TestRunEnsemble:
     def test_single_run_summary_is_degenerate(self):
         config = grover_config(runs=1)
-        summary, results = run_ensemble(config)
+        summary, batch = run_ensemble(config)
         assert summary.runs == 1
-        expected = [rec.expected_success for rec in results[0].records]
+        expected = batch.expected_success[0]
         np.testing.assert_array_equal(summary.mean_curve, expected)
         np.testing.assert_array_equal(summary.median_curve, expected)
 
@@ -214,15 +230,38 @@ class TestRunEnsemble:
         assert len(summary.histogram) == 40  # 2.5%-wide bins
 
     def test_pass_counts_match_records(self):
-        summary, results = run_ensemble(grover_config())
-        for count, run in zip(summary.pass_counts, results):
-            assert count == sum(r.outcome == "pass" for r in run.records)
+        summary, batch = run_ensemble(grover_config())
+        for count, passed in zip(summary.pass_counts, batch.passed):
+            assert count == sum(passed.tolist())
 
     def test_target_is_grid_maximum(self):
         config = grover_config()
         from gatelearn import reference_max_success
 
         assert abs(target_success(config) - reference_max_success(16)) < 1e-12
+
+
+class TestBatchSizeIndependence:
+    @pytest.mark.parametrize("problem,feedback", [
+        # without the kickstart almost every run walks and dephases in the same iteration
+        (GroverInstance.standard(10000), FeedbackConfig(kickstart_enabled=False)),
+        (AqftInstance.standard(5, 1), FeedbackConfig()),
+    ])
+    def test_large_batch_rows_equal_one_run_batches(self, problem, feedback):
+        # (128, 256) complex rows are 512 KiB, past the 256 KiB from which numpy
+        # computes `a * temporary` in place as `temporary * a`; a complex product
+        # can differ in the last bit when its operands swap
+        config = ExperimentConfig(problem=problem, iterations=30, runs=128, grid_size=256,
+                                  feedback=feedback, master_seed=3)
+        _, batch = run_ensemble(config)
+        assert batch.runs * 256 * 16 >= 256 * 1024
+        assert (batch.feedback_action == "walk+dephase").sum(axis=0).max() >= 64
+        seeds = np.random.SeedSequence(config.master_seed).spawn(config.runs)
+        for i, seed in enumerate(seeds):
+            one = run_learning(config, seed)
+            for column in COLUMNS:
+                np.testing.assert_array_equal(getattr(batch, column)[i : i + 1],
+                                              getattr(one, column), err_msg=f"run {i} {column}")
 
 
 class TestQuantileAnalysis:

@@ -26,6 +26,7 @@ from gatelearn import (
     outcome_distribution,
     pass_fail_amplitudes,
     run_ensemble,
+    run_learning,
     translate,
 )
 from gatelearn.qft import ProductFormTrials, trial_output_batch
@@ -212,16 +213,64 @@ def test_ensemble_determinism_across_thread_counts():
     )
     reference = None
     for threads in (1, 2, 4, 8):
-        summary, results = run_ensemble(config, threads=threads)
+        summary, batch = run_ensemble(config, threads=threads)
         key = (
             tuple(summary.mean_curve),
             tuple(summary.final_values),
-            tuple(r.feedback_action for run in results for r in run.records),
+            tuple(batch.feedback_action.ravel()),
         )
         if reference is None:
             reference = key
         else:
             assert key == reference
+
+
+#: every column of a RunBatch, the snapshots included
+RUN_COLUMNS = ("passed", "measured_index", "expected_success", "circular_variance",
+               "feedback_action", "chi_snapshots")
+
+
+@st.composite
+def small_experiments(draw):
+    """Small search or Fourier configs over both strategies and 1- and 2-axis grids."""
+    if draw(st.booleans()):
+        band = draw(st.sampled_from([1, 2]))
+        problem = AqftInstance.standard(draw(st.integers(band + 1, 5)), band)
+        grid_size = draw(st.integers(2, 24 if band == 1 else 9))
+    else:
+        problem = GroverInstance.standard(draw(st.sampled_from([4, 16, 200, 10000])))
+        grid_size = draw(st.integers(2, 40))
+    feedback = FeedbackConfig(
+        strategy=draw(st.sampled_from(["single_push", "double_push"])),
+        kickstart_enabled=draw(st.booleans()),
+        initial_push_cells=draw(st.integers(1, 6)),
+        push_asymmetry=draw(st.sampled_from([0.5, 1.0])),
+        walk_step_cells=draw(st.integers(1, 3)),
+        walk_escalation=draw(st.sampled_from([0.0, 0.1, 2.0])),
+    )
+    return ExperimentConfig(
+        problem=problem,
+        iterations=draw(st.integers(1, 25)),
+        runs=draw(st.integers(1, 12)),
+        grid_size=grid_size,
+        feedback=feedback,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        snapshot_chi=True,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_experiments(), threads=st.integers(1, 3))
+def test_batch_equals_one_run_batches(config, threads):
+    """A batch of R runs equals R one-run batches, bit for bit, at any thread count."""
+    _, batch = run_ensemble(config, threads=threads)
+    seeds = np.random.SeedSequence(config.master_seed).spawn(config.runs)
+    for i, seed in enumerate(seeds):
+        one = run_learning(config, seed)
+        for column in RUN_COLUMNS:
+            np.testing.assert_array_equal(
+                getattr(batch, column)[i : i + 1], getattr(one, column), err_msg=column
+            )
 
 
 def test_learning_loop_chi_normalization_30_runs():
@@ -234,10 +283,10 @@ def test_learning_loop_chi_normalization_30_runs():
         master_seed=123,
         snapshot_chi=True,
     )
-    _, results = run_ensemble(config)
-    for run in results:
-        totals = run.chi_snapshots.sum(axis=1)
-        assert np.abs(totals - 1.0).max() < 1e-9
+    _, batch = run_ensemble(config)
+    assert batch.chi_snapshots.shape == (30, 60, 128)
+    totals = batch.chi_snapshots.sum(axis=2)
+    assert np.abs(totals - 1.0).max() < 1e-9
 
 
 def test_success_counter_consistency_30_runs():
@@ -254,13 +303,13 @@ def test_success_counter_consistency_30_runs():
     for seed in range(30):
         result = run_learning(config, run_seed=seed)
         passes = fails = 0
-        for rec in result.records:
-            if rec.outcome == "fail" and rec.feedback_action.startswith("push"):
+        for passed, action in zip(result.passed[0], result.feedback_action[0]):
+            if not passed and action.startswith("push"):
                 # push magnitude must reflect the success count so far
-                magnitude = abs(int(rec.feedback_action.removeprefix("push")))
+                magnitude = abs(int(action.removeprefix("push")))
                 expected = max(1, round(8 / np.sqrt(1 + passes)))
                 assert magnitude == expected
-            if rec.outcome == "pass":
+            if passed:
                 passes += 1
             else:
                 fails += 1
