@@ -18,13 +18,14 @@ outcome.  :func:`sample_batch` and :func:`filter_batch` do the sampling
 and the filtering for a batch of runs, one row of a ``(runs, ...)``
 array per run; :func:`sample_and_update` is the same kernels on one
 run.  Any trial object that provides ``grid_shape``,
-``distribution(weights)`` and ``outcome_amplitude(r)`` will do:
-:class:`OutcomeAmplitudes` holds explicit per-cell amplitude tables
-(search trials, and the statevector oracle of the Fourier trials), and
-:class:`gatelearn.qft.TrialOutcomes` builds the Fourier trial's data
-from the circuit's product form.  The explicit joint-state construction
-in :func:`brute_force_joint_step` exists solely as an independent
-cross-check at small sizes.
+``distribution(weights)`` and ``outcome_amplitude(r)`` will do, such as
+:class:`OutcomeAmplitudes`, which holds explicit per-cell amplitude
+tables (search trials, and the statevector oracle of the Fourier
+trials).  The Fourier trials of the training loop need no table: they
+draw outcome and column together from the circuit's product form
+(:meth:`gatelearn.qft.ProductFormTrials.draw`).  The explicit
+joint-state construction in :func:`brute_force_joint_step` exists
+solely as an independent cross-check at small sizes.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class OutcomeAmplitudes:
             if table.ndim < 2:
                 raise ValueError("full table needs grid axes plus an outcome axis")
             probs = np.abs(table) ** 2
-            if np.abs(np.sum(probs, axis=-1) - 1.0).max() > _CELL_NORM_TOL:
+            # written so that a NaN norm fails too
+            if not np.abs(np.sum(probs, axis=-1) - 1.0).max() <= _CELL_NORM_TOL:
                 raise NumericsError("per-cell outcome norm deviates from 1 beyond 1e-9")
             self.mode = "full"
             self._full = table
@@ -93,7 +95,7 @@ class OutcomeAmplitudes:
             if s.shape != b.shape:
                 raise ValueError("pass and fail amplitude shapes differ")
             closure = np.abs(s) ** 2 + np.abs(b) ** 2
-            if np.abs(closure - 1.0).max() > _CELL_NORM_TOL:
+            if not np.abs(closure - 1.0).max() <= _CELL_NORM_TOL:
                 raise NumericsError(
                     "binary amplitudes do not close to 1 per cell within 1e-9"
                 )
@@ -161,7 +163,9 @@ def sample_batch(dist: np.ndarray, rngs) -> np.ndarray:
     the inverse CDF, accumulated in fixed ascending outcome order, so a
     run's outcome depends only on its row and its stream.  Raises when a
     row does not sum to 1 within 1e-9 or an outcome of vanishing
-    probability is drawn.
+    probability is drawn.  The training loop samples search trials here;
+    Fourier trials draw from the product form without a distribution
+    row, in bit-reversed outcome order (:meth:`gatelearn.qft.ProductFormTrials.draw`).
     """
     cdf = np.cumsum(dist, axis=1)
     totals = cdf[:, -1].tolist()

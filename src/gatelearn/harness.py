@@ -21,12 +21,13 @@ The loop sees a problem only through a small trial protocol (see
 ``success_map``, whether it reads out pass/fail only
 (``binary_readout``), each run's expected outcome
 (``draw_expected(rngs)``), and ``sample(expected, weights, rngs)``,
-which builds the batch's outcome distributions, draws each run's
-outcome with :func:`backaction.sample_batch` and returns the outcomes
-with their amplitude columns.  Search trials reuse the fixed uniform input every iteration;
-Fourier trials draw a fresh target index k per run and iteration, and
-take their outcome data from the circuit's closed product form
-(:class:`qft.ProductFormTrials`); the gate-by-gate statevector
+which draws each run's outcome with one uniform from its stream and
+returns the outcomes with their amplitude columns.  Search trials
+reuse the fixed uniform input every iteration and draw from one shared
+pass/fail table with :func:`backaction.sample_batch`.  Fourier trials
+draw a fresh target index k per run and iteration, and draw the
+outcome bit by bit from the circuit's closed product form
+(:meth:`qft.ProductFormTrials.draw`); the gate-by-gate statevector
 simulation is not run in the loop and serves as the tests' oracle.
 """
 
@@ -41,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .backaction import PASS, OutcomeAmplitudes, filter_batch, sample_batch
+from .backaction import PASS, OutcomeAmplitudes, _check_sums, filter_batch, sample_batch
 from .feedback import FeedbackConfig, on_failure_batch
 from .grover import GroverInstance, _amplitudes_for_phases
 from .parameter import (
@@ -170,20 +171,17 @@ class _FourierTrials:
         success = average_success_map(instance, phase_grid).reshape(shape)
         self.success_map = checked_success_map(success, shape)
         self.success_map.flags.writeable = False  # checked once, shared by every run
-        self._dim, self._shape = instance.dim, shape
+        self._dim = instance.dim
         self._trials = ProductFormTrials(instance, phase_grid, shape)
 
     def draw_expected(self, rngs) -> np.ndarray:
         return np.array([int(rng.integers(self._dim)) for rng in rngs])
 
     def sample(self, expected, weights: np.ndarray, rngs):
-        # one run's trial at a time: at n=10 its table alone is 2 MB
-        outcomes = np.empty(len(rngs), dtype=int)
-        columns = np.empty((len(rngs),) + self._shape, dtype=np.complex128)
-        for i, (k, w, rng) in enumerate(zip(expected.tolist(), weights, rngs)):
-            trial = self._trials.trial(k)
-            outcomes[i] = sample_batch(trial.distribution(w)[None], [rng])[0]
-            columns[i] = trial.outcome_amplitude(outcomes[i])
+        totals = weights.sum(axis=1).tolist()
+        _check_sums(totals)
+        targets = [rng.random() * total for rng, total in zip(rngs, totals)]
+        outcomes, _, columns = self._trials.draw(expected, weights, targets)
         return outcomes, columns
 
 

@@ -13,11 +13,11 @@ of a uniformly drawn basis state |k>, runs the banded circuit, and
 passes iff the measured outcome equals k.  The circuit maps basis
 states, and the trial input, to tensor products of single-qubit
 phases, so both the per-trial outcome amplitudes and the k-averaged
-pass probability have closed product forms.  The training loop takes
-its per-trial outcome data from :class:`ProductFormTrials`; the
-gate-by-gate statevector path (:func:`trial_output_batch`,
-:func:`trial_success_amplitude`) is the independent oracle the tests
-check both product forms against.
+pass probability have closed product forms.  The training loop draws
+each trial's outcome and amplitude column with
+:class:`ProductFormTrials`; the gate-by-gate statevector path
+(:func:`trial_output_batch`, :func:`trial_success_amplitude`) is the
+independent oracle the tests check both product forms against.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .backaction import _CELL_NORM_TOL
 from .errors import NumericsError
 from .statevector import (
     HADAMARD,
@@ -44,7 +43,6 @@ __all__ = [
     "apply_aqft_inverse",
     "trial_success_amplitude",
     "ProductFormTrials",
-    "TrialOutcomes",
     "average_success",
     "average_success_map",
 ]
@@ -170,6 +168,8 @@ def _checked_phase_grid(instance: AqftInstance, phase_grid) -> np.ndarray:
     phase_grid = np.atleast_2d(np.asarray(phase_grid, dtype=float))
     if phase_grid.shape[1] != instance.band:
         raise ValueError(f"phase grid needs {instance.band} columns")
+    if not np.isfinite(phase_grid).all():
+        raise ValueError("phase grid holds a NaN or infinite phase")
     return phase_grid
 
 
@@ -193,95 +193,83 @@ def trial_output_batch(instance: AqftInstance, k: int, phase_grid: np.ndarray) -
 # ---------------------------------------------------------------------------
 # product-form trial engine
 
-class TrialOutcomes:
-    """Outcome data of one verification trial on every parameter grid cell.
-
-    ``table`` is the outcome-major (2**n, cells) array of |A_r(phi_g)|^2
-    in ascending outcome order; the complex column A_r of the one
-    sampled outcome is built on demand from the factor angles.
-    """
-
-    __slots__ = ("grid_shape", "n_outcomes", "table", "_angles")
-
-    def __init__(self, table: np.ndarray, angles: list, grid_shape: tuple):
-        if np.abs(table.sum(axis=0) - 1.0).max() > _CELL_NORM_TOL:
-            raise NumericsError("per-cell outcome norm deviates from 1 beyond 1e-9")
-        self.table, self._angles = table, angles
-        self.grid_shape, self.n_outcomes = grid_shape, table.shape[0]
-
-    def distribution(self, weights: np.ndarray) -> np.ndarray:
-        """Outcome probabilities for flattened cell weights |chi_g|^2."""
-        return self.table @ weights
-
-    def outcome_amplitude(self, outcome: int) -> np.ndarray:
-        """Per-cell amplitude A_r(phi_g) of one outcome, shape ``grid_shape``."""
-        if not 0 <= outcome < self.n_outcomes:
-            raise ValueError(f"outcome {outcome} out of range")
-        column = np.ones(self._angles[0].shape[1], dtype=np.complex128)
-        for q, theta in enumerate(self._angles):
-            w = theta.shape[0].bit_length() - 1
-            sign = -1.0 if (outcome >> q) & 1 else 1.0
-            window = (outcome >> (q - w)) & ((1 << w) - 1)
-            column *= 0.5 * (1.0 + sign * np.exp(1j * theta[window]))
-        return column.reshape(self.grid_shape)
-
-
 class ProductFormTrials:
-    """Per-trial outcome data of the banded circuit, from its product form.
+    """Outcome draws of the banded circuit's trials, from its product form.
 
     The circuit maps the product-state input of a trial to a product
-    state, so every outcome amplitude factorizes over the qubits:
+    state, so every outcome amplitude factorizes over the outcome bits:
 
-        A_r(phi) = prod_i (1 + (-1)^{b_i} e^{i theta_i}) / 2,
-        theta_i  = alpha_i(k) + sum_{d=1..w} phi_d b_{i+d},
-        alpha_i(k) = -2 pi k 2^i / 2^n,   w = min(band, n-1-i),
+        A_r(phi) = prod_q (1 + (-1)^{r_q} e^{i theta_q}) / 2,
+        theta_q  = alpha_q(k) + sum_{d=1..band} phi_d r_{q-d},
+        alpha_q(k) = -2 pi k 2^{n-1-q} / 2^n,
 
-    with b the bit reversal of the outcome r, and |factor i|^2 is
-    cos^2(theta_i/2) or sin^2(theta_i/2) = 1 - cos^2 as b_i is 0 or 1.
-    Factor i reads only the outcome bits q-w..q, q = n-1-i, so theta_i
-    is a (2^w, cells) table whose k-independent part is built here once;
-    a trial adds the scalar alpha_i(k), tiles the factors into the
-    outcome-major probability table and keeps the angles for the sampled
-    column.  :func:`trial_output_batch` is the oracle.
+    with r_q bit q of the outcome r (read off qubit n-1-q) and r_j = 0
+    for j < 0.  |factor q|^2 = (1 +- cos theta_q) / 2, so its two values
+    for bit q sum to 1 whatever the lower bits are: |factor q|^2 is the
+    conditional probability of bit q given the bits below it, and
+    P(r) = sum_g w_g prod_q |factor q|^2 is a chain from bit 0 upward.
+    :meth:`draw` walks that chain once per run, which is the inverse CDF
+    in bit-reversed outcome order, at O(n cells) cost and memory.
+    :func:`trial_output_batch` is the oracle.
     """
 
     def __init__(self, instance: AqftInstance, phase_grid, grid_shape: tuple | None = None):
         phase_grid = _checked_phase_grid(instance, phase_grid)
-        n, band, cells = instance.n_qubits, instance.band, phase_grid.shape[0]
-        self.n_qubits = n
+        cells = phase_grid.shape[0]
+        self.n_qubits, self.band = instance.n_qubits, instance.band
         self.grid_shape = (cells,) if grid_shape is None else tuple(grid_shape)
         if int(np.prod(self.grid_shape)) != cells:
             raise ValueError(f"grid shape {self.grid_shape} does not hold {cells} cells")
-        self._base = []  # indexed by outcome bit q, which carries b_i of qubit i = n-1-q
-        for q in range(n):
-            w = min(band, q)
-            window = np.arange(1 << w)[:, None]  # outcome bits q-w..q-1
-            angles = np.zeros((1 << w, cells))
-            for d in range(1, w + 1):
-                angles += ((window >> (w - d)) & 1) * phase_grid[:, d - 1]
-            self._base.append(angles)
+        # e^{i theta_q - i alpha_q} / 2 for every window of bits q-band..q-1
+        window = np.arange(1 << self.band)[:, None]
+        angles = np.zeros((1 << self.band, cells))
+        for d in range(1, self.band + 1):
+            angles += ((window >> (self.band - d)) & 1) * phase_grid[:, d - 1]
+        self._half_phase = 0.5 * np.exp(1j * angles)
 
-    def trial(self, k: int) -> TrialOutcomes:
-        """Outcome data of the trial whose expected outcome is ``k``."""
-        n = self.n_qubits
-        dim = 1 << n
-        if not 0 <= k < dim:
-            raise ValueError(f"basis index {k} out of range")
-        cells = self._base[0].shape[1]
-        table = np.empty((dim, cells))
-        table[0] = 1.0
-        angles = []
-        for q, base in enumerate(self._base):
-            w = base.shape[0].bit_length() - 1
-            theta = base + (-2.0 * np.pi * ((k << (n - 1 - q)) % dim) / dim)
-            cos2 = (np.cos(theta / 2.0) ** 2)[:, None, :]
-            # grow the table from the low q outcome bits to the low q+1
-            low = table[: 1 << q].reshape(1 << w, 1 << (q - w), cells)
-            high = table[1 << q : 2 << q].reshape(low.shape)
-            np.multiply(low, 1.0 - cos2, out=high)
-            low *= cos2
-            angles.append(theta)
-        return TrialOutcomes(table, angles, self.grid_shape)
+    def draw(self, ks, weights: np.ndarray, targets):
+        """Each run's outcome, its probability and its amplitude column.
+
+        Run i prepares the trial whose expected outcome is ``ks[i]``,
+        weighs the cells by row i of the ``(runs, cells)`` array
+        ``weights`` (|chi_g|^2), and draws the outcome whose interval of
+        the CDF in bit-reversed order holds ``targets[i]`` (u times the
+        row's total): bit q is 1 where the target is not below the mass
+        of bit q = 0.  Returns ``(outcomes, masses, columns)``: the
+        drawn r, P(r), and A_r(phi_g) of shape ``(runs, *grid_shape)``.
+        Every step acts on a run's row alone, so a row does not depend
+        on the batch around it.  Raises when an outcome of vanishing
+        probability is drawn.
+        """
+        n, band, dim = self.n_qubits, self.band, 1 << self.n_qubits
+        ks = np.asarray(ks, dtype=np.int64)
+        if not (ks.min() >= 0 and ks.max() < dim):
+            raise ValueError("basis index out of range")
+        # e^{i alpha_q(k)} of every run and outcome bit
+        turns = (ks[:, None] << (n - 1 - np.arange(n))) % dim
+        rotation = np.exp(-2j * np.pi * turns / dim)
+        outcomes = np.zeros(len(ks), dtype=np.int64)
+        remaining = np.array(targets, dtype=float)
+        mass = np.array(weights, dtype=float)
+        column = np.ones(mass.shape, dtype=np.complex128)
+        factor = np.empty(mass.shape, dtype=np.complex128)
+        for q in range(n):
+            window = ((outcomes << band) >> q) & ((1 << band) - 1)
+            np.multiply(self._half_phase[window], rotation[:, q, None], out=factor)
+            factor += 0.5  # (1 + e^{i theta_q}) / 2: bit q = 0
+            # one dot product per row, as in backaction._row_norms
+            zero = np.matmul(mass[:, None, :], factor.real[:, :, None])[:, 0, 0]
+            one = remaining >= zero
+            remaining -= np.where(one, zero, 0.0)
+            outcomes |= one << q
+            np.subtract(1.0, factor, out=factor, where=one[:, None])  # bit q = 1
+            mass *= factor.real
+            column *= factor
+        masses = mass.sum(axis=1)
+        # written so that a NaN mass fails too
+        if not masses.min() >= 1e-300:
+            raise NumericsError("sampled an outcome of vanishing probability")
+        return outcomes, masses, column.reshape((len(ks),) + self.grid_shape)
 
 
 # ---------------------------------------------------------------------------

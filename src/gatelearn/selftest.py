@@ -17,7 +17,7 @@ from .backaction import OutcomeAmplitudes, brute_force_joint_step, sample_and_up
 from .feedback import apply_quantum_walk
 from .grover import GroverInstance, pass_fail_amplitudes
 from .parameter import ParameterState, invert_about_mean, uniform_init
-from .qft import AqftInstance, apply_aqft
+from .qft import AqftInstance, ProductFormTrials, apply_aqft, trial_output_batch
 from .statevector import PureState, apply_single_qubit_gate
 
 __all__ = [
@@ -25,6 +25,8 @@ __all__ = [
     "joint_oracle_deviation",
     "search_closed_form_deviation",
     "search_statevector_deviation",
+    "fourier_draw_deviation",
+    "bit_reversed_order",
     "walk_dense_deviation",
     "walk_kernel_deviation",
 ]
@@ -164,6 +166,48 @@ def search_statevector_deviation(sizes, phases_per_size: int, seed: int) -> floa
     return worst
 
 
+def bit_reversed_order(n: int) -> np.ndarray:
+    """The 2^n outcomes in the order the product-form Fourier draw takes them.
+
+    Entry j is j with its n bits reversed; the permutation is its own
+    inverse, so it also maps an outcome to its position.
+    """
+    j = np.arange(1 << n)
+    return sum(((j >> q) & 1) << (n - 1 - q) for q in range(n))
+
+
+def fourier_draw_deviation(instance, phase_grid, ks, weights, uniforms):
+    """(outcome mismatches, worst mass deviation, worst column deviation) of the Fourier draw.
+
+    Run i weighs the rows of the ``(cells, band)`` ``phase_grid`` by row
+    i of ``weights`` and targets ``uniforms[i]`` times that row's sum.
+    :meth:`ProductFormTrials.draw` (the training loop's draw) takes the
+    outcome bit by bit from the product form; the oracle simulates the
+    circuit gate by gate (:func:`trial_output_batch`) and takes the
+    inverse CDF of its outcome distribution in bit-reversed outcome
+    order.  A draw is a mismatch when its target lies more than 1e-12
+    outside the drawn outcome's interval of that CDF; the two routes
+    round differently, so a target on an interval boundary (u = 0 with
+    an exact-zero outcome first, say) may fall either way.  The masses
+    and columns are compared at the drawn outcome.
+    """
+    phase_grid = np.atleast_2d(np.asarray(phase_grid, dtype=float))
+    weights = np.asarray(weights, dtype=float)
+    targets = np.asarray(uniforms) * weights.sum(axis=1)
+    outcomes, masses, columns = ProductFormTrials(instance, phase_grid).draw(ks, weights, targets)
+    order = bit_reversed_order(instance.n_qubits)
+    mismatches, worst_mass, worst_column = 0, 0.0, 0.0
+    for k, w, target, drawn, mass, column in zip(ks, weights, targets, outcomes, masses, columns):
+        amps = trial_output_batch(instance, int(k), phase_grid)
+        dist = w @ np.abs(amps) ** 2
+        cdf = np.concatenate([[0.0], np.cumsum(dist[order])])
+        position = order[drawn]
+        mismatches += not cdf[position] - 1e-12 <= target <= cdf[position + 1] + 1e-12
+        worst_mass = max(worst_mass, abs(mass - dist[drawn]))
+        worst_column = max(worst_column, np.abs(column - amps[:, drawn]).max())
+    return mismatches, worst_mass, worst_column
+
+
 def _check_joint_oracle() -> str:
     theta = np.random.default_rng(5).uniform(0, np.pi, 3)[:2]
     mismatches, worst = joint_oracle_deviation(theta, seed=123)
@@ -198,6 +242,24 @@ def _check_qft_circuit() -> str:
     return "full-band Fourier circuit matches the dense DFT matrix"
 
 
+def _check_fourier_draw() -> str:
+    rng = np.random.default_rng(11)
+    for n, band in ((5, 1), (7, 2), (9, 2)):
+        weights = rng.random((4, 16)) ** 4 + 1e-3
+        mismatches, mass, column = fourier_draw_deviation(
+            AqftInstance.standard(n, band),
+            rng.uniform(-np.pi, np.pi, (16, band)),
+            rng.integers(0, 1 << n, 4),
+            weights / weights.sum(axis=1, keepdims=True),
+            rng.random(4),
+        )
+        if mismatches:
+            raise AssertionError(f"Fourier draw and statevector oracle disagree at n={n}")
+        if max(mass, column) > 1e-12:
+            raise AssertionError(f"Fourier draw deviates from the oracle by {max(mass, column):.2e}")
+    return "product-form Fourier draw matches the statevector inverse CDF"
+
+
 def _check_inversion() -> str:
     rng = np.random.default_rng(7)
     amps = rng.normal(size=64) + 1j * rng.normal(size=64)
@@ -216,6 +278,7 @@ _CHECKS = (
     _check_joint_oracle,
     _check_grover_subspace,
     _check_qft_circuit,
+    _check_fourier_draw,
     _check_inversion,
 )
 

@@ -50,6 +50,14 @@ class TestOutcomeAmplitudes:
         with pytest.raises(NumericsError):
             OutcomeAmplitudes.full(bad)
 
+    def test_binary_closure_rejects_nan(self):
+        with pytest.raises(NumericsError):
+            OutcomeAmplitudes.binary([np.nan, 0.6], [np.nan, 0.8])
+
+    def test_full_norm_rejects_nan(self):
+        with pytest.raises(NumericsError):
+            OutcomeAmplitudes.full([[np.nan, 1], [1, 0]])
+
     def test_binary_layout(self):
         s = np.array([1.0, 0.0], dtype=complex)
         b = np.array([0.0, 1.0], dtype=complex)

@@ -19,6 +19,7 @@ from gatelearn import (
 )
 from gatelearn import harness
 from gatelearn.backaction import OutcomeAmplitudes, sample_batch
+from gatelearn.errors import NumericsError
 from gatelearn.harness import (
     target_success,
     write_histogram_csv,
@@ -26,6 +27,7 @@ from gatelearn.harness import (
     write_summary_json,
 )
 from gatelearn.qft import trial_output_batch
+from gatelearn.selftest import bit_reversed_order
 
 
 COLUMNS = ("passed", "measured_index", "expected_success", "circular_variance",
@@ -175,9 +177,11 @@ class StatevectorTrials:
         return np.array([int(rng.integers(self.instance.dim)) for rng in rngs])
 
     def sample(self, expected, weights, rngs):
+        # the product form draws in bit-reversed outcome order
+        order = bit_reversed_order(self.instance.n_qubits)
         trials = [self.trial(k) for k in expected]
         dist = np.stack([t.distribution(w) for t, w in zip(trials, weights)])
-        outcomes = sample_batch(dist, rngs)
+        outcomes = order[sample_batch(dist[:, order], rngs)]
         return outcomes, np.stack([t.outcome_amplitude(r) for t, r in zip(trials, outcomes)])
 
 
@@ -205,6 +209,29 @@ class TestProductFormEngine:
             monkeypatch.setattr(f"gatelearn.qft.{kernel}", refuse)
         config = aqft_config(problem=AqftInstance.standard(5, 2), grid_size=8)
         assert run_learning(config, run_seed=2).iterations == 30
+
+    def test_draw_rejects_unnormalized_or_nan_weights(self):
+        trials = harness._trials(AqftInstance.standard(4, 1), 8)
+        for weights in (np.full((1, 8), 0.2), np.full((1, 8), np.nan)):
+            with pytest.raises(NumericsError):
+                trials.sample(np.array([3]), weights, [np.random.default_rng(0)])
+
+    def test_sixteen_qubit_training_memory_stays_linear(self):
+        # a (2^16, 256) probability table would take 128 MB per trial; the
+        # bit-by-bit draw holds a few (runs, cells) rows per outcome bit
+        import tracemalloc
+
+        config = aqft_config(problem=AqftInstance.standard(16, 1), grid_size=256,
+                             iterations=120, runs=1)
+        target_success(config)  # builds the shared trial data outside the measurement
+        tracemalloc.start()
+        try:
+            result = run_learning(config, run_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == 120
+        assert peak < 8 * 2**20
 
 
 class TestRunEnsemble:

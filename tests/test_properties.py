@@ -29,7 +29,7 @@ from gatelearn import (
     run_learning,
     translate,
 )
-from gatelearn.qft import ProductFormTrials, trial_output_batch
+from gatelearn.selftest import fourier_draw_deviation
 
 RNG = np.random.default_rng(20260808)
 
@@ -180,26 +180,29 @@ def test_search_amplitude_closure_100_cases():
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_product_form_trial_matches_statevector_oracle(data):
+def test_product_form_draw_matches_statevector_oracle(data):
+    """The chain draw equals the statevector inverse CDF in bit-reversed order."""
     n = data.draw(st.integers(2, 9), label="n")
     band = data.draw(st.sampled_from([1, 2] if n > 2 else [1]), label="band")
-    k = data.draw(st.integers(0, (1 << n) - 1), label="k")
+    runs = data.draw(st.integers(1, 4), label="runs")
     angle = st.floats(-2 * np.pi, 2 * np.pi)
     rows = data.draw(
         st.lists(st.tuples(*[angle] * band), min_size=1, max_size=8), label="phase rows"
     )
-    weights = np.array(
-        data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(rows), max_size=len(rows)))
-    ) + 1e-3
-    weights /= weights.sum()
-    instance = AqftInstance.standard(n, band)
-    oracle = trial_output_batch(instance, k, rows)  # (cells, 2**n)
-    trial = ProductFormTrials(instance, rows).trial(k)
-    np.testing.assert_allclose(
-        trial.distribution(weights), weights @ np.abs(oracle) ** 2, rtol=0, atol=1e-12
+    cells = len(rows)
+    ks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=runs, max_size=runs),
+                   label="k")
+    weights = np.array(data.draw(
+        st.lists(st.lists(st.floats(0.0, 1.0), min_size=cells, max_size=cells),
+                 min_size=runs, max_size=runs), label="weights")) ** 4 + 1e-3
+    weights /= weights.sum(axis=1, keepdims=True)
+    uniforms = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                  min_size=runs, max_size=runs), label="u")
+    mismatches, mass, column = fourier_draw_deviation(
+        AqftInstance.standard(n, band), rows, ks, weights, uniforms
     )
-    for r in range(1 << n):
-        np.testing.assert_allclose(trial.outcome_amplitude(r), oracle[:, r], rtol=0, atol=1e-12)
+    assert mismatches == 0
+    assert mass <= 1e-12 and column <= 1e-12
 
 
 def test_ensemble_determinism_across_thread_counts():

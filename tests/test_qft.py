@@ -14,7 +14,9 @@ from gatelearn import (
     standard_phases,
     trial_success_amplitude,
 )
-from gatelearn.qft import trial_output_batch
+from gatelearn.errors import NumericsError
+from gatelearn.qft import ProductFormTrials, trial_output_batch
+from gatelearn.selftest import bit_reversed_order
 
 
 def dft_matrix(n):
@@ -120,6 +122,55 @@ class TestTrials:
         for g in (0, 5, 11):
             single, _ = trial_success_amplitude(inst.with_phases((grid[g, 0],)), 7)
             np.testing.assert_allclose(batch[g], single, atol=1e-12)
+
+
+class TestProductFormDraw:
+    def test_cdf_midpoints_draw_their_outcome_exhaustively(self):
+        # n=5 band 2: every k, and for every outcome of nonzero probability a
+        # target at the midpoint of its interval of the bit-reversed CDF
+        n = 5
+        inst = AqftInstance.standard(n, 2)
+        rng = np.random.default_rng(5)
+        grid = rng.uniform(-np.pi, np.pi, (6, 2))
+        weights = rng.random(6) + 0.1
+        weights /= weights.sum()
+        trials = ProductFormTrials(inst, grid)
+        order = bit_reversed_order(n)
+        drawn = 0
+        for k in range(1 << n):
+            dist = weights @ np.abs(trial_output_batch(inst, k, grid)) ** 2
+            cdf = np.concatenate([[0.0], np.cumsum(dist[order])])
+            wide = np.flatnonzero(np.diff(cdf) > 1e-9)
+            midpoints = (cdf[wide] + cdf[wide + 1]) / 2
+            outcomes, masses, _ = trials.draw(np.full(len(wide), k),
+                                              np.tile(weights, (len(wide), 1)), midpoints)
+            np.testing.assert_array_equal(outcomes, order[wide])
+            np.testing.assert_allclose(masses, dist[order[wide]], rtol=0, atol=1e-12)
+            drawn += len(wide)
+        assert drawn >= 10 * (1 << n)  # about a third of the (k, r) pairs can occur
+
+    def test_vanishing_outcome_rejected(self):
+        # with the textbook phase the 2-qubit band-1 circuit is exact: a
+        # target past the mass of the passing outcome can only reach outcomes
+        # of zero probability
+        trials = ProductFormTrials(AqftInstance.standard(2, 1), [[np.pi / 2]])
+        with pytest.raises(NumericsError):
+            trials.draw([0], np.ones((1, 1)), [1.0])
+
+    def test_nan_weights_rejected(self):
+        trials = ProductFormTrials(AqftInstance.standard(3, 1), [[0.3], [1.2]])
+        with pytest.raises(NumericsError):
+            trials.draw([2], np.array([[np.nan, 0.5]]), [0.1])
+
+    def test_nan_phase_row_rejected_when_built(self):
+        inst = AqftInstance.standard(4, 2)
+        grid = np.array([[0.1, 0.2], [np.nan, 0.3]])
+        with pytest.raises(ValueError):
+            ProductFormTrials(inst, grid)
+        with pytest.raises(ValueError):
+            average_success_map(inst, grid)
+        with pytest.raises(ValueError):
+            average_success_map(inst, [[0.1, np.inf]])
 
 
 class TestAverageSuccess:
