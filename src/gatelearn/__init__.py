@@ -11,20 +11,8 @@ trainable oracle phase, and the banded quantum Fourier transform with
 trainable controlled-phase angles.
 """
 
-from .backaction import (
-    OutcomeAmplitudes,
-    brute_force_joint_step,
-    outcome_distribution,
-    sample_and_update,
-)
 from .errors import NumericsError
-from .feedback import (
-    FeedbackConfig,
-    FeedbackHistory,
-    FeedbackResult,
-    apply_quantum_walk,
-    on_failure,
-)
+from .feedback import FeedbackConfig
 from .grover import (
     GroverInstance,
     optimal_iterations,
@@ -46,33 +34,17 @@ from .optimize import (
     improvement_table,
     optimize_phases,
 )
-from .parameter import (
-    ParameterState,
-    dephase_random,
-    distribution_variance,
-    expected_success,
-    invert_about_mean,
-    translate,
-    uniform_init,
-)
+from .parameter import ParameterState, uniform_init
 from .qft import (
     AqftInstance,
     ProductFormTrials,
-    apply_aqft,
-    apply_aqft_inverse,
     average_success,
     average_success_map,
     standard_phases,
-    trial_success_amplitude,
 )
-from .statevector import (
-    HADAMARD,
-    PureState,
-    amplitude,
-    apply_controlled_phase,
-    apply_single_qubit_gate,
-    apply_swap,
-    measure_computational,
-)
+
+# the statevector oracle stays in gatelearn.oracle; this one name is
+# re-exported because benchmarks/workloads.py imports it from here
+from .oracle import trial_success_amplitude
 
 __version__ = "0.1.0"

@@ -27,8 +27,7 @@ Three operators are provided, plus the controller that schedules them:
 
 :func:`on_failure_batch` and :func:`apply_quantum_walk_batch` act on the
 failed runs of a batch, one row of a ``(runs, *grid_shape)`` array per
-run; :func:`on_failure` and :func:`apply_quantum_walk` are the same
-kernels on one run.
+run; one run is a batch of one.
 """
 
 from __future__ import annotations
@@ -36,25 +35,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericsError
-from .parameter import (
-    ParameterState,
-    dephase_batch,
-    invert_about_mean_batch,
-    translate_batch,
-)
+from .parameter import dephase_batch, invert_about_mean_batch, translate_batch
 
 __all__ = [
     "FeedbackConfig",
-    "FeedbackHistory",
-    "FeedbackResult",
-    "apply_quantum_walk",
     "apply_quantum_walk_batch",
-    "on_failure",
     "on_failure_batch",
 ]
 
@@ -115,32 +104,6 @@ class FeedbackConfig:
             raise ValueError("walk_escalation must be >= 0")
 
 
-@dataclass(frozen=True)
-class FeedbackHistory:
-    """Verification record available to the controller.
-
-    Only quantities an experimenter can read off the pass/fail sequence:
-    total successes, total failures, and the current run of consecutive
-    failures.  All counts exclude the failure being handled.
-    """
-
-    successes: int = 0
-    failures: int = 0
-    consecutive_failures: int = 0
-
-    def __post_init__(self):
-        if min(self.successes, self.failures, self.consecutive_failures) < 0:
-            raise ValueError("history counts must be >= 0")
-
-    def after_success(self) -> "FeedbackHistory":
-        return FeedbackHistory(self.successes + 1, self.failures, 0)
-
-    def after_failure(self) -> "FeedbackHistory":
-        return FeedbackHistory(
-            self.successes, self.failures + 1, self.consecutive_failures + 1
-        )
-
-
 @lru_cache(maxsize=256)
 def _walk_spectrum(strength: float, step_cells: int, grid_shape: tuple) -> np.ndarray:
     """Eigenvalues of the walk on a grid, the outer product of the axis spectra."""
@@ -165,12 +128,20 @@ def _norms_squared(amps: np.ndarray) -> np.ndarray:
 
 
 def apply_quantum_walk_batch(amps: np.ndarray, strengths, step_cells: int) -> np.ndarray:
-    """The walk of :func:`apply_quantum_walk` on each run, at that run's strength.
+    """Split each run's wavefunction coherently toward both directions.
 
-    ``amps`` is ``(runs, *grid_shape)``.  The FFTs run over the grid
-    axes only, and each row is multiplied by the cached spectrum of its
-    own strength.  Raises ``NumericsError`` if a run's norm moves by
-    more than 1e-9.
+    ``amps`` is ``(runs, *grid_shape)``; run i gets exp(-i x (T^s + T^-s))
+    along every grid axis, with x = ``strengths[i]`` and s =
+    ``step_cells``.  On the cyclic grid this operator is circulant: the
+    Fourier mode m of an axis with N cells is an eigenvector with
+    eigenvalue exp(-2i x cos(2 pi m s / N)).  So one FFT over the grid
+    axes, a multiply by the outer product of the axis spectra (cached
+    per strength), and one inverse FFT apply the walk exactly at any
+    strength.  Translations along different axes commute, so the
+    product spectrum equals the sequential per-axis walk.  In
+    translation form the walk is p_0 + sum_l p_l (T^{ls} + T^{-ls}) with
+    p_l = (-i)^l J_l(2x).  Raises ``NumericsError`` if a run's norm
+    moves by more than 1e-9.
     """
     spectra = [_walk_spectrum(float(x), step_cells, amps.shape[1:]) for x in strengths]
     # one shared strength (always so for a single run) broadcasts its spectrum
@@ -190,23 +161,6 @@ def apply_quantum_walk_batch(amps: np.ndarray, strengths, step_cells: int) -> np
     return walked
 
 
-def apply_quantum_walk(chi: ParameterState, strength: float, step_cells: int) -> ParameterState:
-    """Split the wavefunction coherently toward both directions.
-
-    Applies exp(-i x (T^s + T^-s)) along every grid axis, with x the
-    walk ``strength`` and s = ``step_cells``.  On the cyclic grid this
-    operator is circulant: the Fourier mode m of an axis with N cells is
-    an eigenvector with eigenvalue exp(-2i x cos(2 pi m s / N)).  So one
-    ``fftn``, a multiply by the outer product of the axis spectra, and
-    one ``ifftn`` apply the walk exactly at any strength.  Translations
-    along different axes commute, so the product spectrum equals the
-    sequential per-axis walk.  In translation form the walk is
-    p_0 + sum_l p_l (T^{ls} + T^{-ls}) with p_l = (-i)^l J_l(2x).
-    """
-    walked = apply_quantum_walk_batch(chi.amplitudes[None], [strength], step_cells)[0]
-    return ParameterState(walked, chi.domains)
-
-
 def _push_move(failure_count: int, success_count: int, config: FeedbackConfig, ndim: int):
     """(axis, signed shift) of the next alternating push.
 
@@ -222,11 +176,6 @@ def _push_move(failure_count: int, success_count: int, config: FeedbackConfig, n
     if sign < 0:
         base *= config.push_asymmetry
     return axis, sign * max(1, round(base))
-
-
-class FeedbackResult(NamedTuple):
-    state: ParameterState
-    action: str
 
 
 def _effective_walk_strength(config: FeedbackConfig, consecutive_failures: int) -> float:
@@ -255,11 +204,32 @@ def on_failure_batch(
 ):
     """Feedback for a batch of runs that each just failed a verification.
 
-    ``amps`` is ``(runs, *grid_shape)``, one row per failed run; the
-    counts are per run and, as in :class:`FeedbackHistory`, exclude the
-    failure being handled; ``rngs`` are the runs' own streams.  Each row
-    gets what :func:`on_failure` gives that run alone.  Returns the new
-    rows and an object array of the action tags.
+    ``amps`` is ``(runs, *grid_shape)``, one row per failed run.  The
+    counts are per run: total passes, total failures and the current run
+    of consecutive failures, all read off the pass/fail record and all
+    excluding the failure being handled.  ``rngs`` are the runs' own
+    streams; ``binary_readout`` says the trial was read out as pass/fail
+    only (search) rather than as a full outcome index (Fourier).  Each
+    row gets what it would get alone.  Returns the new rows and an
+    object array of short action tags for the run record.
+
+    When the kickstart (the inversion about the mean) is enabled, the
+    first failure of a run triggers it, and under the double push on a
+    binary readout so does every failure before the first pass.
+    Otherwise the configured strategy applies: a single push, or the
+    quantum walk followed by random dephasing.
+
+    Why the kickstart repeats only there: right after a failed
+    verification the still nearly uniform wavefunction carries a dip
+    where the circuit works well, and the reflection turns that dip into
+    a peak.  On pass/fail readouts the reflected wavefunction stays close
+    enough to uniform that the next failure digs a dip again (search at
+    N=10000 on 256 cells: a second reflection gives a pass probability of
+    0.030, against 0.0134 for a uniform wavefunction).  On a
+    full-register (Fourier) readout a failure singles out one wrong index
+    rather than digging a dip, once a run has passed the amplitudes are
+    structured, and under the single push repeating it lowers the search
+    ensemble mean (N=1024: 0.72 to 0.57 of the ideal success).
     """
     successes, failures = np.asarray(successes), np.asarray(failures)
     consecutive_failures = np.asarray(consecutive_failures)
@@ -302,46 +272,3 @@ def _push_or_walk(amps, successes, failures, consecutive_failures, config, rngs)
     strengths = [_effective_walk_strength(config, c) for c in consecutive_failures.tolist()]
     walked = apply_quantum_walk_batch(amps, strengths, config.walk_step_cells)
     return dephase_batch(walked, rngs), np.full(len(amps), "walk+dephase", dtype=object)
-
-
-def on_failure(
-    chi: ParameterState,
-    history: FeedbackHistory,
-    config: FeedbackConfig,
-    rng: np.random.Generator,
-    binary_readout: bool = False,
-) -> FeedbackResult:
-    """Feedback dispatch after a failed verification.
-
-    ``history`` holds the verification counts *before* the current
-    failure; ``binary_readout`` says the trial was read out as pass/fail
-    only (search) rather than as a full outcome index (Fourier).  When
-    the kickstart (the inversion about the mean) is enabled, the first
-    failure of a run triggers it, and under the double push on a binary
-    readout so does every failure before the first pass.  Otherwise the
-    configured strategy applies: a single push, or the quantum walk
-    followed by random dephasing.  Returns the new state together with
-    a short action tag for the run record.
-
-    Why the kickstart repeats only there: right after a failed
-    verification the still nearly uniform wavefunction carries a dip
-    where the circuit works well, and the reflection turns that dip into
-    a peak.  On pass/fail readouts the reflected wavefunction stays close
-    enough to uniform that the next failure digs a dip again (search at
-    N=10000 on 256 cells: a second reflection gives a pass probability of
-    0.030, against 0.0134 for a uniform wavefunction).  On a
-    full-register (Fourier) readout a failure singles out one wrong index
-    rather than digging a dip, once a run has passed the amplitudes are
-    structured, and under the single push repeating it lowers the search
-    ensemble mean (N=1024: 0.72 to 0.57 of the ideal success).
-    """
-    amps, tags = on_failure_batch(
-        chi.amplitudes[None],
-        [history.successes],
-        [history.failures],
-        [history.consecutive_failures],
-        config,
-        [rng],
-        binary_readout,
-    )
-    return FeedbackResult(ParameterState(amps[0], chi.domains), tags[0])

@@ -24,11 +24,12 @@ The loop sees a problem only through a small trial protocol (see
 which draws each run's outcome with one uniform from its stream and
 returns the outcomes with their amplitude columns.  Search trials
 reuse the fixed uniform input every iteration and draw from one shared
-pass/fail table with :func:`backaction.sample_batch`.  Fourier trials
-draw a fresh target index k per run and iteration, and draw the
-outcome bit by bit from the circuit's closed product form
-(:meth:`qft.ProductFormTrials.draw`); the gate-by-gate statevector
-simulation is not run in the loop and serves as the tests' oracle.
+pass/fail table (:func:`backaction.outcome_table`) with
+:func:`backaction.sample_batch`.  Fourier trials draw a fresh target
+index k per run and iteration, and draw the outcome bit by bit from the
+circuit's closed product form (:meth:`qft.ProductFormTrials.draw`); the
+gate-by-gate simulation in :mod:`gatelearn.oracle` is not run in the
+loop and serves as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .backaction import PASS, OutcomeAmplitudes, _check_sums, filter_batch, sample_batch
+from .backaction import (
+    PASS,
+    _check_sums,
+    distribution_batch,
+    filter_batch,
+    outcome_table,
+    sample_batch,
+)
 from .feedback import FeedbackConfig, on_failure_batch
 from .grover import GroverInstance, _amplitudes_for_phases
 from .parameter import (
@@ -147,14 +155,13 @@ class _SearchTrials:
         t, u = _amplitudes_for_phases(instance, uniform_init(grid_size).axis_values(0))
         self.success_map = checked_success_map(np.abs(t) ** 2, (grid_size,))
         self.success_map.flags.writeable = False  # checked once, shared by every run
-        self._amps = OutcomeAmplitudes.binary(t, u)
-        self._columns = np.stack([t, u])  # indexed by outcome, PASS then FAIL
+        self._table, self._columns = outcome_table([t, u])  # outcome PASS, then fail
 
     def draw_expected(self, rngs) -> np.ndarray:
         return np.full(len(rngs), PASS)
 
     def sample(self, expected, weights: np.ndarray, rngs):
-        outcomes = sample_batch(self._amps.distribution(weights), rngs)
+        outcomes = sample_batch(distribution_batch(weights, self._table), rngs)
         return outcomes, self._columns[outcomes]
 
 

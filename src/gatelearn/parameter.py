@@ -13,10 +13,11 @@ are unitary on the cyclic grid, which is why the periodic boundary is
 non-negotiable: translations would otherwise leak probability.
 
 Each operator and diagnostic is an array kernel over a batch of runs,
-an array of shape ``(runs, *grid_shape)``, named ``*_batch``; the
-functions on a single :class:`ParameterState` apply the same kernel to
-a batch of one.  Every kernel computes each run's row exactly as it
+an array of shape ``(runs, *grid_shape)``, named ``*_batch``; one run
+is a batch of one.  Every kernel computes each run's row exactly as it
 would alone, so results never depend on how many runs share a batch.
+:class:`ParameterState` describes a grid: its domains, grid points and
+the flat starting wavefunction (:func:`uniform_init`).
 """
 
 from __future__ import annotations
@@ -24,18 +25,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.array_utils import normalize_axis_index
 
 from .errors import NumericsError
 
 __all__ = [
     "ParameterState",
     "uniform_init",
-    "translate",
-    "dephase_random",
-    "invert_about_mean",
-    "expected_success",
-    "distribution_variance",
     "checked_success_map",
     "translate_batch",
     "dephase_batch",
@@ -85,26 +80,6 @@ class ParameterState:
     def ndim(self) -> int:
         return self.amplitudes.ndim
 
-    @property
-    def grid_size(self) -> int:
-        """Cell count of a one-axis grid."""
-        if self.ndim != 1:
-            raise ValueError("grid_size is defined for 1-axis grids; use grid_shape")
-        return self.amplitudes.shape[0]
-
-    @property
-    def cell_widths(self) -> tuple:
-        return tuple(
-            (hi - lo) / n for (lo, hi), n in zip(self.domains, self.grid_shape)
-        )
-
-    @property
-    def cell_width(self) -> float:
-        """Cell width of a one-axis grid."""
-        if self.ndim != 1:
-            raise ValueError("cell_width is defined for 1-axis grids; use cell_widths")
-        return self.cell_widths[0]
-
     def axis_values(self, axis: int = 0) -> np.ndarray:
         """Parameter values at the grid points of one axis."""
         return _grid_points(*self.domains[axis], self.grid_shape[axis])
@@ -115,9 +90,6 @@ class ParameterState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "ParameterState":
-        return ParameterState(self.amplitudes.copy(), self.domains)
 
     def __repr__(self) -> str:
         return f"ParameterState(grid_shape={self.grid_shape}, domains={self.domains})"
@@ -160,7 +132,10 @@ def _grid_axes(amps: np.ndarray) -> tuple:
 
 
 def translate_batch(amps: np.ndarray, shifts, axes) -> np.ndarray:
-    """Cyclic shift of each run by ``shifts[i]`` cells along grid axis ``axes[i]``."""
+    """Cyclic shift of each run by ``shifts[i]`` cells along grid axis ``axes[i]``.
+
+    A positive shift moves the distribution toward larger parameter values.
+    """
     shifts, axes = np.asarray(shifts), np.asarray(axes)
     out = amps.copy()
     for axis in np.unique(axes):
@@ -174,7 +149,12 @@ def translate_batch(amps: np.ndarray, shifts, axes) -> np.ndarray:
 
 
 def dephase_batch(amps: np.ndarray, rngs) -> np.ndarray:
-    """Random phase per cell for each run, drawn from that run's own stream."""
+    """Random phase per cell for each run, drawn from that run's own stream.
+
+    Magnitudes are untouched; this scrambles interference between grid
+    cells.  Phases are drawn uniformly from [0, 2*pi) in row-major cell
+    order, so a fixed seed reproduces the same phase pattern.
+    """
     theta = np.stack([rng.uniform(0.0, _TWO_PI, size=amps.shape[1:]) for rng in rngs])
     # an explicit ufunc keeps the operand order: a * b and b * a may differ
     # in the last bit for complex operands
@@ -182,7 +162,12 @@ def dephase_batch(amps: np.ndarray, rngs) -> np.ndarray:
 
 
 def invert_about_mean_batch(amps: np.ndarray) -> np.ndarray:
-    """chi_g -> 2*mean(chi) - chi_g for each run."""
+    """chi_g -> 2*mean(chi) - chi_g for each run.
+
+    A unitary reflection: applied to a nearly uniform state carrying a
+    dip, it turns the dip into a peak, which is how the feedback
+    kickstart uses it.
+    """
     mean = amps.mean(axis=_grid_axes(amps), keepdims=True)
     return 2.0 * mean - amps
 
@@ -190,7 +175,9 @@ def invert_about_mean_batch(amps: np.ndarray) -> np.ndarray:
 def expected_success_batch(probs: np.ndarray, success_map: np.ndarray) -> np.ndarray:
     """Each run's |chi|^2-weighted mean success, clamped to [0, 1].
 
-    ``probs`` holds |chi|^2 per run; ``success_map`` must have passed
+    This is the average success the trained circuit would show if
+    deployed now, with the parameter drawn from |chi|^2.  ``probs``
+    holds |chi|^2 per run; ``success_map`` must have passed
     :func:`checked_success_map`.
     """
     values = np.sum(probs * success_map, axis=_grid_axes(probs))
@@ -198,7 +185,14 @@ def expected_success_batch(probs: np.ndarray, success_map: np.ndarray) -> np.nda
 
 
 def distribution_variance_batch(probs: np.ndarray, domains) -> np.ndarray:
-    """Each run's circular variance; ``probs`` holds |chi|^2 per run."""
+    """Each run's circular variance; ``probs`` holds |chi|^2 per run.
+
+    Computed per axis from the first trigonometric moment of the
+    marginal, 1 - |sum_g w_g e^{i phi_g}|, and summed over axes.  The
+    value is 0 for a point mass and 1 for a flat (or antipodally split)
+    distribution on a full period; for well-localized distributions it
+    approaches sigma^2 / 2.
+    """
     ndim = probs.ndim - 1
     total = np.zeros(probs.shape[0])
     for axis in range(ndim):
@@ -211,66 +205,12 @@ def distribution_variance_batch(probs: np.ndarray, domains) -> np.ndarray:
     return np.maximum(total, 0.0)
 
 
-def translate(state: ParameterState, shift_cells: int, axis: int = 0) -> ParameterState:
-    """Cyclic shift by ``shift_cells`` grid cells along one axis.
-
-    The new amplitude at cell g is the old amplitude at cell
-    (g - shift_cells) mod N: a positive shift moves the distribution
-    toward larger parameter values.
-    """
-    axis = normalize_axis_index(axis, state.ndim)
-    amps = translate_batch(state.amplitudes[None], [shift_cells], [axis])[0]
-    return ParameterState(amps, state.domains)
-
-
-def dephase_random(state: ParameterState, rng: np.random.Generator) -> ParameterState:
-    """Multiply every cell by an independent random phase e^{i theta}.
-
-    Magnitudes are untouched; this scrambles interference between grid
-    cells.  Phases are drawn uniformly from [0, 2*pi) in row-major cell
-    order, so a fixed seed reproduces the same phase pattern.
-    """
-    return ParameterState(dephase_batch(state.amplitudes[None], [rng])[0], state.domains)
-
-
-def invert_about_mean(state: ParameterState) -> ParameterState:
-    """Reflect every amplitude about the grid-average amplitude.
-
-    chi_g -> 2*mean(chi) - chi_g.  This is a unitary reflection: applied
-    to a nearly uniform state carrying a dip, it converts the dip into a
-    peak, which is exactly how the one-shot feedback boost uses it.
-    """
-    return ParameterState(invert_about_mean_batch(state.amplitudes[None])[0], state.domains)
-
-
 def checked_success_map(success_map, grid_shape: tuple) -> np.ndarray:
     """The success map as a float array, checked against the grid and [0, 1]."""
     p = np.asarray(success_map, dtype=float)
     if p.shape != tuple(grid_shape):
         raise ValueError(f"success map shape {p.shape} != grid shape {tuple(grid_shape)}")
-    if p.min() < -1e-9 or p.max() > 1.0 + 1e-9:
+    # written so that a NaN entry fails too
+    if not (p.min() >= -1e-9 and p.max() <= 1.0 + 1e-9):
         raise NumericsError("success-map entries outside [0, 1] beyond 1e-9")
     return p
-
-
-def expected_success(state: ParameterState, success_map) -> float:
-    """|chi|^2-weighted mean of a per-cell success probability map.
-
-    This is the average success rate the trained circuit would show if
-    deployed immediately, with the parameter drawn from |chi|^2.
-    """
-    p = checked_success_map(success_map, state.grid_shape)
-    return float(expected_success_batch(state.probabilities()[None], p)[0])
-
-
-def distribution_variance(state: ParameterState) -> float:
-    """Circular variance of the parameter distribution |chi|^2.
-
-    Computed per axis from the first trigonometric moment of the
-    marginal, 1 - |sum_g w_g e^{i phi_g}|, and summed over axes.  The
-    value is 0 for a point mass and 1 for a flat (or antipodally split)
-    distribution on a full period; for well-localized distributions it
-    approaches sigma^2 / 2.  Diagnostic only; branch-cut free on the
-    periodic grid.
-    """
-    return float(distribution_variance_batch(state.probabilities()[None], state.domains)[0])

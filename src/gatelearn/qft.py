@@ -15,9 +15,9 @@ states, and the trial input, to tensor products of single-qubit
 phases, so both the per-trial outcome amplitudes and the k-averaged
 pass probability have closed product forms.  The training loop draws
 each trial's outcome and amplitude column with
-:class:`ProductFormTrials`; the gate-by-gate statevector path
-(:func:`trial_output_batch`, :func:`trial_success_amplitude`) is the
-independent oracle the tests check both product forms against.
+:class:`ProductFormTrials`.  The circuit itself is simulated gate by
+gate only in :mod:`gatelearn.oracle`, the independent oracle the tests
+check both product forms against.
 """
 
 from __future__ import annotations
@@ -28,20 +28,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericsError
-from .statevector import (
-    HADAMARD,
-    PureState,
-    _apply_cphase,
-    _apply_single_qubit,
-    _apply_swap,
-)
 
 __all__ = [
     "AqftInstance",
     "standard_phases",
-    "apply_aqft",
-    "apply_aqft_inverse",
-    "trial_success_amplitude",
     "ProductFormTrials",
     "average_success",
     "average_success_map",
@@ -91,79 +81,6 @@ class AqftInstance:
         return 1 << self.n_qubits
 
 
-# ---------------------------------------------------------------------------
-# circuit application
-
-def _run_circuit(amps: np.ndarray, n: int, band: int, phases, inverse: bool = False) -> None:
-    """Apply the banded Fourier circuit in place on a (batch, 2**n) array.
-
-    ``phases`` entries may be scalars or (batch,) arrays, enabling one
-    vectorized pass over many parameter values.
-    """
-    if not inverse:
-        for i in range(n - 1, -1, -1):
-            _apply_single_qubit(amps, i, HADAMARD)
-            for d in range(1, min(band, i) + 1):
-                _apply_cphase(amps, i, i - d, np.exp(1j * np.asarray(phases[d - 1])))
-        for i in range(n // 2):
-            _apply_swap(amps, i, n - 1 - i)
-    else:
-        for i in range(n // 2):
-            _apply_swap(amps, i, n - 1 - i)
-        for i in range(n):
-            for d in range(min(band, i), 0, -1):
-                _apply_cphase(amps, i, i - d, np.exp(-1j * np.asarray(phases[d - 1])))
-            _apply_single_qubit(amps, i, HADAMARD)
-
-
-def apply_aqft(instance: AqftInstance, state: PureState) -> PureState:
-    """Run the banded Fourier circuit on a processor state."""
-    if state.n_qubits != instance.n_qubits:
-        raise ValueError(
-            f"state has {state.n_qubits} qubits, circuit expects {instance.n_qubits}"
-        )
-    out = state.copy()
-    _run_circuit(out.amplitudes[None, :], instance.n_qubits, instance.band, instance.phases)
-    return out
-
-
-def apply_aqft_inverse(instance: AqftInstance, state: PureState) -> PureState:
-    """Run the inverse of the banded circuit (undoes :func:`apply_aqft`)."""
-    if state.n_qubits != instance.n_qubits:
-        raise ValueError(
-            f"state has {state.n_qubits} qubits, circuit expects {instance.n_qubits}"
-        )
-    out = state.copy()
-    _run_circuit(
-        out.amplitudes[None, :], instance.n_qubits, instance.band, instance.phases,
-        inverse=True,
-    )
-    return out
-
-
-def _fourier_input(n: int, k: int) -> np.ndarray:
-    """Exact inverse-Fourier image of |k>: amplitudes e^{-2 pi i jk/2^n}/sqrt(2^n)."""
-    dim = 1 << n
-    j = np.arange(dim)
-    return np.exp(-2j * np.pi * j * (k % dim) / dim) / np.sqrt(dim)
-
-
-def trial_success_amplitude(instance: AqftInstance, k: int):
-    """One verification trial: full output amplitudes and the expected outcome.
-
-    Prepares the exact inverse-Fourier image of |k> (a simulator-side
-    idealization with a closed form), runs the banded circuit, and
-    returns ``(output_amplitudes, k)``.  The trial passes iff the
-    projective readout of the output yields k, so ``output[k]`` is the
-    pass amplitude.
-    """
-    if not 0 <= k < instance.dim:
-        raise ValueError(f"basis index {k} out of range")
-    amps = _fourier_input(instance.n_qubits, k)[None, :].copy()
-    _run_circuit(amps, instance.n_qubits, instance.band, instance.phases)
-    return amps[0], k
-
-
 def _checked_phase_grid(instance: AqftInstance, phase_grid) -> np.ndarray:
     phase_grid = np.atleast_2d(np.asarray(phase_grid, dtype=float))
     if phase_grid.shape[1] != instance.band:
@@ -171,23 +88,6 @@ def _checked_phase_grid(instance: AqftInstance, phase_grid) -> np.ndarray:
     if not np.isfinite(phase_grid).all():
         raise ValueError("phase grid holds a NaN or infinite phase")
     return phase_grid
-
-
-def trial_output_batch(instance: AqftInstance, k: int, phase_grid: np.ndarray) -> np.ndarray:
-    """Trial output vectors for many phase assignments at once.
-
-    ``phase_grid`` has shape (cells, band); returns (cells, 2**n) by
-    gate-by-gate simulation.  The training loop uses the product form
-    (:class:`ProductFormTrials`) instead; this is its oracle.
-    """
-    phase_grid = _checked_phase_grid(instance, phase_grid)
-    cells = phase_grid.shape[0]
-    amps = np.broadcast_to(
-        _fourier_input(instance.n_qubits, k), (cells, instance.dim)
-    ).copy()
-    per_cell = [phase_grid[:, d] for d in range(instance.band)]
-    _run_circuit(amps, instance.n_qubits, instance.band, per_cell)
-    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +110,7 @@ class ProductFormTrials:
     P(r) = sum_g w_g prod_q |factor q|^2 is a chain from bit 0 upward.
     :meth:`draw` walks that chain once per run, which is the inverse CDF
     in bit-reversed outcome order, at O(n cells) cost and memory.
-    :func:`trial_output_batch` is the oracle.
+    :func:`gatelearn.oracle.trial_output_batch` is the oracle.
     """
 
     def __init__(self, instance: AqftInstance, phase_grid, grid_shape: tuple | None = None):

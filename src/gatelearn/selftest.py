@@ -13,12 +13,18 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import jv
 
-from .backaction import OutcomeAmplitudes, brute_force_joint_step, sample_and_update
-from .feedback import apply_quantum_walk
+from .backaction import distribution_batch, filter_batch, outcome_table, sample_batch
+from .feedback import apply_quantum_walk_batch
 from .grover import GroverInstance, pass_fail_amplitudes
-from .parameter import ParameterState, invert_about_mean, uniform_init
-from .qft import AqftInstance, ProductFormTrials, apply_aqft, trial_output_batch
-from .statevector import PureState, apply_single_qubit_gate
+from .oracle import (
+    PureState,
+    apply_aqft,
+    apply_single_qubit_gate,
+    brute_force_joint_step,
+    trial_output_batch,
+)
+from .parameter import invert_about_mean_batch, uniform_init
+from .qft import AqftInstance, ProductFormTrials
 
 __all__ = [
     "run_selftest",
@@ -50,8 +56,7 @@ def walk_kernel_deviation():
     worst_bessel = worst_norm = 0.0
     distance = np.minimum(np.arange(cells), cells - np.arange(cells))
     for x in (0.3, 0.8, 1.5, 5.0, 24.0):
-        delta = ParameterState(np.eye(1, cells).ravel())
-        kernel = apply_quantum_walk(delta, x, 1).amplitudes
+        kernel = apply_quantum_walk_batch(np.eye(1, cells, dtype=complex), [x], 1)[0]
         oracle = (-1j) ** (distance % 4) * jv(distance, 2 * x)
         worst_bessel = max(worst_bessel, np.abs(kernel - oracle).max())
         worst_norm = max(worst_norm, abs(np.linalg.norm(kernel) - 1.0))
@@ -68,12 +73,12 @@ def walk_dense_deviation():
     for cells, x in ((32, 0.3), (32, 0.8), (32, 1.5), (64, 1.5), (64, 24.0)):
         rng = np.random.default_rng(int(10 * x) + cells)
         amps = rng.normal(size=cells) + 1j * rng.normal(size=cells)
-        chi = ParameterState(amps / np.linalg.norm(amps))
+        chi = amps / np.linalg.norm(amps)
         shift = np.roll(np.eye(cells), 1, axis=0)
         dense = expm(-1j * x * (shift + shift.T))
-        walked = apply_quantum_walk(chi, x, 1)
-        worst_op = max(worst_op, np.abs(walked.amplitudes - dense @ chi.amplitudes).max())
-        worst_norm = max(worst_norm, abs(walked.norm() - 1.0))
+        walked = apply_quantum_walk_batch(chi[None], [x], 1)[0]
+        worst_op = max(worst_op, np.abs(walked - dense @ chi).max())
+        worst_norm = max(worst_norm, abs(np.linalg.norm(walked) - 1.0))
     return worst_op, worst_norm
 
 
@@ -100,10 +105,11 @@ def joint_oracle_deviation(theta, seed: int, steps: int = 20, cells: int = 8):
 
     The circuit rotates qubit q by ``theta[q]`` about an axis set by the
     trained phase phi.  Starting from a uniform parameter state on
-    ``cells`` cells, :func:`sample_and_update` (the training loop's
-    kernels) and the explicit joint-state measurement
-    :func:`brute_force_joint_step` each take ``steps`` chained
-    measurements, fed identical streams seeded with ``seed``.
+    ``cells`` cells, the training loop's kernels (a batch of one run
+    through :func:`sample_batch` and :func:`filter_batch`) and the
+    explicit joint-state measurement :func:`brute_force_joint_step` each
+    take ``steps`` chained measurements, fed identical streams seeded
+    with ``seed``.
     """
 
     def circuit(phi, state):
@@ -115,15 +121,19 @@ def joint_oracle_deviation(theta, seed: int, steps: int = 20, cells: int = 8):
         return out
 
     src = PureState.basis(len(theta), 0)
-    chi_block, chi_joint = uniform_init(cells), uniform_init(cells)
+    chi_joint = uniform_init(cells)
+    phis = chi_joint.axis_values(0)
+    chi_block = chi_joint.amplitudes[None]
     rng_block, rng_joint = np.random.default_rng(seed), np.random.default_rng(seed)
     mismatches, worst = 0, 0.0
     for _ in range(steps):
-        table = np.stack([circuit(phi, src).amplitudes for phi in chi_block.axis_values(0)])
-        r_block, chi_block = sample_and_update(chi_block, OutcomeAmplitudes.full(table), rng_block)
+        table, columns = outcome_table(np.stack([circuit(phi, src).amplitudes for phi in phis], 1))
+        dist = distribution_batch(np.abs(chi_block) ** 2, table)
+        r_block = sample_batch(dist, [rng_block])
+        chi_block = filter_batch(chi_block, columns[r_block])
         r_joint, chi_joint = brute_force_joint_step(chi_joint, circuit, src, rng_joint)
-        mismatches += r_block != r_joint
-        worst = max(worst, np.abs(chi_block.amplitudes - chi_joint.amplitudes).max())
+        mismatches += r_block[0] != r_joint
+        worst = max(worst, np.abs(chi_block[0] - chi_joint.amplitudes).max())
     return mismatches, worst
 
 
@@ -263,11 +273,11 @@ def _check_fourier_draw() -> str:
 def _check_inversion() -> str:
     rng = np.random.default_rng(7)
     amps = rng.normal(size=64) + 1j * rng.normal(size=64)
-    chi = ParameterState(amps / np.linalg.norm(amps))
-    twice = invert_about_mean(invert_about_mean(chi))
-    if np.abs(twice.amplitudes - chi.amplitudes).max() > 1e-12:
+    chi = (amps / np.linalg.norm(amps))[None]
+    twice = invert_about_mean_batch(invert_about_mean_batch(chi))
+    if np.abs(twice - chi).max() > 1e-12:
         raise AssertionError("inversion about the mean is not an involution")
-    if abs(invert_about_mean(chi).norm() - 1.0) > 1e-12:
+    if abs(np.linalg.norm(invert_about_mean_batch(chi)) - 1.0) > 1e-12:
         raise AssertionError("inversion about the mean does not preserve norm")
     return "inversion about the mean is a norm-preserving involution"
 

@@ -3,17 +3,9 @@
 import numpy as np
 import pytest
 
-from gatelearn import (
-    NumericsError,
-    OutcomeAmplitudes,
-    ParameterState,
-    PureState,
-    apply_single_qubit_gate,
-    brute_force_joint_step,
-    outcome_distribution,
-    sample_and_update,
-    uniform_init,
-)
+from gatelearn import NumericsError, ParameterState, uniform_init
+from gatelearn.backaction import distribution_batch, filter_batch, outcome_table, sample_batch
+from gatelearn.oracle import PureState, apply_single_qubit_gate, brute_force_joint_step
 
 
 def rotation_circuit_family(seed):
@@ -35,44 +27,57 @@ def rotation_circuit_family(seed):
 
 
 def full_table(circuit, chi, src):
+    """The full-register outcome columns of one trial, one per basis outcome."""
     return np.stack(
-        [circuit(phi, src).amplitudes for phi in chi.axis_values(0)]
+        [circuit(phi, src).amplitudes for phi in chi.axis_values(0)], axis=1
     )
+
+
+def outcome_distribution(chi, trial):
+    """One run's outcome distribution, a batch of one; ``trial`` is from outcome_table."""
+    table, _ = trial
+    return distribution_batch(chi.probabilities().reshape(1, -1), table)[0]
+
+
+def sample_and_update(chi, trial, rng):
+    """One run's draw and filter through the training loop's kernels."""
+    table, columns = trial
+    r = sample_batch(distribution_batch(chi.probabilities().reshape(1, -1), table), [rng])
+    filtered = filter_batch(chi.amplitudes[None], columns[r])[0]
+    return int(r[0]), ParameterState(filtered, chi.domains)
 
 
 class TestOutcomeAmplitudes:
     def test_binary_closure_enforced(self):
         with pytest.raises(NumericsError):
-            OutcomeAmplitudes.binary(np.array([0.9 + 0j]), np.array([0.9 + 0j]))
+            outcome_table([np.array([0.9 + 0j]), np.array([0.9 + 0j])])
 
     def test_full_norm_enforced(self):
-        bad = np.ones((4, 2), dtype=complex)
+        bad = np.ones((2, 4), dtype=complex)
         with pytest.raises(NumericsError):
-            OutcomeAmplitudes.full(bad)
+            outcome_table(bad)
 
     def test_binary_closure_rejects_nan(self):
         with pytest.raises(NumericsError):
-            OutcomeAmplitudes.binary([np.nan, 0.6], [np.nan, 0.8])
+            outcome_table([[np.nan, 0.6], [np.nan, 0.8]])
 
     def test_full_norm_rejects_nan(self):
         with pytest.raises(NumericsError):
-            OutcomeAmplitudes.full([[np.nan, 1], [1, 0]])
+            outcome_table([[np.nan, 1], [1, 0]])
 
     def test_binary_layout(self):
         s = np.array([1.0, 0.0], dtype=complex)
         b = np.array([0.0, 1.0], dtype=complex)
-        amps = OutcomeAmplitudes.binary(s, b)
-        assert amps.n_outcomes == 2
-        np.testing.assert_array_equal(amps.outcome_amplitude(0), s)
-        np.testing.assert_array_equal(amps.outcome_amplitude(1), b)
+        table, columns = outcome_table([s, b])
+        assert table.shape[1] == 2
+        np.testing.assert_array_equal(columns[0], s)
+        np.testing.assert_array_equal(columns[1], b)
 
 
 class TestOutcomeDistribution:
     def test_deterministic_circuit_always_passes(self):
         chi = uniform_init(8)
-        amps = OutcomeAmplitudes.binary(
-            np.ones(8, dtype=complex), np.zeros(8, dtype=complex)
-        )
+        amps = outcome_table([np.ones(8, dtype=complex), np.zeros(8, dtype=complex)])
         dist = outcome_distribution(chi, amps)
         np.testing.assert_allclose(dist, [1.0, 0.0], atol=1e-12)
 
@@ -82,23 +87,21 @@ class TestOutcomeDistribution:
         chi = ParameterState(amps_chi)
         rng = np.random.default_rng(0)
         s = rng.uniform(0.1, 0.9, 8)
-        table = OutcomeAmplitudes.binary(np.sqrt(s), np.sqrt(1 - s))
+        table = outcome_table([np.sqrt(s), np.sqrt(1 - s)])
         dist = outcome_distribution(chi, table)
         np.testing.assert_allclose(dist, [s[3], 1 - s[3]], atol=1e-12)
 
     def test_equal_weight_average(self):
         chi = uniform_init(2)
-        table = OutcomeAmplitudes.binary(
-            np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+        table = outcome_table(
+            [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
         )
         dist = outcome_distribution(chi, table)
         np.testing.assert_allclose(dist, [0.5, 0.5], atol=1e-12)
 
     def test_grid_mismatch_rejected(self):
         chi = uniform_init(8)
-        table = OutcomeAmplitudes.binary(
-            np.ones(4, dtype=complex), np.zeros(4, dtype=complex)
-        )
+        table = outcome_table([np.ones(4, dtype=complex), np.zeros(4, dtype=complex)])
         with pytest.raises(ValueError):
             outcome_distribution(chi, table)
 
@@ -106,8 +109,8 @@ class TestOutcomeDistribution:
 class TestSampleAndUpdate:
     def test_pass_annihilates_zero_amplitude_cells(self):
         chi = uniform_init(2)
-        table = OutcomeAmplitudes.binary(
-            np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+        table = outcome_table(
+            [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
         )
         rng = np.random.default_rng(1)
         r, out = sample_and_update(chi, table, rng)
@@ -117,9 +120,7 @@ class TestSampleAndUpdate:
 
     def test_constant_filter_leaves_chi_unchanged(self):
         chi = uniform_init(8)
-        table = OutcomeAmplitudes.binary(
-            np.ones(8, dtype=complex), np.zeros(8, dtype=complex)
-        )
+        table = outcome_table([np.ones(8, dtype=complex), np.zeros(8, dtype=complex)])
         r, out = sample_and_update(chi, table, np.random.default_rng(2))
         assert r == 0
         np.testing.assert_allclose(out.amplitudes, chi.amplitudes, atol=1e-12)
@@ -128,7 +129,7 @@ class TestSampleAndUpdate:
         chi = uniform_init(4)
         s = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
         b = np.array([0.0, 0.0, 1.0, 1.0], dtype=complex)
-        table = OutcomeAmplitudes.binary(s, b)
+        table = outcome_table([s, b])
         rng = np.random.default_rng(5)  # first draw 0.8152 -> fail branch
         r, out = sample_and_update(chi, table, rng)
         assert r == 1
@@ -141,7 +142,7 @@ class TestSampleAndUpdate:
         for seed in range(10):
             chi = uniform_init(16)
             circuit = rotation_circuit_family(seed)
-            table = OutcomeAmplitudes.full(full_table(circuit, chi, PureState.basis(2, 0)))
+            table = outcome_table(full_table(circuit, chi, PureState.basis(2, 0)))
             _, out = sample_and_update(chi, table, rng)
             assert abs(out.norm() - 1.0) < 1e-10
 
@@ -151,12 +152,13 @@ class TestSampleAndUpdate:
         chi_amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         chi = ParameterState(chi_amps / np.linalg.norm(chi_amps))
         circuit = rotation_circuit_family(9)
-        table = OutcomeAmplitudes.full(full_table(circuit, chi, PureState.basis(2, 1)))
+        table = outcome_table(full_table(circuit, chi, PureState.basis(2, 1)))
         dist = outcome_distribution(chi, table)
         r, out = sample_and_update(chi, table, np.random.default_rng(5))
         prior = chi.probabilities()
         posterior = out.probabilities()
-        gains = np.abs(table.outcome_amplitude(r)) ** 2 / dist[r]
+        _, columns = table
+        gains = np.abs(columns[r]) ** 2 / dist[r]
         np.testing.assert_allclose(posterior, prior * gains, atol=1e-12)
 
     def test_martingale_total_probability(self):
@@ -165,12 +167,13 @@ class TestSampleAndUpdate:
         chi_amps = rng.normal(size=12) + 1j * rng.normal(size=12)
         chi = ParameterState(chi_amps / np.linalg.norm(chi_amps))
         s = np.sqrt(rng.uniform(0.05, 0.95, 12))
-        table = OutcomeAmplitudes.binary(s, np.sqrt(1 - s**2))
+        table = outcome_table([s, np.sqrt(1 - s**2)])
         dist = outcome_distribution(chi, table)
         prior = chi.probabilities()
         total = np.zeros(12)
+        _, columns = table
         for r in range(2):
-            filtered = chi.amplitudes * table.outcome_amplitude(r)
+            filtered = chi.amplitudes * columns[r]
             posterior = np.abs(filtered) ** 2 / dist[r]
             total += dist[r] * posterior
         np.testing.assert_allclose(total, prior, atol=1e-10)
@@ -186,7 +189,7 @@ class TestBruteForceOracle:
         rng_block = np.random.default_rng(99)
         rng_joint = np.random.default_rng(99)
         for _ in range(20):
-            table = OutcomeAmplitudes.full(full_table(circuit, chi_block, src))
+            table = outcome_table(full_table(circuit, chi_block, src))
             r_block, chi_block = sample_and_update(chi_block, table, rng_block)
             r_joint, chi_joint = brute_force_joint_step(chi_joint, circuit, src, rng_joint)
             assert r_block == r_joint
@@ -227,5 +230,13 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError, match="test-scale"):
             brute_force_joint_step(
                 chi, rotation_circuit_family(0), PureState.basis(4, 0),
+                np.random.default_rng(0),
+            )
+
+    def test_nan_state_rejected(self):
+        chi = ParameterState(np.full(4, np.nan, dtype=complex))
+        with pytest.raises(NumericsError):
+            brute_force_joint_step(
+                chi, rotation_circuit_family(1), PureState.basis(2, 0),
                 np.random.default_rng(0),
             )

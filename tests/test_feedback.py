@@ -7,32 +7,40 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from gatelearn import (
-    FeedbackConfig,
-    FeedbackHistory,
-    GroverInstance,
-    OutcomeAmplitudes,
-    ParameterState,
-    apply_quantum_walk,
-    invert_about_mean,
-    on_failure,
-    sample_and_update,
-    success_probability_map,
-    uniform_init,
-)
+from gatelearn import FeedbackConfig, GroverInstance, success_probability_map, uniform_init
+from gatelearn.backaction import distribution_batch, filter_batch, outcome_table, sample_batch
+from gatelearn.feedback import apply_quantum_walk_batch, on_failure_batch
 from gatelearn.grover import _amplitudes_for_phases
+from gatelearn.parameter import invert_about_mean_batch
+
+# every operator runs on a batch of one run: an array of shape (1, *grid_shape)
 
 
 def random_chi(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return ParameterState(amps / np.linalg.norm(amps))
+    return (amps / np.linalg.norm(amps))[None]
+
+
+def walk(chi, x, step):
+    return apply_quantum_walk_batch(chi, [x], step)
+
+
+def on_failure(chi, config, rng, successes=0, failures=0, consecutive=0,
+               binary_readout=False):
+    """The feedback for one failed run and its action tag.
+
+    The counts are the run's passes, failures and consecutive failures
+    before this failure.
+    """
+    out, tags = on_failure_batch(chi, [successes], [failures], [consecutive], config,
+                                 [rng], binary_readout)
+    return out, tags[0]
 
 
 def walk_kernel(x, cells=256):
     """The walk applied to a delta: amplitude p_l at distance l on either side."""
-    delta = ParameterState(np.eye(1, cells).ravel())
-    return apply_quantum_walk(delta, x, 1).amplitudes
+    return walk(np.eye(1, cells, dtype=complex), x, 1)[0]
 
 
 def bessel_kernel(x, cells=256):
@@ -86,86 +94,82 @@ def dense_walk(cells, x, step=1):
 class TestApplyQuantumWalk:
     def test_zero_strength_is_identity(self):
         chi = random_chi(32, 0)
-        out = apply_quantum_walk(chi, 0.0, 1)
-        np.testing.assert_allclose(out.amplitudes, chi.amplitudes, atol=1e-15)
+        out = walk(chi, 0.0, 1)
+        np.testing.assert_allclose(out, chi, atol=1e-15)
 
     def test_symmetric_split_of_a_delta(self):
-        amps = np.zeros(16, dtype=complex)
-        amps[8] = 1.0
-        out = apply_quantum_walk(ParameterState(amps), 0.5, 1)
-        probs = np.abs(out.amplitudes) ** 2
+        amps = np.zeros((1, 16), dtype=complex)
+        amps[0, 8] = 1.0
+        probs = np.abs(walk(amps, 0.5, 1)[0]) ** 2
         assert abs(probs[7] - probs[9]) < 1e-12
         assert probs[7] > 1e-3
 
     @pytest.mark.parametrize("n_cells,x", [(32, 0.3), (32, 0.8), (32, 1.5), (64, 1.5)])
     def test_matches_dense_circulant_exponential(self, n_cells, x):
         chi = random_chi(n_cells, seed=int(10 * x))
-        out = apply_quantum_walk(chi, x, 1)
+        out = walk(chi, x, 1)
         np.testing.assert_allclose(
-            out.amplitudes, dense_walk(n_cells, x) @ chi.amplitudes, rtol=0, atol=1e-12
+            out[0], dense_walk(n_cells, x) @ chi[0], rtol=0, atol=1e-12
         )
 
     def test_step_two_matches_dense_exponential(self):
         chi = random_chi(32, 5)
-        out = apply_quantum_walk(chi, 0.8, 2)
+        out = walk(chi, 0.8, 2)
         np.testing.assert_allclose(
-            out.amplitudes, dense_walk(32, 0.8, 2) @ chi.amplitudes, rtol=0, atol=1e-12
+            out[0], dense_walk(32, 0.8, 2) @ chi[0], rtol=0, atol=1e-12
         )
 
     def test_norm_preserved(self):
         for x in (0.3, 1.0, 4.0, 18.0, 120.0):
-            out = apply_quantum_walk(random_chi(64, 7), x, 1)
-            assert abs(out.norm() - 1.0) < 1e-12
+            out = walk(random_chi(64, 7), x, 1)
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_strided_amplitudes_walk_like_a_copy(self):
-        amps = random_chi(64, 8).amplitudes
-        amps[::2] /= np.linalg.norm(amps[::2])
-        chi = ParameterState(amps[::2])
-        assert not chi.amplitudes.flags.c_contiguous
-        copy = ParameterState(chi.amplitudes.copy())
-        np.testing.assert_array_equal(
-            apply_quantum_walk(chi, 2.0, 1).amplitudes, apply_quantum_walk(copy, 2.0, 1).amplitudes
-        )
+        amps = random_chi(64, 8)
+        amps[:, ::2] /= np.linalg.norm(amps[:, ::2])
+        chi = amps[:, ::2]
+        assert not chi.flags.c_contiguous
+        copy = chi.copy()
+        np.testing.assert_array_equal(walk(chi, 2.0, 1), walk(copy, 2.0, 1))
 
     def test_two_axis_walk_acts_on_both(self):
-        amps = np.zeros((8, 8), dtype=complex)
-        amps[4, 4] = 1.0
-        out = apply_quantum_walk(ParameterState(amps), 0.5, 1)
-        probs = np.abs(out.amplitudes) ** 2
+        amps = np.zeros((1, 8, 8), dtype=complex)
+        amps[0, 4, 4] = 1.0
+        out = walk(amps, 0.5, 1)
+        probs = np.abs(out[0]) ** 2
         assert probs[3, 4] > 1e-3 and probs[4, 3] > 1e-3
-        assert abs(out.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
         dense = np.kron(dense_walk(8, 0.5), dense_walk(8, 0.5))
         np.testing.assert_allclose(
-            out.amplitudes.ravel(), dense @ amps.ravel(), rtol=0, atol=1e-12
+            out.ravel(), dense @ amps.ravel(), rtol=0, atol=1e-12
         )
 
 
 def single_push(chi, failures, successes, config):
     """The controller's single-push branch, with the kickstart out of the way."""
     config = replace(config, kickstart_enabled=False)
-    history = FeedbackHistory(successes=successes, failures=failures)
-    return on_failure(chi, history, config, np.random.default_rng(0)).state
+    return on_failure(chi, config, np.random.default_rng(0), successes, failures)[0]
 
 
 class TestSinglePush:
     def test_first_push_is_full_magnitude_right(self):
-        chi = ParameterState(np.eye(1, 64, 10).ravel().astype(complex))
+        chi = np.eye(1, 64, 10, dtype=complex)
         config = FeedbackConfig(strategy="single_push", initial_push_cells=8)
         out = single_push(chi, 0, 0, config)
-        assert abs(out.amplitudes[18] - 1.0) < 1e-15
+        assert abs(out[0, 18] - 1.0) < 1e-15
 
     def test_decayed_left_push(self):
         # 8 / sqrt(4) = 4 cells, odd failure count pushes left
-        chi = ParameterState(np.eye(1, 64, 10).ravel().astype(complex))
+        chi = np.eye(1, 64, 10, dtype=complex)
         config = FeedbackConfig(strategy="single_push", initial_push_cells=8)
         out = single_push(chi, 1, 3, config)
-        assert abs(out.amplitudes[6] - 1.0) < 1e-15
+        assert abs(out[0, 6] - 1.0) < 1e-15
 
     def test_magnitude_clamps_at_one_cell(self):
-        chi = ParameterState(np.eye(1, 64, 10).ravel().astype(complex))
+        chi = np.eye(1, 64, 10, dtype=complex)
         config = FeedbackConfig(strategy="single_push", initial_push_cells=8)
         out = single_push(chi, 0, 10_000, config)
-        assert abs(out.amplitudes[11] - 1.0) < 1e-15
+        assert abs(out[0, 11] - 1.0) < 1e-15
 
     def test_magnitude_non_increasing_in_successes(self):
         config = FeedbackConfig(strategy="single_push", initial_push_cells=13)
@@ -193,12 +197,12 @@ class TestSinglePush:
 
 class TestKickstart:
     def test_uniform_unchanged(self):
-        chi = uniform_init(32)
-        out = invert_about_mean(chi)
-        np.testing.assert_allclose(out.amplitudes, chi.amplitudes, atol=1e-15)
+        chi = uniform_init(32).amplitudes[None]
+        out = invert_about_mean_batch(chi)
+        np.testing.assert_allclose(out, chi, atol=1e-15)
 
     def test_norm_preserved(self):
-        assert abs(invert_about_mean(random_chi(64, 2)).norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(invert_about_mean_batch(random_chi(64, 2))) - 1.0) < 1e-12
 
     def test_dip_from_failed_trial_becomes_peak(self):
         # uniform chi filtered by one failed verification carries a dip at
@@ -206,17 +210,19 @@ class TestKickstart:
         inst = GroverInstance.standard(16)
         grid = uniform_init(256)
         t, u = _amplitudes_for_phases(inst, grid.axis_values(0))
-        amps = OutcomeAmplitudes.binary(t, u)
+        table, columns = outcome_table([t, u])
+        chi = grid.amplitudes[None]
         rng = np.random.default_rng(4)
         while True:  # condition on a failed first trial
-            r, filtered = sample_and_update(grid, amps, rng)
-            if r == 1:
+            r = sample_batch(distribution_batch(np.abs(chi) ** 2, table), [rng])
+            filtered = filter_batch(chi, columns[r])
+            if r[0] == 1:
                 break
         pmap = success_probability_map(inst, grid)
-        before = int(np.argmax(filtered.probabilities()))
+        before = int(np.argmax(np.abs(filtered[0]) ** 2))
         assert pmap[before] < 0.5  # the dip sits away from the optimum
-        kicked = invert_about_mean(filtered)
-        after = int(np.argmax(kicked.probabilities()))
+        kicked = invert_about_mean_batch(filtered)
+        after = int(np.argmax(np.abs(kicked[0]) ** 2))
         assert pmap[after] > 0.9  # now the peak marks the good phase
 
 
@@ -224,48 +230,40 @@ class TestController:
     def test_first_failure_uses_kickstart_only(self):
         chi = random_chi(32, 3)
         config = FeedbackConfig(strategy="single_push")
-        result = on_failure(chi, FeedbackHistory(), config, np.random.default_rng(0))
-        assert result.action == "kickstart"
-        np.testing.assert_allclose(
-            result.state.amplitudes, invert_about_mean(chi).amplitudes, atol=1e-15
-        )
+        out, action = on_failure(chi, config, np.random.default_rng(0))
+        assert action == "kickstart"
+        np.testing.assert_allclose(out, invert_about_mean_batch(chi), atol=1e-15)
 
     def test_kickstart_can_be_disabled(self):
         chi = random_chi(32, 3)
         config = FeedbackConfig(strategy="single_push", kickstart_enabled=False)
-        result = on_failure(chi, FeedbackHistory(), config, np.random.default_rng(0))
-        assert result.action.startswith("push")
+        _, action = on_failure(chi, config, np.random.default_rng(0))
+        assert action.startswith("push")
 
     def test_second_failure_single_push_translates_only(self):
         chi = random_chi(32, 4)
         config = FeedbackConfig(strategy="single_push", initial_push_cells=4)
-        history = FeedbackHistory(successes=0, failures=1, consecutive_failures=1)
-        result = on_failure(chi, history, config, np.random.default_rng(0))
-        assert result.action == "push-4"
-        np.testing.assert_allclose(
-            np.abs(result.state.amplitudes),
-            np.abs(np.roll(chi.amplitudes, -4)),
-            atol=1e-15,
-        )
+        out, action = on_failure(chi, config, np.random.default_rng(0),
+                                 successes=0, failures=1, consecutive=1)
+        assert action == "push-4"
+        np.testing.assert_allclose(np.abs(out), np.abs(np.roll(chi, -4, axis=1)), atol=1e-15)
 
     def test_second_failure_double_push_walks_and_dephases(self):
         chi = random_chi(32, 5)
         config = FeedbackConfig(strategy="double_push", walk_strength=0.8,
                                 walk_escalation=0.0)
-        history = FeedbackHistory(successes=2, failures=1, consecutive_failures=1)
-        result = on_failure(chi, history, config, np.random.default_rng(9))
-        assert result.action == "walk+dephase"
-        walked = apply_quantum_walk(chi, 0.8, 1)
-        np.testing.assert_allclose(
-            np.abs(result.state.amplitudes), np.abs(walked.amplitudes), atol=1e-12
-        )
+        out, action = on_failure(chi, config, np.random.default_rng(9),
+                                 successes=2, failures=1, consecutive=1)
+        assert action == "walk+dephase"
+        walked = walk(chi, 0.8, 1)
+        np.testing.assert_allclose(np.abs(out), np.abs(walked), atol=1e-12)
 
     @pytest.mark.parametrize("successes,action", [(0, "kickstart"), (1, "walk+dephase")])
     def test_double_push_search_reflects_until_first_pass(self, successes, action):
-        history = FeedbackHistory(successes=successes, failures=5, consecutive_failures=2)
-        result = on_failure(random_chi(32, 6), history, FeedbackConfig(),
-                            np.random.default_rng(0), binary_readout=True)
-        assert result.action == action
+        _, tag = on_failure(random_chi(32, 6), FeedbackConfig(), np.random.default_rng(0),
+                            successes=successes, failures=5, consecutive=2,
+                            binary_readout=True)
+        assert tag == action
 
     @pytest.mark.parametrize("strategy,binary_readout", [
         ("double_push", False),  # Fourier readout: full outcome index
@@ -273,19 +271,18 @@ class TestController:
     ])
     def test_later_failures_never_reflect_elsewhere(self, strategy, binary_readout):
         chi = random_chi(32, 7)
-        history = FeedbackHistory(successes=0, failures=3, consecutive_failures=3)
-        result = on_failure(chi, history, FeedbackConfig(strategy=strategy),
-                            np.random.default_rng(0), binary_readout=binary_readout)
-        assert result.action != "kickstart"
+        _, action = on_failure(chi, FeedbackConfig(strategy=strategy), np.random.default_rng(0),
+                               successes=0, failures=3, consecutive=3,
+                               binary_readout=binary_readout)
+        assert action != "kickstart"
 
     def test_disabled_kickstart_never_reflects_search(self):
         chi = random_chi(32, 8)
         config = FeedbackConfig(kickstart_enabled=False)
         for failures in (0, 4):
-            history = FeedbackHistory(0, failures, failures)
-            result = on_failure(chi, history, config, np.random.default_rng(0),
-                                binary_readout=True)
-            assert result.action == "walk+dephase"
+            _, action = on_failure(chi, config, np.random.default_rng(0), 0, failures,
+                                   failures, binary_readout=True)
+            assert action == "walk+dephase"
 
     def test_escalation_strengthens_with_consecutive_failures(self):
         from gatelearn.feedback import _effective_walk_strength
@@ -308,10 +305,10 @@ class TestController:
         fast = FeedbackConfig(walk_escalation=0.1)
         assert _effective_walk_strength(fast, failures) == fast.walk_strength
         assert _effective_walk_strength(replace(fast, walk_floor=0.0), failures) == 0.0
-        history = FeedbackHistory(successes=1, failures=failures, consecutive_failures=failures)
-        result = on_failure(random_chi(32, 4), history, fast, np.random.default_rng(0))
-        assert result.action == "walk+dephase"
-        assert abs(result.state.norm() - 1.0) < 1e-12
+        out, action = on_failure(random_chi(32, 4), fast, np.random.default_rng(0),
+                                 successes=1, failures=failures, consecutive=failures)
+        assert action == "walk+dephase"
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("floor,escalation", [(1.5, 2.0), (1.5, 0.1), (1e-300, 0.5), (0.0, 2.0)])
     def test_escalation_equals_the_closed_form_where_it_is_finite(self, floor, escalation):
@@ -325,12 +322,10 @@ class TestController:
         rng = np.random.default_rng(11)
         for strategy in ("single_push", "double_push"):
             config = FeedbackConfig(strategy=strategy)
-            history = FeedbackHistory()
             chi = random_chi(64, 12)
-            for _ in range(15):
-                chi, _action = on_failure(chi, history, config, rng)
-                history = history.after_failure()
-                assert abs(chi.norm() - 1.0) < 1e-9
+            for failures in range(15):
+                chi, _action = on_failure(chi, config, rng, 0, failures, failures)
+                assert abs(np.linalg.norm(chi) - 1.0) < 1e-9
 
     def test_unknown_strategy_rejected_at_config(self):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -340,16 +335,12 @@ class TestController:
         # the exact walk has no strength cap: x=120 builds and runs
         config = FeedbackConfig(walk_strength=120.0, walk_escalation=0.0)
         chi = random_chi(64, 13)
-        history = FeedbackHistory(successes=1, failures=1, consecutive_failures=1)
-        result = on_failure(chi, history, config, np.random.default_rng(3))
-        assert result.action == "walk+dephase"
-        oracle = dense_walk(64, 120.0) @ chi.amplitudes
-        np.testing.assert_allclose(
-            apply_quantum_walk(chi, 120.0, 1).amplitudes, oracle, rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            np.abs(result.state.amplitudes), np.abs(oracle), rtol=0, atol=1e-12
-        )
+        out, action = on_failure(chi, config, np.random.default_rng(3),
+                                 successes=1, failures=1, consecutive=1)
+        assert action == "walk+dephase"
+        oracle = dense_walk(64, 120.0) @ chi[0]
+        np.testing.assert_allclose(walk(chi, 120.0, 1)[0], oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(out[0]), np.abs(oracle), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("field", [
         "walk_strength", "walk_floor", "walk_escalation", "push_asymmetry",

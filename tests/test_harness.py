@@ -18,7 +18,7 @@ from gatelearn import (
     uniform_init,
 )
 from gatelearn import harness
-from gatelearn.backaction import OutcomeAmplitudes, sample_batch
+from gatelearn.backaction import distribution_batch, outcome_table, sample_batch
 from gatelearn.errors import NumericsError
 from gatelearn.harness import (
     target_success,
@@ -26,7 +26,7 @@ from gatelearn.harness import (
     write_runs_csv,
     write_summary_json,
 )
-from gatelearn.qft import trial_output_batch
+from gatelearn.oracle import trial_output_batch
 from gatelearn.selftest import bit_reversed_order
 
 
@@ -170,8 +170,9 @@ class StatevectorTrials:
         self.success_map = success_map
 
     def trial(self, k):
+        """(probability table, amplitude columns) of the full-register readout."""
         outputs = trial_output_batch(self.instance, k, self.phase_grid)
-        return OutcomeAmplitudes.full(outputs.reshape(self.shape + (self.instance.dim,)))
+        return outcome_table(outputs.T.reshape((self.instance.dim,) + self.shape))
 
     def draw_expected(self, rngs):
         return np.array([int(rng.integers(self.instance.dim)) for rng in rngs])
@@ -180,9 +181,11 @@ class StatevectorTrials:
         # the product form draws in bit-reversed outcome order
         order = bit_reversed_order(self.instance.n_qubits)
         trials = [self.trial(k) for k in expected]
-        dist = np.stack([t.distribution(w) for t, w in zip(trials, weights)])
+        dist = np.concatenate(
+            [distribution_batch(w[None], table) for (table, _), w in zip(trials, weights)]
+        )
         outcomes = order[sample_batch(dist[:, order], rngs)]
-        return outcomes, np.stack([t.outcome_amplitude(r) for t, r in zip(trials, outcomes)])
+        return outcomes, np.stack([c[r] for (_, c), r in zip(trials, outcomes)])
 
 
 class TestProductFormEngine:
@@ -206,7 +209,7 @@ class TestProductFormEngine:
             raise AssertionError("statevector kernel called in the training loop")
 
         for kernel in ("_apply_single_qubit", "_apply_cphase", "_apply_swap"):
-            monkeypatch.setattr(f"gatelearn.qft.{kernel}", refuse)
+            monkeypatch.setattr(f"gatelearn.oracle.{kernel}", refuse)
         config = aqft_config(problem=AqftInstance.standard(5, 2), grid_size=8)
         assert run_learning(config, run_seed=2).iterations == 30
 

@@ -11,32 +11,26 @@ from scipy.linalg import expm
 
 from gatelearn import (
     AqftInstance,
-    FeedbackConfig,
-    FeedbackHistory,
-    GroverInstance,
-    OutcomeAmplitudes,
-    ParameterState,
-    PureState,
-    apply_controlled_phase,
-    apply_quantum_walk,
-    apply_single_qubit_gate,
     ExperimentConfig,
-    invert_about_mean,
-    on_failure,
-    outcome_distribution,
+    FeedbackConfig,
+    GroverInstance,
     pass_fail_amplitudes,
     run_ensemble,
     run_learning,
-    translate,
 )
+from gatelearn.backaction import distribution_batch, outcome_table
+from gatelearn.feedback import apply_quantum_walk_batch, on_failure_batch
+from gatelearn.oracle import PureState, apply_controlled_phase, apply_single_qubit_gate
+from gatelearn.parameter import invert_about_mean_batch, translate_batch
 from gatelearn.selftest import fourier_draw_deviation
 
 RNG = np.random.default_rng(20260808)
 
 
 def random_chi(n):
+    """One run's random wavefunction, as a batch of one."""
     amps = RNG.normal(size=n) + 1j * RNG.normal(size=n)
-    return ParameterState(amps / np.linalg.norm(amps))
+    return (amps / np.linalg.norm(amps))[None]
 
 
 def random_unitary_2x2():
@@ -70,9 +64,9 @@ def test_gate_sequences_preserve_norm_200_cases():
 def test_inversion_involution_200_cases():
     for _ in range(200):
         chi = random_chi(int(RNG.integers(4, 128)))
-        twice = invert_about_mean(invert_about_mean(chi))
-        assert np.abs(twice.amplitudes - chi.amplitudes).max() < 1e-12
-        assert abs(invert_about_mean(chi).norm() - 1.0) < 1e-12
+        twice = invert_about_mean_batch(invert_about_mean_batch(chi))
+        assert np.abs(twice - chi).max() < 1e-12
+        assert abs(np.linalg.norm(invert_about_mean_batch(chi)) - 1.0) < 1e-12
 
 
 def test_translation_group_law_200_cases():
@@ -80,9 +74,9 @@ def test_translation_group_law_200_cases():
         n = int(RNG.integers(4, 64))
         chi = random_chi(n)
         k1, k2 = int(RNG.integers(-50, 50)), int(RNG.integers(-50, 50))
-        a = translate(translate(chi, k1), k2)
-        b = translate(chi, k1 + k2)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        a = translate_batch(translate_batch(chi, [k1], [0]), [k2], [0])
+        b = translate_batch(chi, [k1 + k2], [0])
+        assert np.array_equal(a, b)
 
 
 def test_martingale_law_200_cases():
@@ -91,12 +85,12 @@ def test_martingale_law_200_cases():
         n = int(RNG.integers(3, 40))
         chi = random_chi(n)
         p = RNG.uniform(0.0, 1.0, n)
-        amps = OutcomeAmplitudes.binary(np.sqrt(p), np.sqrt(1.0 - p))
-        dist = outcome_distribution(chi, amps)
-        prior = chi.probabilities()
+        table, columns = outcome_table([np.sqrt(p), np.sqrt(1.0 - p)])
+        prior = np.abs(chi[0]) ** 2
+        dist = distribution_batch(prior[None], table)[0]
         reconstruction = np.zeros(n)
         for r in range(2):
-            filtered = chi.amplitudes * amps.outcome_amplitude(r)
+            filtered = chi[0] * columns[r]
             reconstruction += dist[r] * np.abs(filtered) ** 2 / dist[r]
         assert np.abs(reconstruction - prior).max() < 1e-10
 
@@ -112,13 +106,13 @@ def test_feedback_operations_preserve_norm_150_cases():
             walk_strength=float(RNG.uniform(0.1, 20.0)),
             push_asymmetry=float(RNG.uniform(0.25, 1.0)),
         )
-        history = FeedbackHistory(
-            successes=int(RNG.integers(0, 20)),
-            failures=int(RNG.integers(0, 20)),
-            consecutive_failures=int(RNG.integers(0, 12)),
+        successes = int(RNG.integers(0, 20))
+        failures = int(RNG.integers(0, 20))
+        consecutive_failures = int(RNG.integers(0, 12))
+        out, _action = on_failure_batch(
+            chi, [successes], [failures], [consecutive_failures], config, [rng]
         )
-        out, _action = on_failure(chi, history, config, rng)
-        assert abs(out.norm() - 1.0) < 1e-9
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
 def test_walk_unitarity_sum_100_cases():
@@ -126,8 +120,8 @@ def test_walk_unitarity_sum_100_cases():
     for _ in range(100):
         x = float(RNG.uniform(0.0, 30.0))
         cells = int(RNG.integers(2, 256))
-        delta = ParameterState(np.eye(1, cells).ravel())
-        kernel = apply_quantum_walk(delta, x, int(RNG.integers(1, cells + 1))).amplitudes
+        delta = np.eye(1, cells, dtype=complex)
+        kernel = apply_quantum_walk_batch(delta, [x], int(RNG.integers(1, cells + 1)))
         assert abs(np.sum(np.abs(kernel) ** 2) - 1.0) < 1e-12
 
 
@@ -136,7 +130,7 @@ def test_walk_norm_preservation_100_cases():
         chi = random_chi(int(RNG.integers(8, 64)))
         x = float(RNG.uniform(0.0, 130.0))
         step = int(RNG.integers(1, 4))
-        assert abs(apply_quantum_walk(chi, x, step).norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(apply_quantum_walk_batch(chi, [x], step)) - 1.0) < 1e-12
 
 
 def dense_walk(cells, x, step):
@@ -160,13 +154,13 @@ def test_fft_walk_matches_dense_exponential(data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=sizes) + 1j * rng.normal(size=sizes)
-    chi = ParameterState(amps / np.linalg.norm(amps))
+    chi = (amps / np.linalg.norm(amps))[None]
     dense = dense_walk(sizes[0], x, step)
     for cells in sizes[1:]:
         dense = np.kron(dense, dense_walk(cells, x, step))
-    walked = apply_quantum_walk(chi, x, step).amplitudes
+    walked = apply_quantum_walk_batch(chi, [x], step)
     np.testing.assert_allclose(
-        walked.ravel(), dense @ chi.amplitudes.ravel(), rtol=0, atol=1e-12
+        walked.ravel(), dense @ chi.ravel(), rtol=0, atol=1e-12
     )
 
 

@@ -5,17 +5,20 @@ import pytest
 
 from gatelearn import (
     AqftInstance,
+    average_success,
+    average_success_map,
+    standard_phases,
+)
+from gatelearn.errors import NumericsError
+from gatelearn.oracle import (
     PureState,
     amplitude,
     apply_aqft,
     apply_aqft_inverse,
-    average_success,
-    average_success_map,
-    standard_phases,
+    trial_output_batch,
     trial_success_amplitude,
 )
-from gatelearn.errors import NumericsError
-from gatelearn.qft import ProductFormTrials, trial_output_batch
+from gatelearn.qft import ProductFormTrials
 from gatelearn.selftest import bit_reversed_order
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from gatelearn import (
+from gatelearn import NumericsError
+from gatelearn.oracle import (
     HADAMARD,
-    NumericsError,
     PureState,
     amplitude,
+    apply_aqft,
     apply_controlled_phase,
     apply_single_qubit_gate,
     apply_swap,
@@ -35,6 +36,10 @@ class TestConstruction:
     def test_norm_is_checked(self):
         with pytest.raises(NumericsError):
             PureState(1, np.array([1.0, 1.0]))
+
+    def test_nan_norm_rejected(self):
+        with pytest.raises(NumericsError):
+            PureState(1, [np.nan, 0])
 
     def test_basis_constructor(self):
         state = PureState.basis(3, 5)
@@ -69,6 +74,10 @@ class TestSingleQubitGates:
     def test_non_unitary_gate_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             apply_single_qubit_gate(PureState(1), 0, np.array([[1, 0], [0, 2.0]]))
+
+    def test_nan_gate_rejected(self):
+        with pytest.raises(ValueError, match="unitary"):
+            apply_single_qubit_gate(PureState(1), 0, [[np.nan, 0], [0, 1]])
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -172,6 +181,13 @@ class TestMeasurement:
             measure_computational(state, np.random.default_rng(0))
 
 
+    def test_nan_state_raises(self):
+        state = PureState.basis(2, 1)
+        state.amplitudes = np.full(4, np.nan, dtype=complex)
+        with pytest.raises(NumericsError):
+            measure_computational(state, np.random.default_rng(0))
+
+
 class TestAmplitude:
     def test_reads_are_pure(self):
         state = random_state(2, seed=10)
@@ -191,7 +207,7 @@ class TestAmplitude:
         expected = dft[:, 1]
         assert abs(abs(expected[2]) - 0.5) < 1e-15
 
-        from gatelearn import AqftInstance, apply_aqft
+        from gatelearn import AqftInstance
 
         out = apply_aqft(AqftInstance.standard(2, 1), PureState.basis(2, 1))
         assert abs(abs(amplitude(out, 2)) - 0.5) < 1e-12
