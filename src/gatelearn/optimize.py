@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -75,6 +74,12 @@ def _golden_section_max(f, lo: float, hi: float, tol: float):
     return 0.5 * (lo + hi), evals
 
 
+def _coarse_grid(m: int) -> np.ndarray:
+    """(COARSE_POINTS[m]^m, m) scan points over the phase torus, last phase fastest."""
+    axis = np.linspace(0.0, 2.0 * np.pi, COARSE_POINTS[m], endpoint=False)
+    return np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
+
+
 def optimize_phases(instance: AqftInstance) -> OptimizationResult:
     """Maximize the k-averaged trial success over the instance's phases.
 
@@ -91,9 +96,7 @@ def optimize_phases(instance: AqftInstance) -> OptimizationResult:
     baseline = average_success(instance.with_phases(std))
     evaluations = 1
 
-    coarse = COARSE_POINTS[m]
-    axis = np.linspace(0.0, 2.0 * np.pi, coarse, endpoint=False)
-    grid = np.array(list(product(axis, repeat=m)))
+    grid = _coarse_grid(m)
     values = average_success_map(instance.with_phases(std), grid)
     evaluations += grid.shape[0]
     best_idx = int(np.argmax(values))
@@ -102,7 +105,7 @@ def optimize_phases(instance: AqftInstance) -> OptimizationResult:
     if baseline > best_value:
         best_phases, best_value = list(std), baseline
 
-    span = 2.0 * np.pi / coarse
+    span = 2.0 * np.pi / COARSE_POINTS[m]
     for _ in range(2):
         for d in range(m):
             def along(x, d=d):

@@ -67,6 +67,8 @@ class AqftInstance:
         phases = tuple(float(p) for p in self.phases)
         if len(phases) != self.band:
             raise ValueError(f"need exactly {self.band} phases, got {len(phases)}")
+        if not np.isfinite(phases).all():
+            raise ValueError("phases hold a NaN or infinite angle")
         object.__setattr__(self, "phases", phases)
 
     @classmethod
@@ -88,6 +90,16 @@ def _checked_phase_grid(instance: AqftInstance, phase_grid) -> np.ndarray:
     if not np.isfinite(phase_grid).all():
         raise ValueError("phase grid holds a NaN or infinite phase")
     return phase_grid
+
+
+def _window_bits(band: int) -> np.ndarray:
+    """(band, 2^band) bits of every window w: row d-1 holds bit band-d.
+
+    A window is the band bits below a qubit's own, highest first, so
+    row d-1 flags the windows in which the gate at separation d fires.
+    """
+    w = np.arange(1 << band)
+    return ((w >> (band - 1 - np.arange(band))[:, None]) & 1).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +133,9 @@ class ProductFormTrials:
         if int(np.prod(self.grid_shape)) != cells:
             raise ValueError(f"grid shape {self.grid_shape} does not hold {cells} cells")
         # e^{i theta_q - i alpha_q} / 2 for every window of bits q-band..q-1
-        window = np.arange(1 << self.band)[:, None]
         angles = np.zeros((1 << self.band, cells))
-        for d in range(1, self.band + 1):
-            angles += ((window >> (self.band - d)) & 1) * phase_grid[:, d - 1]
+        for d, bits in enumerate(_window_bits(self.band)):
+            angles += bits[:, None] * phase_grid[:, d]
         self._half_phase = 0.5 * np.exp(1j * angles)
 
     def draw(self, ks, weights: np.ndarray, targets):
@@ -141,35 +152,56 @@ class ProductFormTrials:
         on the batch around it.  Raises when an outcome of vanishing
         probability is drawn.
         """
-        n, band, dim = self.n_qubits, self.band, 1 << self.n_qubits
+        n, dim = self.n_qubits, 1 << self.n_qubits
         ks = np.asarray(ks, dtype=np.int64)
         if not (ks.min() >= 0 and ks.max() < dim):
             raise ValueError("basis index out of range")
         # e^{i alpha_q(k)} of every run and outcome bit
         turns = (ks[:, None] << (n - 1 - np.arange(n))) % dim
         rotation = np.exp(-2j * np.pi * turns / dim)
-        outcomes = np.zeros(len(ks), dtype=np.int64)
-        remaining = np.array(targets, dtype=float)
-        mass = np.array(weights, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        outcomes, mass, column = self._chain(rotation, targets, weights, guard=False)
+        masses = mass.sum(axis=1)
+        # written so that a NaN mass fails too
+        if not masses.min() >= 1e-300:
+            # the chain's dot products round differently from the row total,
+            # so a target just below the total can pass the last outcome of
+            # nonzero mass; redraw those runs taking bit 1 only where it has
+            # mass.  A target at or past the total still fails.
+            stuck = ~(masses >= 1e-300) & (targets < weights.sum(axis=1))
+            outcomes[stuck], mass[stuck], column[stuck] = self._chain(
+                rotation[stuck], targets[stuck], weights[stuck], guard=True
+            )
+            masses = mass.sum(axis=1)
+            if not masses.min() >= 1e-300:
+                raise NumericsError("sampled an outcome of vanishing probability")
+        return outcomes, masses, column.reshape((len(ks),) + self.grid_shape)
+
+    def _chain(self, rotation, targets, weights, guard: bool):
+        """Walk the bit chain of :meth:`draw`: ``(outcomes, mass, column)`` per run."""
+        band = self.band
+        outcomes = np.zeros(len(rotation), dtype=np.int64)
+        remaining = targets.copy()
+        mass = weights.copy()
         column = np.ones(mass.shape, dtype=np.complex128)
         factor = np.empty(mass.shape, dtype=np.complex128)
-        for q in range(n):
+        for q in range(self.n_qubits):
             window = ((outcomes << band) >> q) & ((1 << band) - 1)
             np.multiply(self._half_phase[window], rotation[:, q, None], out=factor)
             factor += 0.5  # (1 + e^{i theta_q}) / 2: bit q = 0
             # one dot product per row, as in backaction._row_norms
             zero = np.matmul(mass[:, None, :], factor.real[:, :, None])[:, 0, 0]
             one = remaining >= zero
+            if guard:
+                # a sum of nonnegative terms: exactly zero iff bit 1 has no mass
+                one &= np.matmul(mass[:, None, :], 1.0 - factor.real[:, :, None])[:, 0, 0] > 0
             remaining -= np.where(one, zero, 0.0)
             outcomes |= one << q
             np.subtract(1.0, factor, out=factor, where=one[:, None])  # bit q = 1
             mass *= factor.real
             column *= factor
-        masses = mass.sum(axis=1)
-        # written so that a NaN mass fails too
-        if not masses.min() >= 1e-300:
-            raise NumericsError("sampled an outcome of vanishing probability")
-        return outcomes, masses, column.reshape((len(ks),) + self.grid_shape)
+        return outcomes, mass, column
 
 
 # ---------------------------------------------------------------------------
@@ -182,67 +214,77 @@ class _DiagonalModel:
     single-qubit states (each controlled-phase gate fires while its
     upper qubit is still in the computational basis), and so does the
     adjoint circuit.  The pass amplitude <k| U F^dag |k> therefore
-    factorizes into n two-dimensional overlaps:
+    factorizes into n two-dimensional overlaps, one per L = 0..n-1:
 
-        p(k) = prod_i cos^2(delta_i(k) / 2),
-        delta_i(k) = sum_{d<=min(band,L)} (phase_d - pi/2^d) b_{L-d}
-                     - sum_{band<d<=L} (pi/2^d) b_{L-d},     L = n-1-i,
+        p(k) = prod_L f_L(k mod 2^L),      f_L(j) = cos^2(delta_L(j) / 2),
+        delta_L(j) = sum_{d<=min(band,L)} (phase_d - pi/2^d) b_{L-d}
+                     - sum_{band<d<=L} (pi/2^d) b_{L-d},
 
-    with b_j the j-th bit of k.  Evaluating the average over all 2^n
-    values of k costs O(n 2^n) flops, which keeps phase optimization
-    and per-grid-cell success maps exact at every register size.
+    with b_j the j-th bit of k; f_0 = 1.  Two identities make the
+    average over all 2^n values of k cost O(2^n) per phase cell.
+
+    Angle addition.  For L > band write j = w 2^(L-band) + t: the
+    window w (bits L-1..L-band) carries the trained offsets, whose sum
+    is s_w, and the tail t carries only the fixed angle tau_L(t).  Then
+
+        f_L(j) = 1/2 + 1/2 (cos s_w cos tau_t - sin s_w sin tau_t),
+
+    so a cell needs the 2^band cosines and sines of s_w, and every other
+    entry is a multiply-add against the cached cos tau_L and sin tau_L
+    (2^(L-band) values each).  For L <= band every bit is a window bit:
+    f_L(j) = 1/2 + 1/2 cos s_w at w = j 2^(band-L).
+
+    Doubling product.  H_L(j) = prod_{l<=L} f_l(j mod 2^l) obeys
+    H_L(j) = f_L(j) H_{L-1}(j mod 2^(L-1)), one multiply per entry of
+    H_L.  The top bit of k enters no factor, so the mean of p over k is
+    the mean of H_{n-1} over its 2^(n-1) entries: about 2^n multiplies
+    per cell in all, with no (cells, 2^n) table.
     """
 
     def __init__(self, n: int, band: int):
-        dim = 1 << n
-        k = np.arange(dim)
-        bits = ((k[None, :] >> np.arange(n)[:, None]) & 1).astype(float)
-        tails = np.zeros((n, dim))
-        trained = np.zeros((band, n, dim))
-        for i in range(n):
-            L = n - 1 - i
-            for d in range(1, L + 1):
-                if d <= band:
-                    trained[d - 1, i] = bits[L - d]
-                else:
-                    tails[i] -= np.pi / 2**d * bits[L - d]
         self.n, self.band = n, band
-        self.tails, self.trained = tails, trained
         self.std = np.array(standard_phases(band))
+        self.window = _window_bits(band)
+        # (cos tau_L, sin tau_L) for L = band+1..n-1
+        self.tails = []
+        for L in range(band + 1, n):
+            t = np.arange(1 << (L - band))
+            tau = np.zeros(len(t))
+            for d in range(band + 1, L + 1):
+                tau -= np.pi / 2**d * ((t >> (L - d)) & 1)
+            self.tails.append((np.cos(tau), np.sin(tau)))
 
     def success(self, phases) -> float:
         return float(self.success_many(np.asarray([phases], dtype=float))[0])
 
     def success_many(self, phase_grid: np.ndarray) -> np.ndarray:
-        """Vectorized over rows of a (cells, band) phase table.
-
-        delta_i(k) depends on k only through its low L = n-1-i bits, so
-        each qubit's factor is evaluated on those 2^L values and tiled
-        across k: 2^n cosines per cell instead of n 2^n, with every
-        factor, product and mean computed exactly as on the full table.
-        """
-        cells = phase_grid.shape[0]
-        dim = 1 << self.n
+        """Vectorized over rows of a (cells, band) phase table."""
+        n, band = self.n, self.band
         offsets = phase_grid - self.std
-        out = np.empty(cells)
-        # chunk so the (chunk, 2^n) product table stays around 2^22 floats
-        chunk = max(1, (1 << 22) // dim)
-        for start in range(0, cells, chunk):
+        out = np.empty(phase_grid.shape[0])
+        # chunk so the widest layer, H_{n-1}, holds about 2^16 floats
+        # (512 KiB); chunks of 2^18 and 2^20 floats scanned no faster
+        chunk = max(1, (1 << 16) >> (n - 1))
+        for start in range(0, len(out), chunk):
             block = offsets[start : start + chunk]
             rows = block.shape[0]
-            prod = np.empty((rows, dim))
-            for i in range(self.n):
-                width = 1 << (self.n - 1 - i)
-                delta = np.broadcast_to(self.tails[i, :width], (rows, width)).copy()
-                for d in range(self.band):
-                    delta += block[:, d, None] * self.trained[d, i, :width]
-                factor = (np.cos(delta / 2.0) ** 2)[:, None, :]
-                tiled = prod.reshape(rows, -1, width)
-                if i == 0:
-                    tiled[...] = factor
+            s = np.zeros((rows, 1 << band))
+            for d in range(band):
+                s += block[:, d, None] * self.window[d]
+            half_cos, half_sin = 0.5 * np.cos(s), 0.5 * np.sin(s)
+            prev = np.ones((rows, 1))
+            for L in range(1, n):
+                if L <= band:
+                    factor = half_cos[:, :: 1 << (band - L)] + 0.5
                 else:
-                    tiled *= factor
-            out[start : start + rows] = prod.mean(axis=1)
+                    tail_cos, tail_sin = self.tails[L - band - 1]
+                    factor = half_cos[:, :, None] * tail_cos
+                    factor -= half_sin[:, :, None] * tail_sin
+                    factor += 0.5
+                    factor = factor.reshape(rows, -1)
+                factor.reshape(rows, 2, -1)[...] *= prev[:, None, :]
+                prev = factor
+            out[start : start + rows] = prev.mean(axis=1)
         return out
 
 

@@ -22,9 +22,10 @@ from .oracle import (
     apply_single_qubit_gate,
     brute_force_joint_step,
     trial_output_batch,
+    trial_success_amplitude,
 )
 from .parameter import invert_about_mean_batch, uniform_init
-from .qft import AqftInstance, ProductFormTrials
+from .qft import AqftInstance, ProductFormTrials, average_success_map
 
 __all__ = [
     "run_selftest",
@@ -32,6 +33,7 @@ __all__ = [
     "search_closed_form_deviation",
     "search_statevector_deviation",
     "fourier_draw_deviation",
+    "success_map_deviation",
     "bit_reversed_order",
     "walk_dense_deviation",
     "walk_kernel_deviation",
@@ -218,6 +220,25 @@ def fourier_draw_deviation(instance, phase_grid, ks, weights, uniforms):
     return mismatches, worst_mass, worst_column
 
 
+def success_map_deviation(n: int, band: int, phases) -> float:
+    """Worst gap between the k-averaged success map and the statevector average.
+
+    ``phases`` is a ``(cells, band)`` table.  :func:`average_success_map`
+    evaluates every row from the circuit's product form; the oracle
+    simulates each row's trial gate by gate for every k and averages
+    the pass probability |output[k]|^2 over all 2^n values of k.
+    """
+    instance = AqftInstance.standard(n, band)
+    phases = np.atleast_2d(np.asarray(phases, dtype=float))
+    fast = average_success_map(instance, phases)
+    worst = 0.0
+    for row, value in zip(phases, fast):
+        inst = instance.with_phases(row)
+        exact = np.mean([abs(trial_success_amplitude(inst, k)[0][k]) ** 2 for k in range(inst.dim)])
+        worst = max(worst, abs(value - exact))
+    return worst
+
+
 def _check_joint_oracle() -> str:
     theta = np.random.default_rng(5).uniform(0, np.pi, 3)[:2]
     mismatches, worst = joint_oracle_deviation(theta, seed=123)
@@ -270,6 +291,15 @@ def _check_fourier_draw() -> str:
     return "product-form Fourier draw matches the statevector inverse CDF"
 
 
+def _check_success_map() -> str:
+    rng = np.random.default_rng(13)
+    for n, band in ((2, 0), (5, 1), (6, 3), (7, 2)):
+        worst = success_map_deviation(n, band, rng.uniform(-20, 20, (4, band)))
+        if not worst <= 1e-12:
+            raise AssertionError(f"success map deviates from the statevector by {worst:.2e} at n={n}")
+    return "k-averaged success map matches the statevector average"
+
+
 def _check_inversion() -> str:
     rng = np.random.default_rng(7)
     amps = rng.normal(size=64) + 1j * rng.normal(size=64)
@@ -289,6 +319,7 @@ _CHECKS = (
     _check_grover_subspace,
     _check_qft_circuit,
     _check_fourier_draw,
+    _check_success_map,
     _check_inversion,
 )
 

@@ -122,7 +122,7 @@ class TestCurveCommand:
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
         assert run_cli(["selftest"]) == 0
-        assert "all 7 checks passed" in capsys.readouterr().out
+        assert "all 8 checks passed" in capsys.readouterr().out
 
 
 class TestUsageErrors:

@@ -1,5 +1,7 @@
 """Phase optimization: baselines, improvements, table structure, curve."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from gatelearn import (
     reference_max_success,
     standard_phases,
 )
-from gatelearn.optimize import improvement_table_csv
+from gatelearn.optimize import COARSE_POINTS, _coarse_grid, improvement_table_csv
 
 
 class TestOptimizePhases:
@@ -42,6 +44,11 @@ class TestOptimizePhases:
         result = optimize_phases(inst)
         check = average_success(inst.with_phases(result.best_phases))
         assert abs(check - result.best_value) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_coarse_grid_matches_tuple_product(self, m):
+        axis = np.linspace(0.0, 2.0 * np.pi, COARSE_POINTS[m], endpoint=False)
+        np.testing.assert_array_equal(_coarse_grid(m), np.array(list(product(axis, repeat=m))))
 
     def test_band_out_of_range(self):
         with pytest.raises(ValueError):

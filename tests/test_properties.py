@@ -22,7 +22,7 @@ from gatelearn.backaction import distribution_batch, outcome_table
 from gatelearn.feedback import apply_quantum_walk_batch, on_failure_batch
 from gatelearn.oracle import PureState, apply_controlled_phase, apply_single_qubit_gate
 from gatelearn.parameter import invert_about_mean_batch, translate_batch
-from gatelearn.selftest import fourier_draw_deviation
+from gatelearn.selftest import fourier_draw_deviation, success_map_deviation
 
 RNG = np.random.default_rng(20260808)
 
@@ -254,6 +254,19 @@ def small_experiments(draw):
         master_seed=draw(st.integers(0, 2**32 - 1)),
         snapshot_chi=True,
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_success_map_matches_statevector_average(data):
+    """The k-averaged success map equals the gate-by-gate average over every k."""
+    n = data.draw(st.integers(2, 7), label="n")
+    band = data.draw(st.integers(0, min(3, n - 1)), label="band")
+    angle = st.floats(-20.0, 20.0)
+    rows = data.draw(
+        st.lists(st.tuples(*[angle] * band), min_size=1, max_size=4), label="phase rows"
+    )
+    assert success_map_deviation(n, band, rows) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 """Banded Fourier circuit: DFT equivalence, trials, averaged success."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,17 @@ class TestProductFormDraw:
         with pytest.raises(NumericsError):
             trials.draw([0], np.ones((1, 1)), [1.0])
 
+    def test_target_just_below_the_total_draws_an_outcome_of_mass(self):
+        # phase 0 and k=0 pass with certainty; u = 1 - 2^-53 puts the target
+        # one rounding below the row total, which the chain's own dot product
+        # may not exceed, and bit 1 of each qubit has no mass at all
+        weights = np.array([[0.0, 1.0, 0.718019718276694, 0.0]]) ** 4 + 1e-3
+        weights /= weights.sum()
+        trials = ProductFormTrials(AqftInstance.standard(2, 1), [[0.0]] * 4)
+        outcomes, masses, _ = trials.draw([0], weights, [0.9999999999999999 * weights.sum()])
+        assert outcomes[0] == 0
+        assert abs(masses[0] - 1.0) < 1e-12
+
     def test_nan_weights_rejected(self):
         trials = ProductFormTrials(AqftInstance.standard(3, 1), [[0.3], [1.2]])
         with pytest.raises(NumericsError):
@@ -212,21 +225,36 @@ class TestAverageSuccess:
             assert abs(values[i] - average_success(inst.with_phases(grid[i]))) < 1e-12
 
     @pytest.mark.parametrize("n,m", [(2, 1), (5, 0), (6, 2), (9, 3)])
-    def test_map_equals_full_k_table_bit_for_bit(self, n, m):
-        # the map evaluates each qubit's factor only on the low bits of k it
-        # depends on; spelled out on all (n, 2^n) entries it must agree exactly
-        from gatelearn.qft import _diagonal_model
-
-        model = _diagonal_model(n, m)
+    def test_map_equals_full_k_table(self, n, m):
+        # the closed product form spelled out on all (n, 2^n) entries of
+        # delta_i(k), built from the bits of k; the map's angle addition and
+        # doubling product round differently, so agreement is to 1e-14
+        k = np.arange(1 << n)
+        bits = (k[None, :] >> np.arange(n)[:, None]) & 1
         grid = np.random.default_rng(n + m).uniform(-7, 7, (40, m))
         expected = np.empty(len(grid))
         for row, phases in enumerate(grid):
-            delta = model.tails.copy()
-            for d in range(m):
-                delta += (phases[d] - model.std[d]) * model.trained[d]
+            delta = np.zeros((n, 1 << n))
+            for i in range(n):
+                L = n - 1 - i
+                for d in range(1, L + 1):
+                    angle = phases[d - 1] - np.pi / 2**d if d <= m else -np.pi / 2**d
+                    delta[i] += angle * bits[L - d]
             expected[row] = (np.cos(delta / 2.0) ** 2).prod(axis=0).mean()
-        np.testing.assert_array_equal(average_success_map(AqftInstance.standard(n, m), grid),
-                                      expected)
+        np.testing.assert_allclose(average_success_map(AqftInstance.standard(n, m), grid),
+                                   expected, rtol=0, atol=1e-14)
+
+    def test_set_up_memory_at_sixteen_qubits(self):
+        # the map builds no (cells, 2^n) table: a 256-cell map at n=16 stays
+        # below 32 MB, a quarter of one (256, 2^16) float table
+        grid = np.linspace(0, 2 * np.pi, 256, endpoint=False)[:, None]
+        tracemalloc.start()
+        try:
+            average_success_map(AqftInstance.standard(16, 1), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestInstanceValidation:
@@ -237,6 +265,14 @@ class TestInstanceValidation:
     def test_phase_count(self):
         with pytest.raises(ValueError):
             AqftInstance(4, 2, (0.5,))
+
+    def test_nan_phase_rejected(self):
+        with pytest.raises(ValueError):
+            AqftInstance(4, 1, (np.nan,))
+
+    def test_infinite_phase_rejected(self):
+        with pytest.raises(ValueError):
+            AqftInstance(4, 2, (0.5, -np.inf))
 
     def test_standard_phases_fall_off_by_halves(self):
         phases = standard_phases(3)
