@@ -17,6 +17,7 @@ CSV/JSON for external plotting; no plotting code lives here.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -53,17 +54,16 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS), default="double-push")
     parser.add_argument("--push-initial", type=int, default=None,
                         help="initial push magnitude in cells (default grid/32)")
-    parser.add_argument("--push-asymmetry", type=float, default=1.0,
-                        help="leftward/rightward push magnitude ratio")
-    parser.add_argument("--walk-x", type=float, default=None,
+    parser.add_argument("--push-asymmetry", type=float, default=FeedbackConfig.push_asymmetry,
+                        help="leftward/rightward push magnitude ratio (default %(default)s)")
+    parser.add_argument("--walk-x", type=float, default=FeedbackConfig.walk_strength,
                         help="walk strength cap x = lambda*dt/hbar, any finite value >= 0;"
-                             " the walk is applied exactly (default 24)")
-    parser.add_argument("--walk-step", type=int, default=None,
-                        help="walk translation step in cells (default 1)")
-    parser.add_argument("--walk-floor", type=float, default=None,
-                        help="walk strength right after a success (default 1.5)")
-    parser.add_argument("--walk-escalation", type=float, default=None,
-                        help="consecutive failures per walk-strength doubling; 0 = constant (default 2)")
+                             " the walk is applied exactly (default %(default)s)")
+    parser.add_argument("--walk-floor", type=float, default=FeedbackConfig.walk_floor,
+                        help="walk strength right after a success (default %(default)s)")
+    parser.add_argument("--walk-escalation", type=float, default=FeedbackConfig.walk_escalation,
+                        help="consecutive failures per walk-strength doubling; 0 = constant"
+                             " (default %(default)s)")
     parser.add_argument("--no-kickstart", action="store_true",
                         help="disable the inversion about the mean (on the first failure, "
                              "and for double-push search on every failure before the first pass)")
@@ -114,12 +114,11 @@ def _experiment_config(args: argparse.Namespace, problem) -> tuple:
         initial_push_cells=(
             args.push_initial if args.push_initial is not None else max(1, grid_size // 32)
         ),
-        walk_strength=args.walk_x if args.walk_x is not None else 24.0,
-        walk_step_cells=args.walk_step if args.walk_step is not None else 1,
+        walk_strength=args.walk_x,
         kickstart_enabled=not args.no_kickstart,
         push_asymmetry=args.push_asymmetry,
-        walk_floor=args.walk_floor if args.walk_floor is not None else 1.5,
-        walk_escalation=args.walk_escalation if args.walk_escalation is not None else 2.0,
+        walk_floor=args.walk_floor,
+        walk_escalation=args.walk_escalation,
     )
     config = ExperimentConfig(
         problem=problem,
@@ -134,7 +133,6 @@ def _experiment_config(args: argparse.Namespace, problem) -> tuple:
 
 
 def _manifest(args: argparse.Namespace, config: ExperimentConfig, problem_desc: dict) -> dict:
-    fb = config.feedback
     return {
         "version": __version__,
         "command": args.command,
@@ -145,16 +143,7 @@ def _manifest(args: argparse.Namespace, config: ExperimentConfig, problem_desc: 
         "master_seed": config.master_seed,
         "snapshot_chi": config.snapshot_chi,
         "threads": args.threads,
-        "feedback": {
-            "strategy": fb.strategy,
-            "initial_push_cells": fb.initial_push_cells,
-            "walk_strength": fb.walk_strength,
-            "walk_step_cells": fb.walk_step_cells,
-            "walk_floor": fb.walk_floor,
-            "walk_escalation": fb.walk_escalation,
-            "kickstart_enabled": fb.kickstart_enabled,
-            "push_asymmetry": fb.push_asymmetry,
-        },
+        "feedback": dataclasses.asdict(config.feedback),
     }
 
 
@@ -197,6 +186,8 @@ def _cmd_aqft(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    if not (args.qubits and args.bands):
+        raise ValueError("--qubits and --bands each need at least one value")
     for n in args.qubits:
         for m in args.bands:
             if m > 3:

@@ -78,7 +78,6 @@ class FeedbackConfig:
     strategy: str = "double_push"
     initial_push_cells: int = 8
     walk_strength: float = 24.0
-    walk_step_cells: int = 1
     kickstart_enabled: bool = True
     push_asymmetry: float = 1.0
     walk_floor: float = 1.5
@@ -89,8 +88,6 @@ class FeedbackConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}; use one of {STRATEGIES}")
         if self.initial_push_cells < 1:
             raise ValueError("initial_push_cells must be >= 1")
-        if self.walk_step_cells < 1:
-            raise ValueError("walk_step_cells must be >= 1")
         for name in ("walk_strength", "walk_floor", "walk_escalation", "push_asymmetry"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -105,17 +102,13 @@ class FeedbackConfig:
 
 
 @lru_cache(maxsize=256)
-def _walk_spectrum(strength: float, step_cells: int, grid_shape: tuple) -> np.ndarray:
+def _walk_spectrum(strength: float, grid_shape: tuple) -> np.ndarray:
     """Eigenvalues of the walk on a grid, the outer product of the axis spectra."""
-    if step_cells < 1:
-        raise ValueError("step_cells must be >= 1")
     if not 0 <= strength < np.inf:
         raise ValueError(f"walk strength must be finite and >= 0, got {strength}")
     spectrum = np.ones(())
     for cells in grid_shape:
-        # reduce m*s mod N in integers so the cosine argument stays exact
-        modes = (step_cells * np.arange(cells)) % cells
-        phase = np.exp(-2j * strength * np.cos(2.0 * np.pi / cells * modes))
+        phase = np.exp(-2j * strength * np.cos(2.0 * np.pi / cells * np.arange(cells)))
         spectrum = np.multiply.outer(spectrum, phase)
     spectrum.flags.writeable = False
     return spectrum
@@ -127,23 +120,23 @@ def _norms_squared(amps: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", parts, parts)
 
 
-def apply_quantum_walk_batch(amps: np.ndarray, strengths, step_cells: int) -> np.ndarray:
+def apply_quantum_walk_batch(amps: np.ndarray, strengths) -> np.ndarray:
     """Split each run's wavefunction coherently toward both directions.
 
-    ``amps`` is ``(runs, *grid_shape)``; run i gets exp(-i x (T^s + T^-s))
-    along every grid axis, with x = ``strengths[i]`` and s =
-    ``step_cells``.  On the cyclic grid this operator is circulant: the
+    ``amps`` is ``(runs, *grid_shape)``; run i gets exp(-i x (T + T^-1))
+    along every grid axis, with x = ``strengths[i]`` and T the one-cell
+    translation.  On the cyclic grid this operator is circulant: the
     Fourier mode m of an axis with N cells is an eigenvector with
-    eigenvalue exp(-2i x cos(2 pi m s / N)).  So one FFT over the grid
+    eigenvalue exp(-2i x cos(2 pi m / N)).  So one FFT over the grid
     axes, a multiply by the outer product of the axis spectra (cached
     per strength), and one inverse FFT apply the walk exactly at any
     strength.  Translations along different axes commute, so the
     product spectrum equals the sequential per-axis walk.  In
-    translation form the walk is p_0 + sum_l p_l (T^{ls} + T^{-ls}) with
+    translation form the walk is p_0 + sum_l p_l (T^l + T^-l) with
     p_l = (-i)^l J_l(2x).  Raises ``NumericsError`` if a run's norm
     moves by more than 1e-9.
     """
-    spectra = [_walk_spectrum(float(x), step_cells, amps.shape[1:]) for x in strengths]
+    spectra = [_walk_spectrum(float(x), amps.shape[1:]) for x in strengths]
     # one shared strength (always so for a single run) broadcasts its spectrum
     spectra = spectra[0] if len(set(strengths)) == 1 else np.stack(spectra)
     # the 1-D transforms over the grid axes, last axis first: np.fft.fftn's
@@ -270,5 +263,5 @@ def _push_or_walk(amps, successes, failures, consecutive_failures, config, rngs)
         ]
         return translate_batch(amps, shifts, axes), np.array(tags, dtype=object)
     strengths = [_effective_walk_strength(config, c) for c in consecutive_failures.tolist()]
-    walked = apply_quantum_walk_batch(amps, strengths, config.walk_step_cells)
+    walked = apply_quantum_walk_batch(amps, strengths)
     return dephase_batch(walked, rngs), np.full(len(amps), "walk+dephase", dtype=object)

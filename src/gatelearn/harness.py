@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -90,12 +91,16 @@ class ExperimentConfig:
     snapshot_chi: bool = False
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
+        if not isinstance(self.problem, (GroverInstance, AqftInstance)):
+            raise ValueError(f"problem must be a GroverInstance or an AqftInstance,"
+                             f" got {type(self.problem).__name__}")
+        for name, low in (("iterations", 1), ("runs", 1), ("grid_size", 2), ("master_seed", 0)):
+            value = getattr(self, name)
+            # a bool is an int to Python, but runs=True is a slip, not one run
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
         if isinstance(self.problem, AqftInstance) and not 1 <= self.problem.band <= 2:
             raise ValueError("trainable Fourier experiments support band 1 or 2")
 
@@ -256,7 +261,7 @@ def _run_batch(config: ExperimentConfig, seeds) -> RunBatch:
         if not trials.binary_readout:
             measured[:, it] = outcomes
         success[:, it] = expected_success_batch(probs, trials.success_map)
-        variance[:, it] = distribution_variance_batch(probs, start.domains)
+        variance[:, it] = distribution_variance_batch(probs)
         if snapshots is not None:
             snapshots[:, it] = probs
     return RunBatch(passed, measured, success, variance, actions, snapshots)

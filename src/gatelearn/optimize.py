@@ -132,13 +132,13 @@ def optimize_phases(instance: AqftInstance) -> OptimizationResult:
     )
 
 
-def improvement_table(qubit_list, band_list, blank_below: float = BLANK_BELOW_PERCENT):
+def improvement_table(qubit_list, band_list):
     """Optimization gain for every (qubits, band) cell.
 
     Returns a list of row dicts with keys ``n_qubits``, ``band``,
     ``baseline``, ``optimum``, ``improvement_percent`` and
     ``best_phases``.  Cells that are infeasible (band > qubits - 1) and
-    cells whose gain falls below ``blank_below`` percent carry None
+    cells whose gain falls below ``BLANK_BELOW_PERCENT`` percent carry None
     entries: tuning buys nothing practical there, so the table leaves
     them blank.
     """
@@ -152,7 +152,7 @@ def improvement_table(qubit_list, band_list, blank_below: float = BLANK_BELOW_PE
                 )
             else:
                 result = optimize_phases(AqftInstance.standard(n, m))
-                if result.improvement_percent < blank_below:
+                if result.improvement_percent < BLANK_BELOW_PERCENT:
                     row.update(
                         baseline=result.baseline_value,
                         optimum=None,

@@ -367,4 +367,4 @@ def brute_force_joint_step(
     if not norm >= 1e-150:
         raise NumericsError("measured an outcome of vanishing probability")
     new_amps = (conditional / norm).reshape(chi.grid_shape)
-    return r, ParameterState(new_amps, chi.domains)
+    return r, ParameterState(new_amps)

@@ -1,9 +1,9 @@
 """Wavefunction of the control parameter on a cyclic grid.
 
 The trained gate strength is itself a quantum variable.  Its state is a
-complex amplitude vector chi over a discretized, periodic parameter
-domain (one axis per trained parameter, at most two axes).  Grid points
-sit at the left edge of each cell, phi_g = phi_lo + g * dphi, so that
+complex amplitude vector chi over the phase circle [0, 2*pi), cut into
+equal cells (one axis per trained parameter, at most two axes).  Grid
+points sit at the left edge of each cell, phi_g = g * dphi, so that
 physically distinguished values such as pi or pi/2 fall exactly on a
 grid point for power-of-two grid sizes.
 
@@ -16,7 +16,7 @@ Each operator and diagnostic is an array kernel over a batch of runs,
 an array of shape ``(runs, *grid_shape)``, named ``*_batch``; one run
 is a batch of one.  Every kernel computes each run's row exactly as it
 would alone, so results never depend on how many runs share a batch.
-:class:`ParameterState` describes a grid: its domains, grid points and
+:class:`ParameterState` describes a grid: its shape, grid points and
 the flat starting wavefunction (:func:`uniform_init`).
 """
 
@@ -48,29 +48,19 @@ class ParameterState:
     Parameters
     ----------
     amplitudes : ndarray of complex
-        Shape ``grid_shape``; one axis per trained parameter.
-    domains : tuple of (low, high) pairs, optional
-        Half-open interval per axis, default [0, 2*pi) everywhere.
+        Shape ``grid_shape``; one axis per trained parameter, each axis
+        spanning [0, 2*pi).
     """
 
-    __slots__ = ("amplitudes", "domains")
+    __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, domains=None):
+    def __init__(self, amplitudes):
         amps = np.asarray(amplitudes, dtype=np.complex128)
         if amps.ndim < 1 or amps.ndim > 2:
             raise ValueError("parameter grids support 1 or 2 axes")
         if any(s < 2 for s in amps.shape):
             raise ValueError(f"each grid axis needs >= 2 cells, got shape {amps.shape}")
-        if domains is None:
-            domains = ((0.0, _TWO_PI),) * amps.ndim
-        domains = tuple((float(lo), float(hi)) for lo, hi in domains)
-        if len(domains) != amps.ndim:
-            raise ValueError("one (low, high) domain required per grid axis")
-        for lo, hi in domains:
-            if not hi > lo:
-                raise ValueError(f"empty domain [{lo}, {hi})")
         self.amplitudes = amps
-        self.domains = domains
 
     @property
     def grid_shape(self) -> tuple:
@@ -82,7 +72,7 @@ class ParameterState:
 
     def axis_values(self, axis: int = 0) -> np.ndarray:
         """Parameter values at the grid points of one axis."""
-        return _grid_points(*self.domains[axis], self.grid_shape[axis])
+        return _grid_points(self.grid_shape[axis])
 
     def probabilities(self) -> np.ndarray:
         """|chi|^2 over the grid."""
@@ -92,38 +82,30 @@ class ParameterState:
         return float(np.linalg.norm(self.amplitudes))
 
     def __repr__(self) -> str:
-        return f"ParameterState(grid_shape={self.grid_shape}, domains={self.domains})"
+        return f"ParameterState(grid_shape={self.grid_shape})"
 
 
-def _grid_points(lo: float, hi: float, cells: int) -> np.ndarray:
-    return lo + np.arange(cells) * (hi - lo) / cells
+def _grid_points(cells: int) -> np.ndarray:
+    return np.arange(cells) * _TWO_PI / cells
 
 
 @lru_cache(maxsize=64)
-def _axis_phasors(lo: float, hi: float, cells: int) -> np.ndarray:
-    """e^{i angle} at one axis's grid points, the domain mapped onto a full circle."""
-    angles = (_grid_points(lo, hi, cells) - lo) * (_TWO_PI / (hi - lo))
-    phasors = np.exp(1j * angles)
+def _axis_phasors(cells: int) -> np.ndarray:
+    """e^{i phi} at one axis's grid points."""
+    phasors = np.exp(1j * _grid_points(cells))
     phasors.flags.writeable = False
     return phasors
 
 
-def uniform_init(grid_size, domain=None) -> ParameterState:
+def uniform_init(grid_size) -> ParameterState:
     """Flat real wavefunction, amplitude 1/sqrt(cells) everywhere.
 
-    ``grid_size`` may be an int (one axis) or a tuple of ints; ``domain``
-    correspondingly a (low, high) pair or a tuple of pairs.
+    ``grid_size`` may be an int (one axis) or a tuple of ints.
     """
     shape = (grid_size,) if np.ndim(grid_size) == 0 else tuple(grid_size)
-    if domain is None:
-        domains = ((0.0, _TWO_PI),) * len(shape)
-    elif np.ndim(domain[0]) == 0:
-        domains = (tuple(domain),)
-    else:
-        domains = tuple(tuple(d) for d in domain)
     cells = int(np.prod(shape))
     amps = np.full(shape, 1.0 / np.sqrt(cells), dtype=np.complex128)
-    return ParameterState(amps, domains)
+    return ParameterState(amps)
 
 
 def _grid_axes(amps: np.ndarray) -> tuple:
@@ -184,7 +166,7 @@ def expected_success_batch(probs: np.ndarray, success_map: np.ndarray) -> np.nda
     return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
-def distribution_variance_batch(probs: np.ndarray, domains) -> np.ndarray:
+def distribution_variance_batch(probs: np.ndarray) -> np.ndarray:
     """Each run's circular variance; ``probs`` holds |chi|^2 per run.
 
     Computed per axis from the first trigonometric moment of the
@@ -198,8 +180,7 @@ def distribution_variance_batch(probs: np.ndarray, domains) -> np.ndarray:
     for axis in range(ndim):
         others = tuple(1 + a for a in range(ndim) if a != axis)
         marginal = probs.sum(axis=others) if others else probs
-        # the domain is mapped onto a full circle so the moment is scale-free
-        phasors = _axis_phasors(*domains[axis], probs.shape[1 + axis])
+        phasors = _axis_phasors(probs.shape[1 + axis])
         moment = np.abs(np.sum(np.multiply(marginal, phasors), axis=1))
         total = total + (1.0 - moment)
     return np.maximum(total, 0.0)

@@ -265,6 +265,11 @@ class _DiagonalModel:
         # chunk so the widest layer, H_{n-1}, holds about 2^16 floats
         # (512 KiB); chunks of 2^18 and 2^20 floats scanned no faster
         chunk = max(1, (1 << 16) >> (n - 1))
+        # H_L is written into one of two buffers allocated once per call: fresh
+        # 512 KiB temporaries per chunk and layer cost up to twice the scan's
+        # time in page faults, depending on the allocator's state
+        layers = np.empty((2, min(chunk, len(out)) << (n - 1)))
+        scratch = np.empty(layers.shape[1])
         for start in range(0, len(out), chunk):
             block = offsets[start : start + chunk]
             rows = block.shape[0]
@@ -274,14 +279,17 @@ class _DiagonalModel:
             half_cos, half_sin = 0.5 * np.cos(s), 0.5 * np.sin(s)
             prev = np.ones((rows, 1))
             for L in range(1, n):
+                factor = layers[L % 2, : rows << L].reshape(rows, 1 << L)
                 if L <= band:
-                    factor = half_cos[:, :: 1 << (band - L)] + 0.5
+                    np.add(half_cos[:, :: 1 << (band - L)], 0.5, out=factor)
                 else:
                     tail_cos, tail_sin = self.tails[L - band - 1]
-                    factor = half_cos[:, :, None] * tail_cos
-                    factor -= half_sin[:, :, None] * tail_sin
-                    factor += 0.5
-                    factor = factor.reshape(rows, -1)
+                    shape = (rows, 1 << band, -1)
+                    wide, term = factor.reshape(shape), scratch[: rows << L].reshape(shape)
+                    np.multiply(half_cos[:, :, None], tail_cos, out=wide)
+                    np.multiply(half_sin[:, :, None], tail_sin, out=term)
+                    wide -= term
+                    wide += 0.5
                 factor.reshape(rows, 2, -1)[...] *= prev[:, None, :]
                 prev = factor
             out[start : start + rows] = prev.mean(axis=1)

@@ -58,7 +58,7 @@ def walk_kernel_deviation():
     worst_bessel = worst_norm = 0.0
     distance = np.minimum(np.arange(cells), cells - np.arange(cells))
     for x in (0.3, 0.8, 1.5, 5.0, 24.0):
-        kernel = apply_quantum_walk_batch(np.eye(1, cells, dtype=complex), [x], 1)[0]
+        kernel = apply_quantum_walk_batch(np.eye(1, cells, dtype=complex), [x])[0]
         oracle = (-1j) ** (distance % 4) * jv(distance, 2 * x)
         worst_bessel = max(worst_bessel, np.abs(kernel - oracle).max())
         worst_norm = max(worst_norm, abs(np.linalg.norm(kernel) - 1.0))
@@ -78,7 +78,7 @@ def walk_dense_deviation():
         chi = amps / np.linalg.norm(amps)
         shift = np.roll(np.eye(cells), 1, axis=0)
         dense = expm(-1j * x * (shift + shift.T))
-        walked = apply_quantum_walk_batch(chi[None], [x], 1)[0]
+        walked = apply_quantum_walk_batch(chi[None], [x])[0]
         worst_op = max(worst_op, np.abs(walked - dense @ chi).max())
         worst_norm = max(worst_norm, abs(np.linalg.norm(walked) - 1.0))
     return worst_op, worst_norm

@@ -44,7 +44,7 @@ def sample_and_update(chi, trial, rng):
     table, columns = trial
     r = sample_batch(distribution_batch(chi.probabilities().reshape(1, -1), table), [rng])
     filtered = filter_batch(chi.amplitudes[None], columns[r])[0]
-    return int(r[0]), ParameterState(filtered, chi.domains)
+    return int(r[0]), ParameterState(filtered)
 
 
 class TestOutcomeAmplitudes:

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
+from gatelearn import (
+    AqftInstance,
+    ExperimentConfig,
+    FeedbackConfig,
+    GroverInstance,
+    run_ensemble,
+)
 from gatelearn.cli import parse_and_dispatch
+from gatelearn.harness import write_histogram_csv, write_runs_csv, write_summary_json
 
 
 def run_cli(argv):
@@ -30,15 +38,39 @@ class TestGroverCommand:
         assert manifest["feedback"]["strategy"] == "double_push"
 
     def test_rerun_with_manifest_settings_is_byte_identical(self, tmp_path):
-        args = [
-            "grover", "--n-elements", "16", "--iterations", "10", "--runs", "3",
-            "--grid-size", "64", "--seed", "9",
+        """A config rebuilt from manifest.json alone reproduces every data file."""
+        commands = [
+            ["grover", "--n-elements", "16", "--iterations", "10", "--runs", "3",
+             "--grid-size", "64", "--seed", "9", "--walk-x", "7.5", "--no-kickstart"],
+            ["aqft", "--qubits", "4", "--band", "2", "--iterations", "8", "--runs", "2",
+             "--strategy", "single-push", "--push-asymmetry", "0.5", "--seed", "4"],
         ]
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert run_cli(args + ["--out", str(out_a)]) == 0
-        assert run_cli(args + ["--out", str(out_b)]) == 0
-        for name in ("runs.csv", "summary.json", "histogram.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        for argv in commands:
+            out = tmp_path / argv[0]
+            assert run_cli(argv + ["--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            desc = manifest["problem"]
+            if desc["kind"] == "grover":
+                problem = GroverInstance.standard(desc["n_elements"])
+            else:
+                problem = AqftInstance.standard(desc["qubits"], desc["band"])
+            config = ExperimentConfig(
+                problem=problem,
+                iterations=manifest["iterations"],
+                runs=manifest["runs"],
+                grid_size=manifest["grid_size"],
+                feedback=FeedbackConfig(**manifest["feedback"]),
+                master_seed=manifest["master_seed"],
+                snapshot_chi=manifest["snapshot_chi"],
+            )
+            summary, batch = run_ensemble(config, threads=manifest["threads"])
+            again = tmp_path / f"{argv[0]}-again"
+            again.mkdir()
+            write_runs_csv(batch, again / "runs.csv")
+            write_summary_json(summary, again / "summary.json", extra={"problem": desc})
+            write_histogram_csv(summary, again / "histogram.csv")
+            for name in ("runs.csv", "summary.json", "histogram.csv"):
+                assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
     def test_snapshot_flag_writes_array(self, tmp_path):
         import numpy as np
@@ -108,6 +140,14 @@ class TestTableCommand:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3 + 2  # two comment lines, header, two cells
 
+    @pytest.mark.parametrize("flag", ["--qubits", "--bands"])
+    def test_empty_list_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "t1.csv"
+        status = run_cli(["table1", flag, "", "--out", str(out)])
+        assert status == 2
+        assert "at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCurveCommand:
     def test_curve_csv(self, tmp_path):
@@ -142,6 +182,13 @@ class TestUsageErrors:
         )
         assert status == 2
         assert "runs" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2_before_creating_out(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        status = run_cli(["grover", "--n-elements", "8", "--seed", "-1", "--out", str(out)])
+        assert status == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--walk-x", "nan"),

@@ -22,8 +22,8 @@ def random_chi(n, seed):
     return (amps / np.linalg.norm(amps))[None]
 
 
-def walk(chi, x, step):
-    return apply_quantum_walk_batch(chi, [x], step)
+def walk(chi, x):
+    return apply_quantum_walk_batch(chi, [x])
 
 
 def on_failure(chi, config, rng, successes=0, failures=0, consecutive=0,
@@ -40,7 +40,7 @@ def on_failure(chi, config, rng, successes=0, failures=0, consecutive=0,
 
 def walk_kernel(x, cells=256):
     """The walk applied to a delta: amplitude p_l at distance l on either side."""
-    return walk(np.eye(1, cells, dtype=complex), x, 1)[0]
+    return walk(np.eye(1, cells, dtype=complex), x)[0]
 
 
 def bessel_kernel(x, cells=256):
@@ -85,43 +85,36 @@ class TestWalkCoefficients:
                 walk_kernel(x)
 
 
-def dense_walk(cells, x, step=1):
+def dense_walk(cells, x):
     # oracle: expm of the hopping Hamiltonian as a dense matrix
-    shift = np.roll(np.eye(cells), step, axis=0)
+    shift = np.roll(np.eye(cells), 1, axis=0)
     return expm(-1j * x * (shift + shift.T))
 
 
 class TestApplyQuantumWalk:
     def test_zero_strength_is_identity(self):
         chi = random_chi(32, 0)
-        out = walk(chi, 0.0, 1)
+        out = walk(chi, 0.0)
         np.testing.assert_allclose(out, chi, atol=1e-15)
 
     def test_symmetric_split_of_a_delta(self):
         amps = np.zeros((1, 16), dtype=complex)
         amps[0, 8] = 1.0
-        probs = np.abs(walk(amps, 0.5, 1)[0]) ** 2
+        probs = np.abs(walk(amps, 0.5)[0]) ** 2
         assert abs(probs[7] - probs[9]) < 1e-12
         assert probs[7] > 1e-3
 
     @pytest.mark.parametrize("n_cells,x", [(32, 0.3), (32, 0.8), (32, 1.5), (64, 1.5)])
     def test_matches_dense_circulant_exponential(self, n_cells, x):
         chi = random_chi(n_cells, seed=int(10 * x))
-        out = walk(chi, x, 1)
+        out = walk(chi, x)
         np.testing.assert_allclose(
             out[0], dense_walk(n_cells, x) @ chi[0], rtol=0, atol=1e-12
         )
 
-    def test_step_two_matches_dense_exponential(self):
-        chi = random_chi(32, 5)
-        out = walk(chi, 0.8, 2)
-        np.testing.assert_allclose(
-            out[0], dense_walk(32, 0.8, 2) @ chi[0], rtol=0, atol=1e-12
-        )
-
     def test_norm_preserved(self):
         for x in (0.3, 1.0, 4.0, 18.0, 120.0):
-            out = walk(random_chi(64, 7), x, 1)
+            out = walk(random_chi(64, 7), x)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_strided_amplitudes_walk_like_a_copy(self):
@@ -130,12 +123,12 @@ class TestApplyQuantumWalk:
         chi = amps[:, ::2]
         assert not chi.flags.c_contiguous
         copy = chi.copy()
-        np.testing.assert_array_equal(walk(chi, 2.0, 1), walk(copy, 2.0, 1))
+        np.testing.assert_array_equal(walk(chi, 2.0), walk(copy, 2.0))
 
     def test_two_axis_walk_acts_on_both(self):
         amps = np.zeros((1, 8, 8), dtype=complex)
         amps[0, 4, 4] = 1.0
-        out = walk(amps, 0.5, 1)
+        out = walk(amps, 0.5)
         probs = np.abs(out[0]) ** 2
         assert probs[3, 4] > 1e-3 and probs[4, 3] > 1e-3
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
@@ -255,7 +248,7 @@ class TestController:
         out, action = on_failure(chi, config, np.random.default_rng(9),
                                  successes=2, failures=1, consecutive=1)
         assert action == "walk+dephase"
-        walked = walk(chi, 0.8, 1)
+        walked = walk(chi, 0.8)
         np.testing.assert_allclose(np.abs(out), np.abs(walked), atol=1e-12)
 
     @pytest.mark.parametrize("successes,action", [(0, "kickstart"), (1, "walk+dephase")])
@@ -339,7 +332,7 @@ class TestController:
                                  successes=1, failures=1, consecutive=1)
         assert action == "walk+dephase"
         oracle = dense_walk(64, 120.0) @ chi[0]
-        np.testing.assert_allclose(walk(chi, 120.0, 1)[0], oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(walk(chi, 120.0)[0], oracle, rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.abs(out[0]), np.abs(oracle), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("field", [

@@ -77,6 +77,21 @@ class TestRunLearning:
         with pytest.raises(ValueError):
             grover_config(iterations=0)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("iterations", 2.5, "iterations must be an integer"),
+        ("iterations", True, "iterations must be an integer"),
+        ("runs", True, "runs must be an integer"),
+        ("runs", 3.0, "runs must be an integer"),
+        ("grid_size", 8.5, "grid_size must be an integer"),
+        ("grid_size", False, "grid_size must be an integer"),
+        ("master_seed", -1, "master_seed must be >= 0"),
+        ("master_seed", 1.5, "master_seed must be an integer"),
+        ("problem", "grover", "problem must be a GroverInstance or an AqftInstance"),
+    ])
+    def test_bad_config_rejected_when_built(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            grover_config(**{field: value})
+
     def test_bit_identical_for_same_seed(self):
         config = grover_config()
         a = run_learning(config, run_seed=5)

@@ -38,7 +38,7 @@ def expected_success(chi, success_map):
 
 
 def distribution_variance(chi):
-    return distribution_variance_batch(np.abs(chi) ** 2, uniform_init(chi.shape[1:]).domains)[0]
+    return distribution_variance_batch(np.abs(chi) ** 2)[0]
 
 
 class TestUniformInit:

@@ -121,7 +121,7 @@ def test_walk_unitarity_sum_100_cases():
         x = float(RNG.uniform(0.0, 30.0))
         cells = int(RNG.integers(2, 256))
         delta = np.eye(1, cells, dtype=complex)
-        kernel = apply_quantum_walk_batch(delta, [x], int(RNG.integers(1, cells + 1)))
+        kernel = apply_quantum_walk_batch(delta, [x])
         assert abs(np.sum(np.abs(kernel) ** 2) - 1.0) < 1e-12
 
 
@@ -129,16 +129,15 @@ def test_walk_norm_preservation_100_cases():
     for _ in range(100):
         chi = random_chi(int(RNG.integers(8, 64)))
         x = float(RNG.uniform(0.0, 130.0))
-        step = int(RNG.integers(1, 4))
-        assert abs(np.linalg.norm(apply_quantum_walk_batch(chi, [x], step)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(apply_quantum_walk_batch(chi, [x])) - 1.0) < 1e-12
 
 
-def dense_walk(cells, x, step):
-    shift = np.roll(np.eye(cells), step, axis=0)
+def dense_walk(cells, x):
+    shift = np.roll(np.eye(cells), 1, axis=0)
     return expm(-1j * x * (shift + shift.T))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fft_walk_matches_dense_exponential(data):
     two_axis = data.draw(st.booleans(), label="two axes")
@@ -148,17 +147,15 @@ def test_fft_walk_matches_dense_exponential(data):
                  min_size=1 + two_axis, max_size=1 + two_axis),
         label="cells per axis",
     )
-    # steps that share a factor with an axis (and N/2, where T^s = T^-s) are included
-    step = data.draw(st.integers(1, max(1, min(sizes) - 1)), label="step_cells")
     x = data.draw(st.floats(0.0, 130.0), label="x")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=sizes) + 1j * rng.normal(size=sizes)
     chi = (amps / np.linalg.norm(amps))[None]
-    dense = dense_walk(sizes[0], x, step)
+    dense = dense_walk(sizes[0], x)
     for cells in sizes[1:]:
-        dense = np.kron(dense, dense_walk(cells, x, step))
-    walked = apply_quantum_walk_batch(chi, [x], step)
+        dense = np.kron(dense, dense_walk(cells, x))
+    walked = apply_quantum_walk_batch(chi, [x])
     np.testing.assert_allclose(
         walked.ravel(), dense @ chi.ravel(), rtol=0, atol=1e-12
     )
@@ -172,7 +169,7 @@ def test_search_amplitude_closure_100_cases():
         assert abs(abs(s) ** 2 + abs(b) ** 2 - 1.0) < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_product_form_draw_matches_statevector_oracle(data):
     """The chain draw equals the statevector inverse CDF in bit-reversed order."""
@@ -242,7 +239,6 @@ def small_experiments(draw):
         kickstart_enabled=draw(st.booleans()),
         initial_push_cells=draw(st.integers(1, 6)),
         push_asymmetry=draw(st.sampled_from([0.5, 1.0])),
-        walk_step_cells=draw(st.integers(1, 3)),
         walk_escalation=draw(st.sampled_from([0.0, 0.1, 2.0])),
     )
     return ExperimentConfig(
@@ -256,7 +252,7 @@ def small_experiments(draw):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_success_map_matches_statevector_average(data):
     """The k-averaged success map equals the gate-by-gate average over every k."""
@@ -269,7 +265,7 @@ def test_success_map_matches_statevector_average(data):
     assert success_map_deviation(n, band, rows) <= 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(config=small_experiments(), threads=st.integers(1, 3))
 def test_batch_equals_one_run_batches(config, threads):
     """A batch of R runs equals R one-run batches, bit for bit, at any thread count."""
