@@ -10,7 +10,9 @@ Subcommands::
 
 Every experiment writes ``manifest.json`` with the fully resolved
 configuration (defaults included), so re-running a command with the
-recorded values reproduces the data files byte for byte.  Output is
+recorded values reproduces the data files byte for byte.  Its
+``environment`` block records the Python, numpy and scipy versions, the
+CPU count and the BLAS/OpenMP thread variables of the run.  Output is
 CSV/JSON for external plotting; no plotting code lives here.
 """
 
@@ -19,7 +21,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import platform
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +45,9 @@ from .qft import AqftInstance
 __all__ = ["parse_and_dispatch", "main"]
 
 _STRATEGY_FLAGS = {"single-push": "single_push", "double-push": "double_push"}
+
+#: thread-pool variables of the BLAS and OpenMP runtimes numpy may load
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _int_list(text: str):
@@ -132,6 +140,17 @@ def _experiment_config(args: argparse.Namespace, problem) -> tuple:
     return config, args.threads
 
 
+def _environment() -> dict:
+    """Interpreter, library versions and thread settings a run used; unset variables are null."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": metadata.version("scipy"),
+        "cpu_count": os.cpu_count(),
+        "thread_vars": {name: os.environ.get(name) for name in _THREAD_VARS},
+    }
+
+
 def _manifest(args: argparse.Namespace, config: ExperimentConfig, problem_desc: dict) -> dict:
     return {
         "version": __version__,
@@ -144,6 +163,7 @@ def _manifest(args: argparse.Namespace, config: ExperimentConfig, problem_desc: 
         "snapshot_chi": config.snapshot_chi,
         "threads": args.threads,
         "feedback": dataclasses.asdict(config.feedback),
+        "environment": _environment(),
     }
 
 

@@ -33,6 +33,7 @@ run; one run is a batch of one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,7 +73,8 @@ class FeedbackConfig:
 
     The walk is applied exactly in Fourier space, so any finite strength
     is reachable.  Non-finite strengths, floors, escalation rates and
-    asymmetries fail here rather than minutes into an ensemble.
+    asymmetries, a non-integer push and a non-bool kickstart switch fail
+    here rather than minutes into an ensemble.
     """
 
     strategy: str = "double_push"
@@ -86,6 +88,14 @@ class FeedbackConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; use one of {STRATEGIES}")
+        if not isinstance(self.kickstart_enabled, bool):
+            raise ValueError(f"kickstart_enabled must be a bool, got {self.kickstart_enabled!r}")
+        if isinstance(self.initial_push_cells, bool) or not isinstance(
+            self.initial_push_cells, numbers.Integral
+        ):
+            raise ValueError(
+                f"initial_push_cells must be an integer, got {self.initial_push_cells!r}"
+            )
         if self.initial_push_cells < 1:
             raise ValueError("initial_push_cells must be >= 1")
         for name in ("walk_strength", "walk_floor", "walk_escalation", "push_asymmetry"):

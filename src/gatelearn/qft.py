@@ -220,39 +220,57 @@ class _DiagonalModel:
         delta_L(j) = sum_{d<=min(band,L)} (phase_d - pi/2^d) b_{L-d}
                      - sum_{band<d<=L} (pi/2^d) b_{L-d},
 
-    with b_j the j-th bit of k; f_0 = 1.  Two identities make the
+    with b_j the j-th bit of k; f_0 = 1.  Three identities make the
     average over all 2^n values of k cost O(2^n) per phase cell.
 
     Angle addition.  For L > band write j = w 2^(L-band) + t: the
     window w (bits L-1..L-band) carries the trained offsets, whose sum
-    is s_w, and the tail t carries only the fixed angle tau_L(t).  Then
+    is s_w, and the tail t carries only the fixed angle tau_L(t).  With
+    cos^2(x/2) = (1 + cos x) / 2 and the cosine of a sum,
 
-        f_L(j) = 1/2 + 1/2 (cos s_w cos tau_t - sin s_w sin tau_t),
+        f_L(j) = 1/2 + 1/2 cos s_w cos tau_t - 1/2 sin s_w sin tau_t
+               = c_w . b_t,   c_w = [1/2, 1/2 cos s_w, -1/2 sin s_w],
+                              b_t = [1, cos tau_t, sin tau_t].
 
-    so a cell needs the 2^band cosines and sines of s_w, and every other
-    entry is a multiply-add against the cached cos tau_L and sin tau_L
-    (2^(L-band) values each).  For L <= band every bit is a window bit:
-    f_L(j) = 1/2 + 1/2 cos s_w at w = j 2^(band-L).
+    So the factor table of layer L, rows (cell, w) by columns t, is one
+    matrix product of the cell's (2^band, 3) coefficients with the
+    cached (3, 2^(L-band)) tail basis [1; cos tau_L; sin tau_L].  For
+    L <= band every bit is a window bit: f_L(j) = 1/2 + 1/2 cos s_w at
+    w = j 2^(band-L).
 
     Doubling product.  H_L(j) = prod_{l<=L} f_l(j mod 2^l) obeys
     H_L(j) = f_L(j) H_{L-1}(j mod 2^(L-1)), one multiply per entry of
     H_L.  The top bit of k enters no factor, so the mean of p over k is
-    the mean of H_{n-1} over its 2^(n-1) entries: about 2^n multiplies
-    per cell in all, with no (cells, 2^n) table.
+    the mean of H_{n-1} over its 2^(n-1) entries, with no (cells, 2^n)
+    table.
+
+    Top-bit contraction.  H_{n-1} is half of that work, and only its
+    mean is needed.  When 0 < band < n-1, the top bit of j < 2^(n-1) is
+    the top window bit of f_{n-1}: write w = b 2^(band-1) + v and
+    j = b 2^(n-2) + i with i = v 2^(n-1-band) + t, so that
+    H_{n-1}(j) = (c_w . b_t) H_{n-2}(i).  Summing over b first,
+
+        sum_j H_{n-1}(j) = sum_v (c_v + c_{v + 2^(band-1)})
+                                 . sum_t H_{n-2}(v, t) b_t,
+
+    which is one matrix product of H_{n-2}, as a (2^(band-1), 2^(n-1-band))
+    table per cell, with the transposed tail basis of layer n-1.  That
+    reads H_{n-2} once and never builds H_{n-1}, so a cell builds about
+    2^(n-1) entries in all, each one matrix entry and one multiply.
     """
 
     def __init__(self, n: int, band: int):
         self.n, self.band = n, band
         self.std = np.array(standard_phases(band))
         self.window = _window_bits(band)
-        # (cos tau_L, sin tau_L) for L = band+1..n-1
-        self.tails = []
+        # [1; cos tau_L; sin tau_L] for L = band+1..n-1
+        self.bases = []
         for L in range(band + 1, n):
             t = np.arange(1 << (L - band))
             tau = np.zeros(len(t))
             for d in range(band + 1, L + 1):
                 tau -= np.pi / 2**d * ((t >> (L - d)) & 1)
-            self.tails.append((np.cos(tau), np.sin(tau)))
+            self.bases.append(np.stack([np.ones(len(t)), np.cos(tau), np.sin(tau)]))
 
     def success(self, phases) -> float:
         return float(self.success_many(np.asarray([phases], dtype=float))[0])
@@ -262,37 +280,51 @@ class _DiagonalModel:
         n, band = self.n, self.band
         offsets = phase_grid - self.std
         out = np.empty(phase_grid.shape[0])
-        # chunk so the widest layer, H_{n-1}, holds about 2^16 floats
-        # (512 KiB); chunks of 2^18 and 2^20 floats scanned no faster
+        # f_{n-1} is summed over its top bit instead of built when that bit is
+        # a window bit (band > 0) and f_{n-1} has a tail (band < n-1)
+        contract = 0 < band < n - 1
+        top = n - 2 if contract else n - 1
+        # chunk so 2^(n-1) entries per row hold about 2^16 floats: twice the
+        # rows scanned the phase table 2% faster but peaked 1.5 MB higher
         chunk = max(1, (1 << 16) >> (n - 1))
-        # H_L is written into one of two buffers allocated once per call: fresh
-        # 512 KiB temporaries per chunk and layer cost up to twice the scan's
-        # time in page faults, depending on the allocator's state
-        layers = np.empty((2, min(chunk, len(out)) << (n - 1)))
-        scratch = np.empty(layers.shape[1])
+        rows = min(chunk, len(out))
+        # every buffer is allocated once per call: fresh 512 KiB temporaries
+        # per chunk and layer cost up to twice the scan's time in page
+        # faults, depending on the allocator's state
+        layers = np.empty((2, rows << top))
+        sums = np.empty((rows, 1 << band))
+        coef = np.empty((rows << band, 3))
+        coef[:, 0] = 0.5
+        if contract:
+            pairs = np.empty((rows << (band - 1), 3))
+            moments = np.empty(pairs.shape)
         for start in range(0, len(out), chunk):
             block = offsets[start : start + chunk]
             rows = block.shape[0]
-            s = np.zeros((rows, 1 << band))
-            for d in range(band):
-                s += block[:, d, None] * self.window[d]
-            half_cos, half_sin = 0.5 * np.cos(s), 0.5 * np.sin(s)
+            s = np.matmul(block, self.window, out=sums[:rows])
+            c = coef[: rows << band]
+            np.cos(s.ravel(), out=c[:, 1])
+            np.sin(s.ravel(), out=c[:, 2])
+            c[:, 1:] *= (0.5, -0.5)
             prev = np.ones((rows, 1))
-            for L in range(1, n):
+            for L in range(1, top + 1):
                 factor = layers[L % 2, : rows << L].reshape(rows, 1 << L)
                 if L <= band:
-                    np.add(half_cos[:, :: 1 << (band - L)], 0.5, out=factor)
+                    np.add(c[:, 1].reshape(rows, -1)[:, :: 1 << (band - L)], 0.5, out=factor)
                 else:
-                    tail_cos, tail_sin = self.tails[L - band - 1]
-                    shape = (rows, 1 << band, -1)
-                    wide, term = factor.reshape(shape), scratch[: rows << L].reshape(shape)
-                    np.multiply(half_cos[:, :, None], tail_cos, out=wide)
-                    np.multiply(half_sin[:, :, None], tail_sin, out=term)
-                    wide -= term
-                    wide += 0.5
+                    np.matmul(c, self.bases[L - band - 1], out=factor.reshape(rows << band, -1))
                 factor.reshape(rows, 2, -1)[...] *= prev[:, None, :]
                 prev = factor
-            out[start : start + rows] = prev.mean(axis=1)
+            if contract:
+                # sum over the window's top bit first, then one pass over H_{n-2}
+                p, m = pairs[: rows << (band - 1)], moments[: rows << (band - 1)]
+                halves = c.reshape(rows, 2, -1, 3)
+                np.add(halves[:, 0], halves[:, 1], out=p.reshape(rows, -1, 3))
+                np.matmul(prev.reshape(len(m), -1), self.bases[-1].T, out=m)
+                m *= p
+                out[start : start + rows] = m.reshape(rows, -1).sum(axis=1) / (1 << (n - 1))
+            else:
+                out[start : start + rows] = prev.mean(axis=1)
         return out
 
 

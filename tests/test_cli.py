@@ -1,8 +1,12 @@
 """Command-line interface: outputs, manifests, reproducibility, exit codes."""
 
 import json
+import os
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from gatelearn import (
     AqftInstance,
@@ -36,6 +40,23 @@ class TestGroverCommand:
         assert manifest["master_seed"] == 42
         assert manifest["problem"]["n_elements"] == 16
         assert manifest["feedback"]["strategy"] == "double_push"
+
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "results"
+        assert run_cli(["grover", "--n-elements", "16", "--iterations", "5", "--runs", "2",
+                        "--grid-size", "64", "--out", str(out)]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "cpu_count", "thread_vars"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["thread_vars"] == {
+            "OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "3",
+            "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
+        }
 
     def test_rerun_with_manifest_settings_is_byte_identical(self, tmp_path):
         """A config rebuilt from manifest.json alone reproduces every data file."""

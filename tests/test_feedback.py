@@ -342,3 +342,18 @@ class TestController:
     def test_non_finite_constants_rejected_at_config(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             FeedbackConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("kickstart_enabled", "no"),
+        ("kickstart_enabled", 1),
+        ("kickstart_enabled", None),
+        ("initial_push_cells", 2.5),
+        ("initial_push_cells", 2.0),
+        ("initial_push_cells", True),
+        ("initial_push_cells", "8"),
+    ])
+    def test_wrong_types_rejected_at_config(self, field, value):
+        # "no" is truthy and would turn the kickstart on; 2.5 cells would be
+        # rounded inside the push
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            FeedbackConfig(**{field: value})

@@ -1,10 +1,15 @@
 """Banded Fourier circuit: DFT equivalence, trials, averaged success."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gatelearn
 from gatelearn import (
     AqftInstance,
     average_success,
@@ -224,15 +229,20 @@ class TestAverageSuccess:
         for i in range(12):
             assert abs(values[i] - average_success(inst.with_phases(grid[i]))) < 1e-12
 
-    # at n=12 a chunk holds 32 rows, so the 40 rows span a full and a partial chunk
-    @pytest.mark.parametrize("n,m", [(2, 1), (5, 0), (6, 2), (9, 3), (12, 1)])
+    # (3, 2) has no tail, so the widest layer is averaged as built; (4, 2)
+    # is the smallest cell whose widest layer is contracted; at n=12 a chunk
+    # holds 32 rows, so 40 rows span a full and a partial chunk, and at n=10
+    # a chunk holds 128, so (10, 3) scans 200 rows
+    @pytest.mark.parametrize("n,m", [(2, 1), (5, 0), (6, 2), (9, 3), (12, 1),
+                                     (3, 2), (4, 2), (10, 3)])
     def test_map_equals_full_k_table(self, n, m):
         # the closed product form spelled out on all (n, 2^n) entries of
-        # delta_i(k), built from the bits of k; the map's angle addition and
-        # doubling product round differently, so agreement is to 1e-14
+        # delta_i(k), built from the bits of k; the map's angle addition,
+        # doubling product and top-bit contraction round differently, so
+        # agreement is to 1e-14
         k = np.arange(1 << n)
         bits = (k[None, :] >> np.arange(n)[:, None]) & 1
-        grid = np.random.default_rng(n + m).uniform(-7, 7, (40, m))
+        grid = np.random.default_rng(n + m).uniform(-7, 7, (200 if n == 10 else 40, m))
         expected = np.empty(len(grid))
         for row, phases in enumerate(grid):
             delta = np.zeros((n, 1 << n))
@@ -244,6 +254,29 @@ class TestAverageSuccess:
             expected[row] = (np.cos(delta / 2.0) ** 2).prod(axis=0).mean()
         np.testing.assert_allclose(average_success_map(AqftInstance.standard(n, m), grid),
                                    expected, rtol=0, atol=1e-14)
+
+    def test_map_bytes_do_not_depend_on_blas_threads(self):
+        # the tail factors and the contraction are BLAS matrix products; a
+        # thread split of either must not change a bit of the n=10, band 3
+        # coarse scan the optimizer runs
+        script = (
+            "import hashlib\n"
+            "from gatelearn import AqftInstance, average_success_map\n"
+            "from gatelearn.optimize import _coarse_grid\n"
+            "values = average_success_map(AqftInstance.standard(10, 3), _coarse_grid(3))\n"
+            "print(hashlib.sha256(values.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(gatelearn.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path,
+                   "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
     def test_set_up_memory_at_sixteen_qubits(self):
         # the map builds no (cells, 2^n) table: a 256-cell map at n=16 stays
