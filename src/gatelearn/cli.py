@@ -208,12 +208,12 @@ def _cmd_aqft(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     if not (args.qubits and args.bands):
         raise ValueError("--qubits and --bands each need at least one value")
+    # every cell is checked before the first one is optimized
+    for m in args.bands:
+        if not 1 <= m <= 3:
+            raise ValueError(f"band {m} not supported; bands 1 to 3")
     for n in args.qubits:
-        for m in args.bands:
-            if m > 3:
-                raise ValueError(f"band {m} not supported; bands up to 3")
-            if n < 2:
-                raise ValueError(f"qubit count {n} too small")
+        AqftInstance.standard(n, 1)  # rejects a register outside [2, 20] qubits
     rows = improvement_table(args.qubits, args.bands)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(improvement_table_csv(rows))

@@ -60,7 +60,14 @@ from .parameter import (
     expected_success_batch,
     uniform_init,
 )
-from .qft import AqftInstance, ProductFormTrials, average_success_map
+from .qft import (
+    AqftInstance,
+    ProductFormTrials,
+    average_success_map,
+    spectrum_on_grid,
+    spectrum_phases,
+    success_spectrum,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -180,7 +187,10 @@ class _FourierTrials:
         axes = [uniform_init(grid_size).axis_values(0)] * instance.band
         mesh = np.meshgrid(*axes, indexing="ij")
         phase_grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        success = average_success_map(instance, phase_grid).reshape(shape)
+        # the success is a trigonometric polynomial of the phases: a small
+        # exact sample fixes it, and its spectrum gives every grid cell
+        samples = average_success_map(instance, spectrum_phases(instance))
+        success = spectrum_on_grid(success_spectrum(instance, samples), shape)
         self.success_map = checked_success_map(success, shape)
         self.success_map.flags.writeable = False  # checked once, shared by every run
         self._dim = instance.dim

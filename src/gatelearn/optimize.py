@@ -1,13 +1,16 @@
-"""Derivative-free optimization of the trainable circuit phases.
+"""Exact optimization of the trainable circuit phases.
 
 Produces the classical reference values the trained ensembles are
 compared against: the best achievable averaged success of the banded
 Fourier circuit over its phase angles, the relative improvement over
 the standard angles, and the ideal-search reference curve.
 
-The landscape is periodic and mildly multimodal, so each cell runs a
-dense coarse scan over the full phase torus followed by coordinate-wise
-golden-section refinement down to 1e-4 rad.  Everything is
+The k-averaged success is a trigonometric polynomial of degree at most
+n - d in phase d, so a small uniform sample fixes it exactly and one
+FFT gives its coefficients (:func:`gatelearn.qft.success_spectrum`).
+The optimizer finds the basin on a fine grid of that polynomial, which
+costs no further success evaluations, and refines it by Newton steps on
+the polynomial's exact gradient and Hessian.  Everything is
 deterministic: no randomness enters, so repeated runs agree bit for
 bit.
 """
@@ -21,7 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grover import reference_max_success
-from .qft import AqftInstance, average_success, average_success_map, standard_phases
+from .qft import (
+    AqftInstance,
+    average_success,
+    average_success_map,
+    spectrum_derivatives,
+    spectrum_on_grid,
+    spectrum_phases,
+    standard_phases,
+    success_spectrum,
+)
 
 __all__ = [
     "OptimizationResult",
@@ -31,16 +43,9 @@ __all__ = [
     "grover_reference_curve",
 ]
 
-#: coarse-scan density per phase dimension; three-phase cells use a coarser
-#: scan (the optimum basin spans several tenths of a radian) to keep the
-#: full improvement table within its time budget
-COARSE_POINTS = {1: 64, 2: 64, 3: 32}
-PHASE_RESOLUTION = 1e-4
 #: improvements below this many percent count as "no practical gain";
 #: such table cells are reported blank
 BLANK_BELOW_PERCENT = 0.5
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -54,73 +59,59 @@ class OptimizationResult:
     evaluations: int
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float):
-    """Golden-section maximization on [lo, hi]; returns (x, evaluations)."""
-    evals = 0
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    evals += 2
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-        evals += 1
-    return 0.5 * (lo + hi), evals
+def _newton(spectrum: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Newton steps on the success polynomial while it is locally concave.
 
-
-def _coarse_grid(m: int) -> np.ndarray:
-    """(COARSE_POINTS[m]^m, m) scan points over the phase torus, last phase fastest."""
-    axis = np.linspace(0.0, 2.0 * np.pi, COARSE_POINTS[m], endpoint=False)
-    return np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
+    Stops where the Hessian is not negative definite (written so that a
+    NaN stops too), once a step falls below 1e-13 rad, or after 50
+    steps; from a basin's grid point it converges in a few.
+    """
+    for _ in range(50):
+        _, gradient, hessian = spectrum_derivatives(spectrum, phases)
+        if not np.linalg.eigvalsh(hessian).max() < 0.0:
+            break
+        step = np.linalg.solve(hessian, -gradient)
+        phases = phases + step
+        if not np.linalg.norm(step) >= 1e-13:
+            break
+    return phases
 
 
 def optimize_phases(instance: AqftInstance) -> OptimizationResult:
     """Maximize the k-averaged trial success over the instance's phases.
 
-    Supports 1 to 3 trained phases.  A full coarse grid over [0, 2 pi)
-    locates the basin (64 points per dimension, 32 for three-phase
-    cells); two coordinate-descent sweeps of golden-section search
-    refine to 1e-4 rad.  The standard phases are always evaluated, so
-    the reported optimum can never fall below the baseline.
+    Supports 1 to 3 trained phases.  The success is sampled exactly on
+    2(n - d) + 2 uniform points per phase axis d, which fixes it as a
+    trigonometric polynomial; its coefficients locate the basin on a
+    grid of max(64, P_d) points per axis (max(32, P_d) for three-phase
+    cells) without new evaluations, and Newton steps on the exact
+    gradient and Hessian refine the best grid point.  The result is the
+    best of three exact evaluations: at the Newton point, the best
+    sample, and the standard phases, so the reported optimum never
+    falls below the baseline or the sample.  ``evaluations`` counts the
+    exact success evaluations.
     """
     m = instance.band
     if not 1 <= m <= 3:
         raise ValueError("phase optimization supports 1 to 3 trained phases")
     std = standard_phases(m)
     baseline = average_success(instance.with_phases(std))
-    evaluations = 1
 
-    grid = _coarse_grid(m)
-    values = average_success_map(instance.with_phases(std), grid)
-    evaluations += grid.shape[0]
-    best_idx = int(np.argmax(values))
-    best_phases = list(grid[best_idx])
-    best_value = float(values[best_idx])
-    if baseline > best_value:
-        best_phases, best_value = list(std), baseline
-
-    span = 2.0 * np.pi / COARSE_POINTS[m]
-    for _ in range(2):
-        for d in range(m):
-            def along(x, d=d):
-                trial = list(best_phases)
-                trial[d] = x
-                return average_success(instance.with_phases(trial))
-
-            x, used = _golden_section_max(
-                along, best_phases[d] - span, best_phases[d] + span, PHASE_RESOLUTION
-            )
-            evaluations += used + 1
-            candidate = along(x)
-            if candidate > best_value:
-                best_phases[d] = x
-                best_value = candidate
+    sample_phases = spectrum_phases(instance)
+    samples = average_success_map(instance, sample_phases)
+    spectrum = success_spectrum(instance, samples)
+    # the basin scan: 64 points per axis, 32 for three phases, and never
+    # coarser than the sample
+    shape = tuple(max(64 if m < 3 else 32, size + 1) for size in spectrum.shape)
+    start = np.unravel_index(np.argmax(spectrum_on_grid(spectrum, shape)), shape)
+    peak = _newton(spectrum, 2.0 * np.pi * np.array(start) / np.array(shape)) % (2.0 * np.pi)
+    best = int(np.argmax(samples))
+    candidates = (
+        (average_success(instance.with_phases(peak)), peak),
+        (float(samples[best]), sample_phases[best]),
+        (baseline, std),
+    )
+    best_value, best_phases = max(candidates, key=lambda c: c[0])
 
     improvement = 100.0 * (best_value - baseline) / baseline
     return OptimizationResult(
@@ -128,7 +119,7 @@ def optimize_phases(instance: AqftInstance) -> OptimizationResult:
         best_value=best_value,
         baseline_value=baseline,
         improvement_percent=improvement,
-        evaluations=evaluations,
+        evaluations=len(samples) + 2,
     )
 
 

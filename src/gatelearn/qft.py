@@ -35,6 +35,10 @@ __all__ = [
     "ProductFormTrials",
     "average_success",
     "average_success_map",
+    "spectrum_phases",
+    "success_spectrum",
+    "spectrum_on_grid",
+    "spectrum_derivatives",
 ]
 
 _MAX_QUBITS = 20
@@ -346,3 +350,88 @@ def average_success_map(instance: AqftInstance, phase_grid: np.ndarray) -> np.nd
     """Exact k-averaged success for every row of a (cells, band) phase table."""
     phase_grid = _checked_phase_grid(instance, phase_grid)
     return _diagonal_model(instance.n_qubits, instance.band).success_many(phase_grid)
+
+
+# ---------------------------------------------------------------------------
+# the averaged success as a trigonometric polynomial of the phases
+
+def _sample_shape(instance: AqftInstance) -> tuple:
+    return tuple(2 * (instance.n_qubits - d) + 2 for d in range(1, instance.band + 1))
+
+
+def _frequencies(points: int) -> np.ndarray:
+    """Frequencies -D..D along a spectrum axis of 2D + 1 coefficients."""
+    return np.arange(points) - points // 2
+
+
+def spectrum_phases(instance: AqftInstance) -> np.ndarray:
+    """The ``(cells, band)`` phase table whose success values fix the spectrum.
+
+    delta_L is linear in phase_d with coefficient b_{L-d} in {0, 1}, so
+    the factor cos^2(delta_L / 2) = (1 + cos delta_L) / 2 has degree at
+    most 1 in phase_d, and only the n - d layers L >= d hold phase_d.
+    The k-averaged success is therefore a trigonometric polynomial of
+    degree at most D_d = n - d in phase_d, and P_d = 2 D_d + 2 uniform
+    points 2 pi j / P_d per axis sample it without aliasing, with the
+    Nyquist bin empty.  Rows run over the (P_1, ..., P_band) grid, last
+    phase fastest.  Needs band >= 1.
+    """
+    axes = [np.arange(p) * (2.0 * np.pi / p) for p in _sample_shape(instance)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
+def success_spectrum(instance: AqftInstance, samples) -> np.ndarray:
+    """Fourier coefficients of the k-averaged success over the phases.
+
+    ``samples`` holds the success at the rows of
+    :func:`spectrum_phases`.  Entry ``[D_1 + f_1, ..., D_band + f_band]``
+    of the returned ``(2 D_1 + 1, ..., 2 D_band + 1)`` array is the
+    coefficient of e^{i f . phase}; the sample's Nyquist bin, which the
+    polynomial leaves empty up to rounding, is dropped.
+    """
+    shape = _sample_shape(instance)
+    # after the shift, frequency f of an axis sits at P/2 + f and the
+    # Nyquist frequency -P/2 at 0
+    spectrum = np.fft.fftshift(np.fft.fftn(np.reshape(samples, shape), norm="forward"))
+    return spectrum[(slice(1, None),) * len(shape)]
+
+
+def spectrum_on_grid(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
+    """The polynomial on the uniform grid of ``shape``: cell j at phases 2 pi j / shape.
+
+    At the G points of an axis, frequency f takes the same values as
+    f mod G, so each axis folds its coefficients modulo G, which stays
+    exact whether G is above or below the sample size, and one inverse
+    FFT evaluates every cell.
+    """
+    folded = spectrum
+    for axis, size in enumerate(shape):
+        index = (slice(None),) * axis + (_frequencies(spectrum.shape[axis]) % size,)
+        wrapped = np.zeros(folded.shape[:axis] + (size,) + folded.shape[axis + 1 :], complex)
+        np.add.at(wrapped, index, folded)
+        folded = wrapped
+    # the polynomial is real, so the upper half of the last axis only
+    # repeats the conjugate of the lower half
+    half = folded[..., : shape[-1] // 2 + 1]
+    return np.fft.irfftn(half, shape, axes=range(len(shape)), norm="forward")
+
+
+def spectrum_derivatives(spectrum: np.ndarray, phases) -> tuple:
+    """``(value, gradient, hessian)`` of the polynomial at one phase vector.
+
+    The exponentials factorize over the axes, so each axis in turn is
+    contracted with its derivatives of order 0, 1 and 2,
+    (i f)^o e^{i f phase_d}, leaving a (3,) * band table indexed by the
+    derivative order along each axis.
+    """
+    table = spectrum
+    for phase in phases:
+        freqs = _frequencies(table.shape[0])
+        orders = (1j * freqs) ** np.arange(3)[:, None] * np.exp(1j * freqs * phase)
+        table = np.tensordot(table, orders, axes=(0, 1))
+    table = table.real
+    unit = np.eye(len(phases), dtype=int)
+    gradient = np.array([table[tuple(a)] for a in unit])
+    hessian = np.array([[table[tuple(a + b)] for b in unit] for a in unit])
+    return table[(0,) * len(phases)], gradient, hessian

@@ -25,7 +25,14 @@ from .oracle import (
     trial_success_amplitude,
 )
 from .parameter import invert_about_mean_batch, uniform_init
-from .qft import AqftInstance, ProductFormTrials, average_success_map
+from .qft import (
+    AqftInstance,
+    ProductFormTrials,
+    average_success_map,
+    spectrum_derivatives,
+    spectrum_phases,
+    success_spectrum,
+)
 
 __all__ = [
     "run_selftest",
@@ -34,6 +41,7 @@ __all__ = [
     "search_statevector_deviation",
     "fourier_draw_deviation",
     "success_map_deviation",
+    "spectrum_deviation",
     "bit_reversed_order",
     "walk_dense_deviation",
     "walk_kernel_deviation",
@@ -239,6 +247,21 @@ def success_map_deviation(n: int, band: int, phases) -> float:
     return worst
 
 
+def spectrum_deviation(n: int, band: int, phases) -> float:
+    """Worst gap between the success's spectrum interpolant and the success map.
+
+    The spectrum comes from the exact sample at
+    :func:`gatelearn.qft.spectrum_phases`; ``phases`` is a ``(cells,
+    band)`` table of points off that sample, where the interpolant's
+    value is compared with :func:`average_success_map`.
+    """
+    instance = AqftInstance.standard(n, band)
+    phases = np.atleast_2d(np.asarray(phases, dtype=float))
+    spectrum = success_spectrum(instance, average_success_map(instance, spectrum_phases(instance)))
+    interpolant = [spectrum_derivatives(spectrum, row)[0] for row in phases]
+    return float(np.abs(np.subtract(interpolant, average_success_map(instance, phases))).max())
+
+
 def _check_joint_oracle() -> str:
     theta = np.random.default_rng(5).uniform(0, np.pi, 3)[:2]
     mismatches, worst = joint_oracle_deviation(theta, seed=123)
@@ -300,6 +323,15 @@ def _check_success_map() -> str:
     return "k-averaged success map matches the statevector average"
 
 
+def _check_spectrum() -> str:
+    rng = np.random.default_rng(17)
+    for n, band in ((3, 1), (7, 2), (9, 3), (12, 1)):
+        worst = spectrum_deviation(n, band, rng.uniform(-20, 20, (8, band)))
+        if not worst <= 1e-12:
+            raise AssertionError(f"spectrum interpolant off by {worst:.2e} at n={n}")
+    return "spectrum interpolant matches the success map at off-grid phases"
+
+
 def _check_inversion() -> str:
     rng = np.random.default_rng(7)
     amps = rng.normal(size=64) + 1j * rng.normal(size=64)
@@ -320,6 +352,7 @@ _CHECKS = (
     _check_qft_circuit,
     _check_fourier_draw,
     _check_success_map,
+    _check_spectrum,
     _check_inversion,
 )
 

@@ -15,6 +15,7 @@ from gatelearn import (
     GroverInstance,
     run_ensemble,
 )
+from gatelearn import cli
 from gatelearn.cli import parse_and_dispatch
 from gatelearn.harness import write_histogram_csv, write_runs_csv, write_summary_json
 
@@ -169,6 +170,24 @@ class TestTableCommand:
         assert "at least one value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("qubits,bands,message", [
+        ("6,25", "1", "n_qubits must be in [2, 20]"),
+        ("1,6", "1", "n_qubits must be in [2, 20]"),
+        ("6", "1,0", "band 0 not supported"),
+        ("6", "4", "band 4 not supported"),
+    ])
+    def test_bad_cell_fails_before_any_optimization(self, tmp_path, capsys, monkeypatch,
+                                                     qubits, bands, message):
+        def unexpected(*args):
+            raise AssertionError("the table was computed before the cells were checked")
+
+        monkeypatch.setattr(cli, "improvement_table", unexpected)
+        out = tmp_path / "t1.csv"
+        status = run_cli(["table1", "--qubits", qubits, "--bands", bands, "--out", str(out)])
+        assert status == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCurveCommand:
     def test_curve_csv(self, tmp_path):
@@ -183,7 +202,7 @@ class TestCurveCommand:
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
         assert run_cli(["selftest"]) == 0
-        assert "all 8 checks passed" in capsys.readouterr().out
+        assert "all 9 checks passed" in capsys.readouterr().out
 
 
 class TestUsageErrors:

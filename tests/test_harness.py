@@ -12,6 +12,7 @@ from gatelearn import (
     ExperimentConfig,
     FeedbackConfig,
     GroverInstance,
+    average_success_map,
     quantile_analysis,
     run_ensemble,
     run_learning,
@@ -218,6 +219,19 @@ class TestProductFormEngine:
         np.testing.assert_allclose(fast.expected_success, slow.expected_success,
                                    rtol=0, atol=1e-12)
         assert fast.passed.any() and not fast.passed.all()
+
+    # the map comes from the success's spectrum, folded to the grid: at
+    # n=17 the 34-point sample is finer than the 16-cell grid, at n=9,
+    # band 2 an odd 7-cell grid is coarser than both 18- and 16-point axes
+    @pytest.mark.parametrize("n,band,grid_size", [(6, 1, 256), (17, 1, 16), (9, 2, 7),
+                                                  (6, 2, 64)])
+    def test_success_map_equals_the_map_of_every_cell(self, n, band, grid_size):
+        problem = AqftInstance.standard(n, band)
+        axes = [uniform_init(grid_size).axis_values(0)] * band
+        cells = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        expected = average_success_map(problem, cells).reshape((grid_size,) * band)
+        np.testing.assert_allclose(harness._trials(problem, grid_size).success_map, expected,
+                                   rtol=0, atol=1e-12)
 
     def test_loop_never_runs_the_statevector(self, monkeypatch):
         def refuse(*args):

@@ -1,20 +1,20 @@
 """Phase optimization: baselines, improvements, table structure, curve."""
 
-from itertools import product
-
 import numpy as np
 import pytest
 
 from gatelearn import (
     AqftInstance,
     average_success,
+    average_success_map,
     grover_reference_curve,
     improvement_table,
     optimize_phases,
     reference_max_success,
     standard_phases,
 )
-from gatelearn.optimize import COARSE_POINTS, _coarse_grid, improvement_table_csv
+from gatelearn.optimize import improvement_table_csv
+from gatelearn.qft import spectrum_derivatives, spectrum_phases, success_spectrum
 
 
 class TestOptimizePhases:
@@ -45,10 +45,20 @@ class TestOptimizePhases:
         check = average_success(inst.with_phases(result.best_phases))
         assert abs(check - result.best_value) < 1e-12
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_coarse_grid_matches_tuple_product(self, m):
-        axis = np.linspace(0.0, 2.0 * np.pi, COARSE_POINTS[m], endpoint=False)
-        np.testing.assert_array_equal(_coarse_grid(m), np.array(list(product(axis, repeat=m))))
+    @pytest.mark.parametrize("n,m,points", [(10, 1, 4096), (8, 2, 128)])
+    def test_beats_dense_grid_best_sample_and_baseline(self, n, m, points):
+        # brute force: the optimum is at least the best of a dense grid of the
+        # success itself, of the optimizer's own exact sample, and of the
+        # standard phases
+        inst = AqftInstance.standard(n, m)
+        result = optimize_phases(inst)
+        axis = np.arange(points) * (2.0 * np.pi / points)
+        dense = np.stack([g.reshape(-1) for g in np.meshgrid(*[axis] * m, indexing="ij")], axis=1)
+        samples = average_success_map(inst, spectrum_phases(inst))
+        assert result.best_value >= average_success_map(inst, dense).max()
+        assert result.best_value >= samples.max()
+        assert result.best_value >= result.baseline_value
+        assert result.evaluations == len(samples) + 2
 
     def test_band_out_of_range(self):
         with pytest.raises(ValueError):
@@ -82,6 +92,16 @@ class TestImprovementTable:
         by_band = {r["band"]: r for r in rows}
         assert by_band[3]["baseline"] is None
         assert by_band[3]["improvement_percent"] is None
+
+    def test_filled_cells_are_stationary(self, small_table):
+        # the reported phases are the polynomial's stationary point, not a
+        # grid point or the standard phases
+        for row in small_table:
+            if row["best_phases"] is not None:
+                inst = AqftInstance.standard(row["n_qubits"], row["band"])
+                spectrum = success_spectrum(inst, average_success_map(inst, spectrum_phases(inst)))
+                _, gradient, _ = spectrum_derivatives(spectrum, row["best_phases"])
+                assert np.abs(gradient).max() < 1e-9
 
     def test_csv_rendering(self, small_table):
         text = improvement_table_csv(small_table)

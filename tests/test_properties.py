@@ -22,7 +22,7 @@ from gatelearn.backaction import distribution_batch, outcome_table
 from gatelearn.feedback import apply_quantum_walk_batch, on_failure_batch
 from gatelearn.oracle import PureState, apply_controlled_phase, apply_single_qubit_gate
 from gatelearn.parameter import invert_about_mean_batch, translate_batch
-from gatelearn.selftest import fourier_draw_deviation, success_map_deviation
+from gatelearn.selftest import fourier_draw_deviation, spectrum_deviation, success_map_deviation
 
 RNG = np.random.default_rng(20260808)
 
@@ -263,6 +263,25 @@ def test_success_map_matches_statevector_average(data):
         st.lists(st.tuples(*[angle] * band), min_size=1, max_size=4), label="phase rows"
     )
     assert success_map_deviation(n, band, rows) <= 1e-12
+
+
+def off_sample_grid(points):
+    """Angles in [-20, 20] away from the P-point sample grid 2 pi j / P."""
+    def off(x):
+        turns = x * points / (2.0 * np.pi)
+        return abs(turns - round(turns)) > 1e-6
+    return st.floats(-20.0, 20.0).filter(off)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_spectrum_interpolant_matches_success_map(data):
+    """Off its sample grid, the success's spectrum interpolant equals the success map."""
+    n = data.draw(st.integers(2, 12), label="n")
+    band = data.draw(st.integers(1, min(3, n - 1)), label="band")
+    columns = [off_sample_grid(2 * (n - d) + 2) for d in range(1, band + 1)]
+    rows = data.draw(st.lists(st.tuples(*columns), min_size=1, max_size=4), label="phase rows")
+    assert spectrum_deviation(n, band, rows) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

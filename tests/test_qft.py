@@ -257,13 +257,15 @@ class TestAverageSuccess:
 
     def test_map_bytes_do_not_depend_on_blas_threads(self):
         # the tail factors and the contraction are BLAS matrix products; a
-        # thread split of either must not change a bit of the n=10, band 3
-        # coarse scan the optimizer runs
+        # thread split of either must not change a bit of an n=10, band 3
+        # map over a 32^3 grid
         script = (
             "import hashlib\n"
+            "import numpy as np\n"
             "from gatelearn import AqftInstance, average_success_map\n"
-            "from gatelearn.optimize import _coarse_grid\n"
-            "values = average_success_map(AqftInstance.standard(10, 3), _coarse_grid(3))\n"
+            "axis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)\n"
+            "grid = np.stack(np.meshgrid(*[axis] * 3, indexing='ij'), axis=-1).reshape(-1, 3)\n"
+            "values = average_success_map(AqftInstance.standard(10, 3), grid)\n"
             "print(hashlib.sha256(values.tobytes()).hexdigest())\n"
         )
         src = str(Path(gatelearn.__file__).resolve().parent.parent)
