@@ -223,6 +223,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_grover_curve(args: argparse.Namespace) -> int:
+    if not args.n_elements:
+        raise ValueError("--n-elements needs at least one value")
     rows = grover_reference_curve(args.n_elements)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["target_overlap,n_elements,max_success"]

@@ -1,10 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its integer-setting check.
 
 Configuration mistakes (bad indices, non-unitary gates, inconsistent
-shapes) raise the built-in ``ValueError``.  ``NumericsError`` is reserved
+shapes, non-integral sizes) raise the built-in ``ValueError``.  ``NumericsError`` is reserved
 for diagnostics that indicate numerical corruption upstream, e.g. a state
 whose norm has drifted beyond tolerance.
 """
+
+import numbers
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a setting that is not an integer; numpy integers pass.
+
+    A bool is an int to Python, but runs=True is a slip, not one run.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class NumericsError(RuntimeError):

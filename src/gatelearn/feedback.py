@@ -33,13 +33,12 @@ run; one run is a batch of one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, check_integer
 from .parameter import dephase_batch, invert_about_mean_batch, translate_batch
 
 __all__ = [
@@ -90,12 +89,7 @@ class FeedbackConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}; use one of {STRATEGIES}")
         if not isinstance(self.kickstart_enabled, bool):
             raise ValueError(f"kickstart_enabled must be a bool, got {self.kickstart_enabled!r}")
-        if isinstance(self.initial_push_cells, bool) or not isinstance(
-            self.initial_push_cells, numbers.Integral
-        ):
-            raise ValueError(
-                f"initial_push_cells must be an integer, got {self.initial_push_cells!r}"
-            )
+        check_integer("initial_push_cells", self.initial_push_cells)
         if self.initial_push_cells < 1:
             raise ValueError("initial_push_cells must be >= 1")
         for name in ("walk_strength", "walk_floor", "walk_escalation", "push_asymmetry"):

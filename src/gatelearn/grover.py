@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_integer
 from .parameter import ParameterState
 
 __all__ = [
@@ -54,6 +55,8 @@ class GroverInstance:
     iterations: int
 
     def __post_init__(self):
+        check_integer("n_elements", self.n_elements)
+        check_integer("iterations", self.iterations)
         if self.n_elements < 2:
             raise ValueError("search space needs at least 2 elements")
         if self.iterations < 1:

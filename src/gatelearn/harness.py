@@ -1,11 +1,13 @@
 """Run-measure-verify-feedback training loops and seeded ensembles.
 
-One learning run repeats, for a fixed number of iterations: build the
-per-grid-cell outcome data of a fresh trial, sample one projective
-outcome (which filters the parameter wavefunction), verify the outcome
-classically, and on failure apply the configured feedback.  Every run
-is driven by its own random stream, so a (config, seed) pair fixes
-every number exactly.
+One learning run repeats, for a fixed number of iterations: run a
+trial, sample one projective outcome (which filters the parameter
+wavefunction), verify the outcome classically, and on failure apply
+the configured feedback.  No per-trial outcome table is built: search
+trials read one pass/fail table shared by every iteration, and Fourier
+trials draw the outcome bit by bit and build only the drawn outcome's
+amplitude column.  Every run is driven by its own random stream, so a
+(config, seed) pair fixes every number exactly.
 
 All runs of an ensemble are stepped together: the wavefunctions form
 one ``(runs, *grid_shape)`` array, the feedback acts on the rows of the
@@ -37,7 +39,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -52,6 +53,7 @@ from .backaction import (
     outcome_table,
     sample_batch,
 )
+from .errors import check_integer
 from .feedback import FeedbackConfig, on_failure_batch
 from .grover import GroverInstance, _amplitudes_for_phases
 from .parameter import (
@@ -103,9 +105,7 @@ class ExperimentConfig:
                              f" got {type(self.problem).__name__}")
         for name, low in (("iterations", 1), ("runs", 1), ("grid_size", 2), ("master_seed", 0)):
             value = getattr(self, name)
-            # a bool is an int to Python, but runs=True is a slip, not one run
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, value)
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
         if isinstance(self.problem, AqftInstance) and not 1 <= self.problem.band <= 2:

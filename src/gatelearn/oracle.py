@@ -1,5 +1,8 @@
 """Slow, independent oracles of the fast paths, for the tests and ``gatelearn selftest``.
 
+Every reference lives here, built once; the comparisons live in
+:mod:`gatelearn.selftest` and the tests.
+
 * A dense statevector engine for the qubit processor register.  States
   are complex amplitude vectors over the computational basis with
   little-endian ordering: qubit 0 is the least significant bit of the
@@ -9,9 +12,13 @@
   kernels operate on a 2-D array of shape (batch, 2**n) so that batched
   circuit evaluation (many parameter values, many input states) shares
   the exact same arithmetic as single states.
-* The banded Fourier circuit simulated gate by gate
-  (:func:`apply_aqft`, :func:`trial_output_batch`), the oracle of the
-  product forms in :mod:`gatelearn.qft`.
+* The banded Fourier circuit simulated gate by gate and the dense DFT
+  matrix, the oracles of the product forms in :mod:`gatelearn.qft`.
+* The full N-element search statevector, the oracle of the 2x2
+  recursion in :mod:`gatelearn.grover`.
+* The dense walk exponential and the walk's Bessel kernel, the oracles
+  of the FFT walk in :mod:`gatelearn.feedback`; they import scipy when
+  called, so ``import gatelearn`` stays free of it.
 * The explicit joint-state measurement :func:`brute_force_joint_step`,
   the oracle of the conditioning filter in :mod:`gatelearn.backaction`.
 
@@ -20,9 +27,12 @@ No module of the training loop imports this one.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import NumericsError
+from .grover import GroverInstance
 from .parameter import ParameterState
 from .qft import AqftInstance, _checked_phase_grid
 
@@ -31,13 +41,15 @@ __all__ = [
     "HADAMARD",
     "apply_single_qubit_gate",
     "apply_controlled_phase",
-    "apply_swap",
-    "measure_computational",
-    "amplitude",
     "apply_aqft",
-    "apply_aqft_inverse",
     "trial_success_amplitude",
     "trial_output_batch",
+    "average_success_statevector",
+    "bit_reversed_order",
+    "dft_matrix",
+    "search_statevector",
+    "walk_matrix",
+    "walk_bessel_kernel",
     "brute_force_joint_step",
 ]
 
@@ -90,14 +102,7 @@ class PureState:
             raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
         amps = np.zeros(dim, dtype=np.complex128)
         amps[index] = 1.0
-        state = cls.__new__(cls)
-        state.n_qubits = n_qubits
-        state.amplitudes = amps
-        return state
-
-    def probabilities(self) -> np.ndarray:
-        """|amplitude|^2 for each basis index."""
-        return np.abs(self.amplitudes) ** 2
+        return cls(n_qubits, amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -151,19 +156,6 @@ def _apply_swap(amps: np.ndarray, qa: int, qb: int) -> None:
     view[:, :, 1, :, 0, :] = tmp
 
 
-def _sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample with exactly one uniform draw.
-
-    The CDF is accumulated in ascending index order, so results are
-    reproducible for a fixed random stream regardless of how the
-    probabilities were produced.
-    """
-    cdf = np.cumsum(probabilities)
-    u = rng.random()
-    idx = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
-    return min(idx, len(probabilities) - 1)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -197,63 +189,21 @@ def apply_controlled_phase(state: PureState, control: int, target: int, angle: f
     return out
 
 
-def apply_swap(state: PureState, qubit_a: int, qubit_b: int) -> PureState:
-    """Exchange two qubits."""
-    n = state.n_qubits
-    if qubit_a == qubit_b:
-        raise ValueError("swap qubits must differ")
-    for q in (qubit_a, qubit_b):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    out = state.copy()
-    _apply_swap(out.amplitudes[None, :], qubit_a, qubit_b)
-    return out
-
-
-def measure_computational(state: PureState, rng: np.random.Generator) -> int:
-    """Projective measurement in the computational basis.
-
-    Returns a basis index sampled with probability |amplitude|^2, using
-    exactly one draw from ``rng`` (inverse CDF over ascending basis
-    order).  The input state is not modified.
-    """
-    probs = state.probabilities()
-    total = probs.sum()
-    if not abs(total - 1.0) <= _MEASURE_NORM_TOL:
-        raise NumericsError(f"state norm^2 {total} deviates from 1 beyond 1e-6")
-    return _sample_index(probs, rng)
-
-
-def amplitude(state: PureState, basis: int) -> complex:
-    """Amplitude of one computational basis state."""
-    if not 0 <= basis < state.amplitudes.size:
-        raise ValueError(f"basis index {basis} out of range")
-    return complex(state.amplitudes[basis])
-
-
 # ---------------------------------------------------------------------------
 # the banded Fourier circuit, gate by gate
 
-def _run_circuit(amps: np.ndarray, n: int, band: int, phases, inverse: bool = False) -> None:
+def _run_circuit(amps: np.ndarray, n: int, band: int, phases) -> None:
     """Apply the banded Fourier circuit in place on a (batch, 2**n) array.
 
     ``phases`` entries may be scalars or (batch,) arrays, enabling one
     vectorized pass over many parameter values.
     """
-    if not inverse:
-        for i in range(n - 1, -1, -1):
-            _apply_single_qubit(amps, i, HADAMARD)
-            for d in range(1, min(band, i) + 1):
-                _apply_cphase(amps, i, i - d, np.exp(1j * np.asarray(phases[d - 1])))
-        for i in range(n // 2):
-            _apply_swap(amps, i, n - 1 - i)
-    else:
-        for i in range(n // 2):
-            _apply_swap(amps, i, n - 1 - i)
-        for i in range(n):
-            for d in range(min(band, i), 0, -1):
-                _apply_cphase(amps, i, i - d, np.exp(-1j * np.asarray(phases[d - 1])))
-            _apply_single_qubit(amps, i, HADAMARD)
+    for i in range(n - 1, -1, -1):
+        _apply_single_qubit(amps, i, HADAMARD)
+        for d in range(1, min(band, i) + 1):
+            _apply_cphase(amps, i, i - d, np.exp(1j * np.asarray(phases[d - 1])))
+    for i in range(n // 2):
+        _apply_swap(amps, i, n - 1 - i)
 
 
 def apply_aqft(instance: AqftInstance, state: PureState) -> PureState:
@@ -264,20 +214,6 @@ def apply_aqft(instance: AqftInstance, state: PureState) -> PureState:
         )
     out = state.copy()
     _run_circuit(out.amplitudes[None, :], instance.n_qubits, instance.band, instance.phases)
-    return out
-
-
-def apply_aqft_inverse(instance: AqftInstance, state: PureState) -> PureState:
-    """Run the inverse of the banded circuit (undoes :func:`apply_aqft`)."""
-    if state.n_qubits != instance.n_qubits:
-        raise ValueError(
-            f"state has {state.n_qubits} qubits, circuit expects {instance.n_qubits}"
-        )
-    out = state.copy()
-    _run_circuit(
-        out.amplitudes[None, :], instance.n_qubits, instance.band, instance.phases,
-        inverse=True,
-    )
     return out
 
 
@@ -322,6 +258,80 @@ def trial_output_batch(instance: AqftInstance, k: int, phase_grid: np.ndarray) -
     return amps
 
 
+def average_success_statevector(instance: AqftInstance) -> float:
+    """The k-averaged pass probability, every trial simulated gate by gate.
+
+    Row k of one batch is the exact inverse-Fourier image of |k>; the
+    mean of |output_k[k]|^2 over all 2^n values of k is the oracle of
+    :func:`gatelearn.qft.average_success` and its map.
+    """
+    amps = dft_matrix(instance.n_qubits).conj()
+    _run_circuit(amps, instance.n_qubits, instance.band, instance.phases)
+    return float(np.mean(np.abs(np.diagonal(amps)) ** 2))
+
+
+def bit_reversed_order(n: int) -> np.ndarray:
+    """The 2^n outcomes in the order the product-form Fourier draw takes them.
+
+    Entry j is j with its n bits reversed; the permutation is its own
+    inverse, so it also maps an outcome to its position.
+    """
+    j = np.arange(1 << n)
+    return sum(((j >> q) & 1) << (n - 1 - q) for q in range(n))
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    """The dense 2^n x 2^n Fourier matrix e^{2 pi i jk / 2^n} / sqrt(2^n)."""
+    dim = 1 << n
+    j = np.arange(dim)
+    return np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
+
+
+# ---------------------------------------------------------------------------
+# the full-dimensional search
+
+def search_statevector(instance: GroverInstance, phi: float) -> np.ndarray:
+    """The search output over all N elements, simulated in the full space.
+
+    Each round multiplies the target (element 0) by e^{i phi} and then
+    reflects about the uniform superposition.
+    """
+    n = instance.n_elements
+    uniform = np.full(n, 1 / np.sqrt(n), dtype=complex)
+    state = uniform.copy()
+    for _ in range(instance.iterations):
+        state[0] *= np.exp(1j * phi)
+        state = 2 * uniform * (uniform.conj() @ state) - state
+    return state
+
+
+# ---------------------------------------------------------------------------
+# the quantum walk
+
+def walk_matrix(grid_shape, x: float) -> np.ndarray:
+    """The walk as one dense matrix over the flattened grid.
+
+    Per axis, scipy's dense expm(-i x (T + T^-1)) with T the cyclic
+    one-cell shift; the axes combine as a Kronecker product in C order.
+    """
+    from scipy.linalg import expm
+
+    shifts = [np.roll(np.eye(cells), 1, axis=0) for cells in grid_shape]
+    return reduce(np.kron, [expm(-1j * x * (t + t.T)) for t in shifts])
+
+
+def walk_bessel_kernel(cells: int, x: float) -> np.ndarray:
+    """The walk applied to a delta on a ring of ``cells``, from Bessel values.
+
+    Amplitude (-i)^l J_l(2x) at distance l on either side, with J from
+    scipy; the ring's kernel while it is negligible beyond cells / 2.
+    """
+    from scipy.special import jv
+
+    distance = np.minimum(np.arange(cells), cells - np.arange(cells))
+    return (-1j) ** (distance % 4) * jv(distance, 2 * x)
+
+
 # ---------------------------------------------------------------------------
 # the explicit joint state
 
@@ -350,17 +360,14 @@ def brute_force_joint_step(
             f"joint dimension {cells * dim} exceeds the test-scale limit {_JOINT_LIMIT}"
         )
     chi_flat = chi.amplitudes.reshape(-1)
-    if chi.ndim == 1:
-        values = [(v,) for v in chi.axis_values(0)]
-    else:
-        grids = np.meshgrid(*[chi.axis_values(a) for a in range(chi.ndim)], indexing="ij")
-        values = list(zip(*[g.reshape(-1) for g in grids]))
+    grids = np.meshgrid(*[chi.axis_values(a) for a in range(chi.ndim)], indexing="ij")
+    values = list(zip(*[g.reshape(-1) for g in grids]))
     joint = np.empty((cells, dim), dtype=np.complex128)
     for g, phi in enumerate(values):
         arg = phi[0] if len(phi) == 1 else phi
         joint[g] = chi_flat[g] * circuit(arg, input_state).amplitudes
-    outcome_probs = np.sum(np.abs(joint) ** 2, axis=0)
-    r = _sample_index(outcome_probs, rng)
+    cdf = np.cumsum(np.sum(np.abs(joint) ** 2, axis=0))
+    r = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), dim - 1)
     conditional = joint[:, r]
     norm = np.linalg.norm(conditional)
     # written so that a NaN norm fails too

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, check_integer
 
 __all__ = [
     "AqftInstance",
@@ -64,6 +64,8 @@ class AqftInstance:
     phases: tuple
 
     def __post_init__(self):
+        check_integer("n_qubits", self.n_qubits)
+        check_integer("band", self.band)
         if not 2 <= self.n_qubits <= _MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [2, {_MAX_QUBITS}]")
         if not 0 <= self.band <= self.n_qubits - 1:

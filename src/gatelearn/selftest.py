@@ -3,15 +3,15 @@
 Each check exercises one dual-route equivalence: the production code
 path against an independently constructed reference (dense matrix
 exponential, explicit joint state, full-dimensional search simulation).
-The suite is a fast subset of the package's test suite, runnable
-without pytest in deployed environments.
+The references are all built in :mod:`gatelearn.oracle`; this module
+holds only the comparisons, which the tests reuse.  The suite is a fast
+subset of the package's test suite, runnable without pytest in deployed
+environments.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import jv
 
 from .backaction import distribution_batch, filter_batch, outcome_table, sample_batch
 from .feedback import apply_quantum_walk_batch
@@ -20,9 +20,14 @@ from .oracle import (
     PureState,
     apply_aqft,
     apply_single_qubit_gate,
+    average_success_statevector,
+    bit_reversed_order,
     brute_force_joint_step,
+    dft_matrix,
+    search_statevector,
     trial_output_batch,
-    trial_success_amplitude,
+    walk_bessel_kernel,
+    walk_matrix,
 )
 from .parameter import invert_about_mean_batch, uniform_init
 from .qft import (
@@ -42,7 +47,6 @@ __all__ = [
     "fourier_draw_deviation",
     "success_map_deviation",
     "spectrum_deviation",
-    "bit_reversed_order",
     "walk_dense_deviation",
     "walk_kernel_deviation",
 ]
@@ -59,16 +63,14 @@ def walk_kernel_deviation():
 
     The walk applied to a delta on 256 cells (>> 2x) gives the
     translation coefficients, amplitude (-i)^l J_l(2x) at distance l on
-    either side; the Bessel values come from scipy, independently of
-    the FFT.
+    either side; :func:`walk_bessel_kernel` takes the Bessel values from
+    scipy, independently of the FFT.
     """
     cells = 256
     worst_bessel = worst_norm = 0.0
-    distance = np.minimum(np.arange(cells), cells - np.arange(cells))
     for x in (0.3, 0.8, 1.5, 5.0, 24.0):
         kernel = apply_quantum_walk_batch(np.eye(1, cells, dtype=complex), [x])[0]
-        oracle = (-1j) ** (distance % 4) * jv(distance, 2 * x)
-        worst_bessel = max(worst_bessel, np.abs(kernel - oracle).max())
+        worst_bessel = max(worst_bessel, np.abs(kernel - walk_bessel_kernel(cells, x)).max())
         worst_norm = max(worst_norm, abs(np.linalg.norm(kernel) - 1.0))
     return worst_bessel, worst_norm
 
@@ -77,17 +79,15 @@ def walk_dense_deviation():
     """(worst deviation from the dense expm, worst norm deviation) of the walk.
 
     Each (cells, x) case walks a seeded random state one cell per step
-    and compares with expm(-i x (T + T^-1)) built as a dense matrix.
+    and compares with the dense exponential :func:`walk_matrix`.
     """
     worst_op = worst_norm = 0.0
     for cells, x in ((32, 0.3), (32, 0.8), (32, 1.5), (64, 1.5), (64, 24.0)):
         rng = np.random.default_rng(int(10 * x) + cells)
         amps = rng.normal(size=cells) + 1j * rng.normal(size=cells)
         chi = amps / np.linalg.norm(amps)
-        shift = np.roll(np.eye(cells), 1, axis=0)
-        dense = expm(-1j * x * (shift + shift.T))
         walked = apply_quantum_walk_batch(chi[None], [x])[0]
-        worst_op = max(worst_op, np.abs(walked - dense @ chi).max())
+        worst_op = max(worst_op, np.abs(walked - walk_matrix((cells,), x) @ chi).max())
         worst_norm = max(worst_norm, abs(np.linalg.norm(walked) - 1.0))
     return worst_op, worst_norm
 
@@ -177,23 +177,9 @@ def search_statevector_deviation(sizes, phases_per_size: int, seed: int) -> floa
         inst = GroverInstance.standard(n_el)
         for phi in rng.uniform(0, 2 * np.pi, phases_per_size):
             s, b = pass_fail_amplitudes(inst, phi)
-            state = np.full(n_el, 1 / np.sqrt(n_el), dtype=complex)
-            uniform = state.copy()
-            for _ in range(inst.iterations):
-                state[0] *= np.exp(1j * phi)
-                state = 2 * uniform * (uniform.conj() @ state) - state
+            state = search_statevector(inst, phi)
             worst = max(worst, abs(s - state[0]), np.abs(state[1:] - b / np.sqrt(n_el - 1)).max())
     return worst
-
-
-def bit_reversed_order(n: int) -> np.ndarray:
-    """The 2^n outcomes in the order the product-form Fourier draw takes them.
-
-    Entry j is j with its n bits reversed; the permutation is its own
-    inverse, so it also maps an outcome to its position.
-    """
-    j = np.arange(1 << n)
-    return sum(((j >> q) & 1) << (n - 1 - q) for q in range(n))
 
 
 def fourier_draw_deviation(instance, phase_grid, ks, weights, uniforms):
@@ -233,18 +219,14 @@ def success_map_deviation(n: int, band: int, phases) -> float:
 
     ``phases`` is a ``(cells, band)`` table.  :func:`average_success_map`
     evaluates every row from the circuit's product form; the oracle
-    simulates each row's trial gate by gate for every k and averages
-    the pass probability |output[k]|^2 over all 2^n values of k.
+    (:func:`average_success_statevector`) simulates each row's trial
+    gate by gate for every k.
     """
     instance = AqftInstance.standard(n, band)
     phases = np.atleast_2d(np.asarray(phases, dtype=float))
     fast = average_success_map(instance, phases)
-    worst = 0.0
-    for row, value in zip(phases, fast):
-        inst = instance.with_phases(row)
-        exact = np.mean([abs(trial_success_amplitude(inst, k)[0][k]) ** 2 for k in range(inst.dim)])
-        worst = max(worst, abs(value - exact))
-    return worst
+    exact = [average_success_statevector(instance.with_phases(row)) for row in phases]
+    return float(np.abs(fast - np.asarray(exact)).max())
 
 
 def spectrum_deviation(n: int, band: int, phases) -> float:
@@ -284,14 +266,11 @@ def _check_grover_subspace() -> str:
 def _check_qft_circuit() -> str:
     n = 5
     inst = AqftInstance.standard(n, n - 1)
-    dim = 1 << n
-    j = np.arange(dim)
-    dft = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
     rng = np.random.default_rng(3)
-    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps = rng.normal(size=inst.dim) + 1j * rng.normal(size=inst.dim)
     amps /= np.linalg.norm(amps)
     out = apply_aqft(inst, PureState(n, amps))
-    if np.abs(out.amplitudes - dft @ amps).max() > 1e-10:
+    if np.abs(out.amplitudes - dft_matrix(n) @ amps).max() > 1e-10:
         raise AssertionError("full-band circuit deviates from the DFT matrix")
     return "full-band Fourier circuit matches the dense DFT matrix"
 

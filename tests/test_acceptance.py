@@ -8,7 +8,6 @@ reproductions (criteria 4 and 6) and the improvement table (criterion
 All ensembles are seeded, so every number below is bit-reproducible.
 """
 
-import math
 import time
 
 import numpy as np
@@ -20,6 +19,7 @@ from gatelearn import (
     FeedbackConfig,
     GroverInstance,
     optimize_phases,
+    quantile_analysis,
     reference_max_success,
     run_ensemble,
 )
@@ -137,13 +137,6 @@ def grover_sweep():
     return results
 
 
-def _q10(summary):
-    counts = sorted(summary.iterations_to_95)
-    need = math.ceil(0.10 * summary.runs)
-    value = counts[need - 1]
-    return None if math.isinf(value) else int(value)
-
-
 def _mean_levels(summaries):
     """(all sizes reach 0.75 of the ideal, per-size report) for {n_el: summary}."""
     lines, ok = [], True
@@ -207,13 +200,15 @@ def test_criterion_4c_variance_localizes(grover_sweep):
 
 def test_criterion_4d_iterations_to_95_quantile(grover_sweep):
     lines, ok, full_repro = [], True, True
-    for n_el in GROVER_SIZES:
-        for strategy in ("double_push", "single_push"):
-            q10 = _q10(grover_sweep[strategy, n_el])
-            good = q10 is not None and q10 <= 30
-            ok &= good
-            full_repro &= q10 is not None and q10 <= 20
-            lines.append(f"{strategy[:6]}/N={n_el}: q10={q10}")
+    labels = [(strategy, n_el) for n_el in GROVER_SIZES
+              for strategy in ("double_push", "single_push")]
+    rows = quantile_analysis({label: grover_sweep[label] for label in labels}, (0.10,))
+    for row in rows:
+        (strategy, n_el), q10 = row["label"], row[0.10]
+        good = q10 is not None and q10 <= 30
+        ok &= good
+        full_repro &= q10 is not None and q10 <= 20
+        lines.append(f"{strategy[:6]}/N={n_el}: q10={q10}")
     flag = "full reproduction (<=20)" if full_repro else "partial (<=30)"
     assert report(f"criterion 4d (10% quantile, {flag})", ok, "; ".join(lines))
 

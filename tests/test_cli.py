@@ -198,6 +198,13 @@ class TestCurveCommand:
         assert lines[0] == "target_overlap,n_elements,max_success"
         assert len(lines) == 3
 
+    def test_empty_list_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        status = run_cli(["grover-curve", "--n-elements", "", "--out", str(out)])
+        assert status == 2
+        assert "at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):

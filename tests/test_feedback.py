@@ -4,13 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
-from scipy.special import jv
 
 from gatelearn import FeedbackConfig, GroverInstance, success_probability_map, uniform_init
 from gatelearn.backaction import distribution_batch, filter_batch, outcome_table, sample_batch
 from gatelearn.feedback import apply_quantum_walk_batch, on_failure_batch
 from gatelearn.grover import _amplitudes_for_phases
+from gatelearn.oracle import walk_bessel_kernel, walk_matrix
 from gatelearn.parameter import invert_about_mean_batch
 
 # every operator runs on a batch of one run: an array of shape (1, *grid_shape)
@@ -43,12 +42,6 @@ def walk_kernel(x, cells=256):
     return walk(np.eye(1, cells, dtype=complex), x)[0]
 
 
-def bessel_kernel(x, cells=256):
-    # independent oracle: p_l = (-i)^l J_l(2x) via scipy's Bessel J
-    distance = np.minimum(np.arange(cells), cells - np.arange(cells))
-    return (-1j) ** (distance % 4) * jv(distance, 2 * x)
-
-
 class TestWalkCoefficients:
     """The walk's translation coefficients, read off as its kernel."""
 
@@ -62,11 +55,11 @@ class TestWalkCoefficients:
         assert abs(kernel[0] - 0.7652) < 1e-4
         assert abs(kernel[1] - (-0.4401j)) < 1e-4
         assert abs(kernel[-1] - (-0.4401j)) < 1e-4
-        np.testing.assert_allclose(kernel, bessel_kernel(0.5), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(kernel, walk_bessel_kernel(256, 0.5), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.5, 5.0])
     def test_matches_bessel_oracle(self, x):
-        np.testing.assert_allclose(walk_kernel(x), bessel_kernel(x), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(walk_kernel(x), walk_bessel_kernel(256, x), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("x", [0.0, 0.5, 1.5, 3.0, 5.0])
     def test_unitarity_sum(self, x):
@@ -77,18 +70,12 @@ class TestWalkCoefficients:
         kernel = walk_kernel(60.0, cells=512)  # the kernel spans about 2x cells each way
         assert np.isfinite(kernel).all()
         assert abs(np.linalg.norm(kernel) - 1.0) < 1e-12
-        np.testing.assert_allclose(kernel, bessel_kernel(60.0, 512), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(kernel, walk_bessel_kernel(512, 60.0), rtol=0, atol=1e-10)
 
     def test_unphysical_strength_rejected(self):
         for x in (np.nan, np.inf, -np.inf, -0.5):
             with pytest.raises(ValueError, match="finite and >= 0"):
                 walk_kernel(x)
-
-
-def dense_walk(cells, x):
-    # oracle: expm of the hopping Hamiltonian as a dense matrix
-    shift = np.roll(np.eye(cells), 1, axis=0)
-    return expm(-1j * x * (shift + shift.T))
 
 
 class TestApplyQuantumWalk:
@@ -109,7 +96,7 @@ class TestApplyQuantumWalk:
         chi = random_chi(n_cells, seed=int(10 * x))
         out = walk(chi, x)
         np.testing.assert_allclose(
-            out[0], dense_walk(n_cells, x) @ chi[0], rtol=0, atol=1e-12
+            out[0], walk_matrix((n_cells,), x) @ chi[0], rtol=0, atol=1e-12
         )
 
     def test_norm_preserved(self):
@@ -132,9 +119,8 @@ class TestApplyQuantumWalk:
         probs = np.abs(out[0]) ** 2
         assert probs[3, 4] > 1e-3 and probs[4, 3] > 1e-3
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-        dense = np.kron(dense_walk(8, 0.5), dense_walk(8, 0.5))
         np.testing.assert_allclose(
-            out.ravel(), dense @ amps.ravel(), rtol=0, atol=1e-12
+            out.ravel(), walk_matrix((8, 8), 0.5) @ amps.ravel(), rtol=0, atol=1e-12
         )
 
 
@@ -331,7 +317,7 @@ class TestController:
         out, action = on_failure(chi, config, np.random.default_rng(3),
                                  successes=1, failures=1, consecutive=1)
         assert action == "walk+dephase"
-        oracle = dense_walk(64, 120.0) @ chi[0]
+        oracle = walk_matrix((64,), 120.0) @ chi[0]
         np.testing.assert_allclose(walk(chi, 120.0)[0], oracle, rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.abs(out[0]), np.abs(oracle), rtol=0, atol=1e-12)
 

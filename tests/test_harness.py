@@ -27,8 +27,7 @@ from gatelearn.harness import (
     write_runs_csv,
     write_summary_json,
 )
-from gatelearn.oracle import trial_output_batch
-from gatelearn.selftest import bit_reversed_order
+from gatelearn.oracle import bit_reversed_order, trial_output_batch
 
 
 COLUMNS = ("passed", "measured_index", "expected_success", "circular_variance",
@@ -92,6 +91,16 @@ class TestRunLearning:
     def test_bad_config_rejected_when_built(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             grover_config(**{field: value})
+
+    @pytest.mark.parametrize("problem,args,message", [
+        (GroverInstance, (200.5, 3), "n_elements must be an integer"),
+        (GroverInstance, (200, 2.5), "iterations must be an integer"),
+        (AqftInstance, (6.0, 1, (0.5,)), "n_qubits must be an integer"),
+        (AqftInstance, (6, True, (0.5,)), "band must be an integer"),
+    ])
+    def test_non_integral_problem_size_rejected_when_built(self, problem, args, message):
+        with pytest.raises(ValueError, match=message):
+            problem(*args)
 
     def test_bit_identical_for_same_seed(self):
         config = grover_config()

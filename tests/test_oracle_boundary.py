@@ -1,6 +1,9 @@
-"""The training loop's modules never import the statevector oracle."""
+"""The training loop's modules never import the statevector oracle, and
+``import gatelearn`` never loads scipy (the oracle imports it when called)."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,13 @@ def test_selftest_imports_the_oracle():
 @pytest.mark.parametrize("module", FAST_PATH)
 def test_fast_path_never_imports_the_oracle(module):
     assert not imports_oracle(module)
+
+
+def test_package_import_loads_no_scipy():
+    # scipy.linalg alone costs more to import than all of gatelearn
+    code = "import sys, gatelearn; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # run from the source tree so that the fresh interpreter imports this checkout
+    done = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -7,7 +7,6 @@ cases below exceed a thousand random instances while staying fast.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from gatelearn import (
     AqftInstance,
@@ -20,7 +19,12 @@ from gatelearn import (
 )
 from gatelearn.backaction import distribution_batch, outcome_table
 from gatelearn.feedback import apply_quantum_walk_batch, on_failure_batch
-from gatelearn.oracle import PureState, apply_controlled_phase, apply_single_qubit_gate
+from gatelearn.oracle import (
+    PureState,
+    apply_controlled_phase,
+    apply_single_qubit_gate,
+    walk_matrix,
+)
 from gatelearn.parameter import invert_about_mean_batch, translate_batch
 from gatelearn.selftest import fourier_draw_deviation, spectrum_deviation, success_map_deviation
 
@@ -132,11 +136,6 @@ def test_walk_norm_preservation_100_cases():
         assert abs(np.linalg.norm(apply_quantum_walk_batch(chi, [x])) - 1.0) < 1e-12
 
 
-def dense_walk(cells, x):
-    shift = np.roll(np.eye(cells), 1, axis=0)
-    return expm(-1j * x * (shift + shift.T))
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fft_walk_matches_dense_exponential(data):
@@ -152,12 +151,9 @@ def test_fft_walk_matches_dense_exponential(data):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=sizes) + 1j * rng.normal(size=sizes)
     chi = (amps / np.linalg.norm(amps))[None]
-    dense = dense_walk(sizes[0], x)
-    for cells in sizes[1:]:
-        dense = np.kron(dense, dense_walk(cells, x))
     walked = apply_quantum_walk_batch(chi, [x])
     np.testing.assert_allclose(
-        walked.ravel(), dense @ chi.ravel(), rtol=0, atol=1e-12
+        walked.ravel(), walk_matrix(sizes, x) @ chi.ravel(), rtol=0, atol=1e-12
     )
 
 

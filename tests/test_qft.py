@@ -19,37 +19,20 @@ from gatelearn import (
 from gatelearn.errors import NumericsError
 from gatelearn.oracle import (
     PureState,
-    amplitude,
     apply_aqft,
-    apply_aqft_inverse,
+    average_success_statevector,
+    bit_reversed_order,
+    dft_matrix,
     trial_output_batch,
     trial_success_amplitude,
 )
 from gatelearn.qft import ProductFormTrials
-from gatelearn.selftest import bit_reversed_order
-
-
-def dft_matrix(n):
-    dim = 1 << n
-    j = np.arange(dim)
-    return np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
 
 
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return PureState(n, amps / np.linalg.norm(amps))
-
-
-def dense_average_success(inst):
-    """Oracle: exact sum over all basis states via statevector simulation."""
-    dim = inst.dim
-    f_dag = dft_matrix(inst.n_qubits).conj().T
-    total = 0.0
-    for k in range(dim):
-        out = apply_aqft(inst, PureState(inst.n_qubits, f_dag[:, k]))
-        total += abs(amplitude(out, k)) ** 2
-    return total / dim
 
 
 class TestCircuitEquivalence:
@@ -82,14 +65,6 @@ class TestCircuitEquivalence:
             apply_aqft(bare, state).amplitudes,
             atol=1e-12,
         )
-
-    def test_inverse_recovers_input(self):
-        rng = np.random.default_rng(1)
-        for n, m in ((4, 1), (5, 3), (6, 5)):
-            inst = AqftInstance(n, m, tuple(rng.uniform(0, 2 * np.pi, m)))
-            state = random_state(n, seed=10 * n + m)
-            back = apply_aqft_inverse(inst, apply_aqft(inst, state))
-            np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-9)
 
     def test_unitarity(self):
         inst = AqftInstance.standard(6, 2)
@@ -204,7 +179,7 @@ class TestAverageSuccess:
         rng = np.random.default_rng(n * 10 + m)
         for phases in (standard_phases(m), tuple(rng.uniform(0, 2 * np.pi, m))):
             inst = AqftInstance(n, m, phases)
-            assert abs(average_success(inst) - dense_average_success(inst)) < 1e-12
+            assert abs(average_success(inst) - average_success_statevector(inst)) < 1e-12
 
     def test_nearest_neighbor_baseline_in_open_interval(self):
         value = average_success(AqftInstance.standard(6, 1))

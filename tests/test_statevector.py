@@ -1,19 +1,16 @@
-"""Statevector engine: gate algebra, measurement statistics, amplitudes."""
+"""Statevector engine: construction, gate algebra, amplitudes."""
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
-from gatelearn import NumericsError
+from gatelearn import AqftInstance, NumericsError
 from gatelearn.oracle import (
     HADAMARD,
     PureState,
-    amplitude,
     apply_aqft,
     apply_controlled_phase,
     apply_single_qubit_gate,
-    apply_swap,
-    measure_computational,
+    dft_matrix,
 )
 
 
@@ -26,7 +23,7 @@ def random_state(n, seed):
 class TestConstruction:
     def test_default_is_all_zeros_ket(self):
         state = PureState(3)
-        assert amplitude(state, 0) == 1.0 + 0.0j
+        assert state.amplitudes[0] == 1.0 + 0.0j
         assert np.count_nonzero(state.amplitudes) == 1
 
     def test_dimension_is_checked(self):
@@ -43,7 +40,7 @@ class TestConstruction:
 
     def test_basis_constructor(self):
         state = PureState.basis(3, 5)
-        assert amplitude(state, 5) == 1.0 + 0.0j
+        assert state.amplitudes[5] == 1.0 + 0.0j
 
 
 class TestSingleQubitGates:
@@ -67,9 +64,9 @@ class TestSingleQubitGates:
         # X on qubit 0 flips the least significant bit of the index
         flip = np.array([[0, 1], [1, 0]])
         out = apply_single_qubit_gate(PureState.basis(2, 0), 0, flip)
-        assert amplitude(out, 1) == 1.0 + 0.0j
+        assert out.amplitudes[1] == 1.0 + 0.0j
         out = apply_single_qubit_gate(PureState.basis(2, 0), 1, flip)
-        assert amplitude(out, 2) == 1.0 + 0.0j
+        assert out.amplitudes[2] == 1.0 + 0.0j
 
     def test_non_unitary_gate_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -107,7 +104,7 @@ class TestControlledPhase:
     def test_pi_angle_flips_sign_of_11(self):
         state = PureState.basis(2, 3)
         out = apply_controlled_phase(state, 0, 1, np.pi)
-        np.testing.assert_allclose(amplitude(out, 3), -1.0 + 0j, atol=1e-15)
+        np.testing.assert_allclose(out.amplitudes[3], -1.0 + 0j, atol=1e-15)
 
     def test_phase_additivity(self):
         # two applications compose the same as one with the summed angle
@@ -130,91 +127,18 @@ class TestControlledPhase:
             assert out.amplitudes[b] == state.amplitudes[b]
 
 
-class TestSwap:
-    def test_swap_permutes_basis(self):
-        out = apply_swap(PureState.basis(2, 1), 0, 1)
-        assert amplitude(out, 2) == 1.0 + 0.0j
-
-    def test_swap_is_involution(self):
-        state = random_state(4, seed=7)
-        out = apply_swap(apply_swap(state, 1, 3), 1, 3)
-        np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
-
-
-class TestMeasurement:
-    def test_deterministic_state(self):
-        rng = np.random.default_rng(0)
-        state = PureState.basis(3, 5)
-        assert all(measure_computational(state, rng) == 5 for _ in range(20))
-
-    def test_uses_exactly_one_draw(self):
-        state = apply_single_qubit_gate(PureState(1), 0, HADAMARD)
-        rng_a = np.random.default_rng(42)
-        rng_b = np.random.default_rng(42)
-        measure_computational(state, rng_a)
-        rng_b.random()
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-    def test_uniform_two_qubit_frequencies(self):
-        state = apply_single_qubit_gate(PureState(2), 0, HADAMARD)
-        state = apply_single_qubit_gate(state, 1, HADAMARD)
-        rng = np.random.default_rng(8)
-        draws = 100_000
-        counts = np.bincount(
-            [measure_computational(state, rng) for _ in range(draws)], minlength=4
-        )
-        np.testing.assert_allclose(counts / draws, 0.25, atol=0.01)
-        statistic = np.sum((counts - draws / 4) ** 2 / (draws / 4))
-        assert statistic < chi2.ppf(0.999, df=3)
-
-    def test_biased_qubit_frequencies(self):
-        state = PureState(1, [np.sqrt(0.9), np.sqrt(0.1)])
-        rng = np.random.default_rng(9)
-        draws = 100_000
-        zeros = sum(measure_computational(state, rng) == 0 for _ in range(draws))
-        assert abs(zeros / draws - 0.9) < 0.01
-
-    def test_corrupted_norm_raises(self):
-        state = PureState(1)
-        state.amplitudes = state.amplitudes * 1.01
-        with pytest.raises(NumericsError):
-            measure_computational(state, np.random.default_rng(0))
-
-
-    def test_nan_state_raises(self):
-        state = PureState.basis(2, 1)
-        state.amplitudes = np.full(4, np.nan, dtype=complex)
-        with pytest.raises(NumericsError):
-            measure_computational(state, np.random.default_rng(0))
-
-
 class TestAmplitude:
-    def test_reads_are_pure(self):
-        state = random_state(2, seed=10)
-        before = state.amplitudes.copy()
-        amplitude(state, 2)
-        np.testing.assert_array_equal(state.amplitudes, before)
-
     def test_hadamard_component(self):
         out = apply_single_qubit_gate(PureState(1), 0, HADAMARD)
-        assert abs(amplitude(out, 1) - 1 / np.sqrt(2)) < 1e-15
+        assert abs(out.amplitudes[1] - 1 / np.sqrt(2)) < 1e-15
 
     def test_qft_of_one_on_two_qubits(self):
         # direct DFT-matrix row: |<2|F|1>| = 1/2 on a 2-qubit register
-        dim = 4
-        j = np.arange(dim)
-        dft = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
-        expected = dft[:, 1]
+        expected = dft_matrix(2)[:, 1]
         assert abs(abs(expected[2]) - 0.5) < 1e-15
 
-        from gatelearn import AqftInstance
-
         out = apply_aqft(AqftInstance.standard(2, 1), PureState.basis(2, 1))
-        assert abs(abs(amplitude(out, 2)) - 0.5) < 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            amplitude(PureState(2), 4)
+        assert abs(abs(out.amplitudes[2]) - 0.5) < 1e-12
 
 
 class TestUnitarityComposition:
