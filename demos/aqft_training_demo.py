@@ -40,7 +40,7 @@ def main():
                                 walk_floor=2.0, walk_escalation=2.0),
         master_seed=11,
     )
-    summary, _ = run_ensemble(config, threads=2)
+    summary, _ = run_ensemble(config)
     print(f"measurement-and-feedback training, {config.runs} runs x "
           f"{config.iterations} iterations:")
     for it in (1, 10, 30, 60, 90, 120):

@@ -47,7 +47,7 @@ def main():
               f"spread={run.circular_variance[0, j]:.4f}")
 
     print(f"\nensemble of {config.runs} independent trainings:")
-    summary, _ = run_ensemble(config, threads=2)
+    summary, _ = run_ensemble(config)
     for it in (1, 10, 20, 40, 60, 80, 100, 120):
         print(f"  iter {it:3d}: mean deployed success = {summary.mean_curve[it-1]:.4f}")
     print(f"\nmean final success:   {summary.mean_final:.4f} "

@@ -76,8 +76,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
                         help="disable the inversion about the mean (on the first failure, "
                              "and for double-push search on every failure before the first pass)")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (never affects results)")
     parser.add_argument("--snapshot-chi", action="store_true",
                         help="record per-iteration |chi|^2 snapshots (large)")
     parser.add_argument("--out", type=Path, required=True, help="output directory")
@@ -114,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_config(args: argparse.Namespace, problem) -> tuple:
+def _experiment_config(args: argparse.Namespace, problem) -> ExperimentConfig:
     two_axis = isinstance(problem, AqftInstance) and problem.band == 2
     grid_size = args.grid_size if args.grid_size is not None else (64 if two_axis else 256)
     feedback = FeedbackConfig(
@@ -128,7 +126,7 @@ def _experiment_config(args: argparse.Namespace, problem) -> tuple:
         walk_floor=args.walk_floor,
         walk_escalation=args.walk_escalation,
     )
-    config = ExperimentConfig(
+    return ExperimentConfig(
         problem=problem,
         iterations=args.iterations,
         runs=args.runs,
@@ -137,7 +135,6 @@ def _experiment_config(args: argparse.Namespace, problem) -> tuple:
         master_seed=args.seed,
         snapshot_chi=args.snapshot_chi,
     )
-    return config, args.threads
 
 
 def _environment() -> dict:
@@ -161,17 +158,16 @@ def _manifest(args: argparse.Namespace, config: ExperimentConfig, problem_desc: 
         "grid_size": config.grid_size,
         "master_seed": config.master_seed,
         "snapshot_chi": config.snapshot_chi,
-        "threads": args.threads,
         "feedback": dataclasses.asdict(config.feedback),
         "environment": _environment(),
     }
 
 
 def _run_experiment(args: argparse.Namespace, problem, problem_desc: dict) -> int:
-    config, threads = _experiment_config(args, problem)
+    config = _experiment_config(args, problem)
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary, batch = run_ensemble(config, threads=threads)
+    summary, batch = run_ensemble(config)
     write_runs_csv(batch, out_dir / "runs.csv")
     write_summary_json(summary, out_dir / "summary.json", extra={"problem": problem_desc})
     write_histogram_csv(summary, out_dir / "histogram.csv")
@@ -206,14 +202,6 @@ def _cmd_aqft(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    if not (args.qubits and args.bands):
-        raise ValueError("--qubits and --bands each need at least one value")
-    # every cell is checked before the first one is optimized
-    for m in args.bands:
-        if not 1 <= m <= 3:
-            raise ValueError(f"band {m} not supported; bands 1 to 3")
-    for n in args.qubits:
-        AqftInstance.standard(n, 1)  # rejects a register outside [2, 20] qubits
     rows = improvement_table(args.qubits, args.bands)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(improvement_table_csv(rows))

@@ -38,6 +38,7 @@ def optimal_iterations(n_elements: int) -> int:
     K = round(pi / (4 theta) - 1/2) with theta = arcsin(1/sqrt(N)),
     clamped to at least one iteration.
     """
+    check_integer("n_elements", n_elements)
     if n_elements < 2:
         raise ValueError("search space needs at least 2 elements")
     theta = np.arcsin(1.0 / np.sqrt(n_elements))
@@ -104,8 +105,8 @@ def pass_fail_amplitudes(instance: GroverInstance, phi: float):
 
 def reference_max_success(n_elements: int) -> float:
     """Success probability of the standard search at its optimal depth."""
+    k = optimal_iterations(n_elements)  # rejects a size that is not an integer >= 2
     theta = np.arcsin(1.0 / np.sqrt(n_elements))
-    k = optimal_iterations(n_elements)
     return float(np.sin((2 * k + 1) * theta) ** 2)
 
 

@@ -16,7 +16,7 @@ a :class:`RunBatch`.  Each run still makes its own draws in the same
 order (the Fourier input k, the one uniform of the outcome draw, then
 the dephasing phases after a walk), and every kernel computes a run's
 row exactly as it would alone, so no output depends on how many runs
-share a batch or on the thread count.
+share a batch.
 
 The loop sees a problem only through a small trial protocol (see
 :class:`_SearchTrials` and :class:`_FourierTrials`): its
@@ -39,8 +39,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -146,12 +145,6 @@ class RunBatch:
     @property
     def iterations(self) -> int:
         return self.passed.shape[1]
-
-    @classmethod
-    def concatenate(cls, batches) -> "RunBatch":
-        """The runs of several batches, in order, as one batch."""
-        columns = [[getattr(b, f.name) for b in batches] for f in fields(cls)]
-        return cls(*(None if c[0] is None else np.concatenate(c) for c in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +325,15 @@ class EnsembleSummary:
 def run_ensemble(config: ExperimentConfig, threads: int = 1) -> tuple:
     """Run ``config.runs`` independent trajectories and aggregate them.
 
-    Per-run seeds are spawned from the master seed.  With ``threads`` >
-    1 the runs are split into that many contiguous batches, one per
-    worker thread; since a run's numbers do not depend on its batch,
-    the thread count never changes an output.  Returns ``(summary,
-    batch)`` with the runs in run-index order.
+    Per-run seeds are spawned from the master seed and every run is
+    stepped in one batch.  Returns ``(summary, batch)`` with the runs in
+    run-index order.  ``threads`` accepts only 1 and is kept for callers
+    that still pass it; the next benchmark change removes the keyword.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1: every ensemble runs as one batch (got {threads!r})")
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.runs)
-    workers = max(1, min(threads, config.runs))
-    if workers > 1:
-        chunks = np.array_split(np.arange(config.runs), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(
-                pool.map(lambda c: _run_batch(config, [seeds[i] for i in c]), chunks)
-            )
-        batch = RunBatch.concatenate(batches)
-    else:
-        batch = _run_batch(config, seeds)
+    batch = _run_batch(config, seeds)
     return summarize(config, batch), batch
 
 

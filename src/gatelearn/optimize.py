@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_integer
 from .grover import reference_max_success
 from .qft import (
     AqftInstance,
@@ -131,8 +132,19 @@ def improvement_table(qubit_list, band_list):
     ``best_phases``.  Cells that are infeasible (band > qubits - 1) and
     cells whose gain falls below ``BLANK_BELOW_PERCENT`` percent carry None
     entries: tuning buys nothing practical there, so the table leaves
-    them blank.
+    them blank.  Every cell is checked before the first one is
+    optimized: a band outside 1 to 3, a register outside the supported
+    sizes or an empty list raises ``ValueError``.
     """
+    qubit_list, band_list = list(qubit_list), list(band_list)
+    if not (qubit_list and band_list):
+        raise ValueError("the qubit and band lists each need at least one value")
+    for m in band_list:
+        check_integer("band", m)
+        if not 1 <= m <= 3:
+            raise ValueError(f"band {m} not supported; bands 1 to 3")
+    for n in qubit_list:
+        AqftInstance.standard(n, 1)  # rejects a register outside [2, 20] qubits
     rows = []
     for n in qubit_list:
         for m in band_list:
@@ -205,7 +217,7 @@ def grover_reference_curve(n_elements_list):
         {
             "n_elements": int(n),
             "target_overlap": float(1.0 / np.sqrt(n)),
-            "max_success": reference_max_success(int(n)),
+            "max_success": reference_max_success(n),
         }
         for n in n_elements_list
     ]

@@ -79,6 +79,7 @@ class AqftInstance:
 
     @classmethod
     def standard(cls, n_qubits: int, band: int) -> "AqftInstance":
+        check_integer("band", band)  # before standard_phases counts up to it
         return cls(n_qubits, band, standard_phases(band))
 
     def with_phases(self, phases) -> "AqftInstance":

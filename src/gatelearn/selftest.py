@@ -206,7 +206,7 @@ def fourier_draw_deviation(instance, phase_grid, ks, weights, uniforms):
     for k, w, target, drawn, mass, column in zip(ks, weights, targets, outcomes, masses, columns):
         amps = trial_output_batch(instance, int(k), phase_grid)
         dist = w @ np.abs(amps) ** 2
-        cdf = np.concatenate([[0.0], np.cumsum(dist[order])])
+        cdf = np.insert(np.cumsum(dist[order]), 0, 0.0)
         position = order[drawn]
         mismatches += not cdf[position] - 1e-12 <= target <= cdf[position + 1] + 1e-12
         worst_mass = max(worst_mass, abs(mass - dist[drawn]))

@@ -124,7 +124,7 @@ def _grover_summary(feedback, n_el, master_seed):
         feedback=feedback,
         master_seed=master_seed,
     )
-    summary, _ = run_ensemble(config, threads=2)
+    summary, _ = run_ensemble(config)
     return summary
 
 
@@ -299,7 +299,7 @@ def aqft_sweep():
             feedback=AQFT_FEEDBACK,
             master_seed=MASTER_SEED,
         )
-        summary, _ = run_ensemble(config, threads=2)
+        summary, _ = run_ensemble(config)
         results[n] = (summary, optimize_phases(instance))
     return results
 
@@ -358,7 +358,6 @@ def test_criterion_7_property_suite():
         props.test_walk_unitarity_sum_100_cases,
         props.test_walk_norm_preservation_100_cases,
         props.test_search_amplitude_closure_100_cases,
-        props.test_ensemble_determinism_across_thread_counts,
         props.test_learning_loop_chi_normalization_30_runs,
         props.test_success_counter_consistency_30_runs,
     ]
@@ -369,5 +368,5 @@ def test_criterion_7_property_suite():
     assert report(
         "criterion 7 (randomized invariants)",
         ok,
-        f"11 invariant families, >1000 randomized cases, {elapsed:.1f}s",
+        f"10 invariant families, >1000 randomized cases, {elapsed:.1f}s",
     )

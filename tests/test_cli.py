@@ -15,7 +15,6 @@ from gatelearn import (
     GroverInstance,
     run_ensemble,
 )
-from gatelearn import cli
 from gatelearn.cli import parse_and_dispatch
 from gatelearn.harness import write_histogram_csv, write_runs_csv, write_summary_json
 
@@ -85,7 +84,7 @@ class TestGroverCommand:
                 master_seed=manifest["master_seed"],
                 snapshot_chi=manifest["snapshot_chi"],
             )
-            summary, batch = run_ensemble(config, threads=manifest["threads"])
+            summary, batch = run_ensemble(config)
             again = tmp_path / f"{argv[0]}-again"
             again.mkdir()
             write_runs_csv(batch, again / "runs.csv")
@@ -107,16 +106,6 @@ class TestGroverCommand:
         assert status == 0
         snaps = np.load(out / "chi_snapshots.npy")
         assert snaps.shape == (2, 5, 32)
-
-    def test_threads_flag_does_not_change_outputs(self, tmp_path):
-        base = [
-            "grover", "--n-elements", "16", "--iterations", "10", "--runs", "4",
-            "--grid-size", "64", "--seed", "3",
-        ]
-        out1, out4 = tmp_path / "t1", tmp_path / "t4"
-        run_cli(base + ["--threads", "1", "--out", str(out1)])
-        run_cli(base + ["--threads", "4", "--out", str(out4)])
-        assert (out1 / "runs.csv").read_bytes() == (out4 / "runs.csv").read_bytes()
 
 
 class TestAqftCommand:
@@ -181,7 +170,7 @@ class TestTableCommand:
         def unexpected(*args):
             raise AssertionError("the table was computed before the cells were checked")
 
-        monkeypatch.setattr(cli, "improvement_table", unexpected)
+        monkeypatch.setattr("gatelearn.optimize.optimize_phases", unexpected)
         out = tmp_path / "t1.csv"
         status = run_cli(["table1", "--qubits", qubits, "--bands", bands, "--out", str(out)])
         assert status == 2

@@ -5,6 +5,7 @@ import pytest
 
 from gatelearn import (
     GroverInstance,
+    grover_reference_curve,
     optimal_iterations,
     pass_fail_amplitudes,
     reference_max_success,
@@ -124,3 +125,14 @@ class TestInstanceValidation:
             GroverInstance(1, 1)
         with pytest.raises(ValueError):
             GroverInstance(8, 0)
+
+    @pytest.mark.parametrize("helper", [
+        optimal_iterations,
+        reference_max_success,
+        lambda n: grover_reference_curve([n]),
+    ], ids=["optimal_iterations", "reference_max_success", "grover_reference_curve"])
+    @pytest.mark.parametrize("size", [200.5, 200.0, True])
+    def test_helpers_reject_non_integral_size(self, helper, size):
+        with pytest.raises(ValueError, match="n_elements must be an integer"):
+            helper(size)
+        assert helper(np.int64(200)) == helper(200)  # numpy integers still pass

@@ -284,13 +284,14 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(summary.mean_curve, expected)
         np.testing.assert_array_equal(summary.median_curve, expected)
 
-    def test_thread_count_does_not_change_results(self):
-        config = grover_config(runs=6)
-        serial, _ = run_ensemble(config, threads=1)
-        threaded, _ = run_ensemble(config, threads=4)
-        np.testing.assert_array_equal(serial.mean_curve, threaded.mean_curve)
-        np.testing.assert_array_equal(serial.final_values, threaded.final_values)
-        assert serial.iterations_to_95 == threaded.iterations_to_95
+    def test_threads_other_than_one_rejected(self):
+        # every ensemble runs as one batch; the keyword only takes 1
+        config = grover_config(runs=2)
+        _, batch = run_ensemble(config, threads=1)
+        _, default = run_ensemble(config)
+        np.testing.assert_array_equal(batch.expected_success, default.expected_success)
+        with pytest.raises(ValueError, match="threads must be 1"):
+            run_ensemble(config, threads=2)
 
     def test_histogram_mass_sums_to_one(self):
         summary, _ = run_ensemble(grover_config())

@@ -1,5 +1,7 @@
 """Phase optimization: baselines, improvements, table structure, curve."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,22 @@ class TestOptimizePhases:
     def test_band_out_of_range(self):
         with pytest.raises(ValueError):
             optimize_phases(AqftInstance.standard(8, 4))
+
+
+@pytest.mark.parametrize("qubits,bands,message", [
+    ([6, 25], [1], "n_qubits must be in [2, 20]"),
+    ([6], [1, 4], "band 4 not supported"),
+    ([6], [1.0], "band must be an integer"),
+    ([], [1], "at least one value"),
+    ([6], [], "at least one value"),
+])
+def test_table_checks_every_cell_before_optimizing(monkeypatch, qubits, bands, message):
+    def unexpected(*args):
+        raise AssertionError("a cell was optimized before every cell was checked")
+
+    monkeypatch.setattr("gatelearn.optimize.optimize_phases", unexpected)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        improvement_table(qubits, bands)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
-"""The training loop's modules never import the statevector oracle, and
+"""The training loop's modules never import the statevector oracle, no
+module starts threads or processes (every ensemble runs as one batch), and
 ``import gatelearn`` never loads scipy (the oracle imports it when called)."""
 
 import ast
@@ -43,6 +44,12 @@ def test_selftest_imports_the_oracle():
 @pytest.mark.parametrize("module", FAST_PATH)
 def test_fast_path_never_imports_the_oracle(module):
     assert not imports_oracle(module)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_a_worker_pool(module):
+    pools = {"concurrent", "threading", "multiprocessing"}
+    assert not {name.split(".")[0] for name in imported_names(module)} & pools
 
 
 def test_package_import_loads_no_scipy():

@@ -273,6 +273,10 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             AqftInstance.standard(4, 4)
 
+    def test_non_integral_band_rejected(self):
+        with pytest.raises(ValueError, match="band must be an integer"):
+            AqftInstance.standard(6, 1.0)
+
     def test_phase_count(self):
         with pytest.raises(ValueError):
             AqftInstance(4, 2, (0.5,))
