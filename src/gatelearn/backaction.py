@@ -22,7 +22,8 @@ columns.  :func:`distribution_batch`, :func:`sample_batch` and
 outcome and filter its wavefunction, one row of a ``(runs, ...)`` array
 per run.  The Fourier trials of the training loop need no table: they
 draw outcome and column together from the circuit's product form
-(:meth:`gatelearn.qft.ProductFormTrials.draw`).  The explicit joint
+(:meth:`gatelearn.qft.ProductFormTrials.draw`).  Both draws take their
+inverse-CDF targets from :func:`draw_targets`.  The explicit joint
 state, the filter's independent oracle, is built only in
 :mod:`gatelearn.oracle`.
 """
@@ -36,6 +37,7 @@ from .errors import NumericsError
 __all__ = [
     "outcome_table",
     "distribution_batch",
+    "draw_targets",
     "sample_batch",
     "filter_batch",
 ]
@@ -80,27 +82,31 @@ def distribution_batch(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.matmul(weights[:, None, :], table)[:, 0, :]
 
 
-def _check_sums(totals) -> None:
+def draw_targets(totals: np.ndarray, rngs) -> np.ndarray:
+    """Each run's inverse-CDF target: one uniform from its own stream times its total.
+
+    ``totals`` holds each run's outcome mass.  Raises when a total is
+    not 1 within 1e-9, before any stream is read.
+    """
     # written so that a NaN total fails too
-    if not all(abs(t - 1.0) <= _CELL_NORM_TOL for t in totals):
+    if not np.abs(totals - 1.0).max() <= _CELL_NORM_TOL:
         raise NumericsError("outcome distribution does not sum to 1 within 1e-9")
+    return np.array([rng.random() for rng in rngs]) * totals
 
 
 def sample_batch(dist: np.ndarray, rngs) -> np.ndarray:
     """One projective outcome per run from its ``(runs, outcomes)`` distribution row.
 
-    Each run makes exactly one uniform draw from its own stream and takes
-    the inverse CDF, accumulated in fixed ascending outcome order, so a
-    run's outcome depends only on its row and its stream.  Raises when a
-    row does not sum to 1 within 1e-9 or an outcome of vanishing
-    probability is drawn.  The training loop samples search trials here;
-    Fourier trials draw from the product form without a distribution
-    row, in bit-reversed outcome order (:meth:`gatelearn.qft.ProductFormTrials.draw`).
+    Each run takes its target from :func:`draw_targets` and the inverse
+    CDF, accumulated in fixed ascending outcome order, so a run's outcome
+    depends only on its row and its stream.  Raises when a row does not
+    sum to 1 within 1e-9 or an outcome of vanishing probability is drawn.
+    The training loop samples search trials here; Fourier trials draw
+    from the product form without a distribution row, in bit-reversed
+    outcome order (:meth:`gatelearn.qft.ProductFormTrials.draw`).
     """
     cdf = np.cumsum(dist, axis=1)
-    totals = cdf[:, -1].tolist()
-    _check_sums(totals)
-    targets = np.array([rng.random() * total for rng, total in zip(rngs, totals)])
+    targets = draw_targets(cdf[:, -1], rngs)
     # the count of CDF entries <= u * total is searchsorted(..., side="right")
     outcomes = (cdf <= targets[:, None]).sum(axis=1)
     np.minimum(outcomes, dist.shape[1] - 1, out=outcomes)

@@ -20,13 +20,15 @@ share a batch.
 
 The loop sees a problem only through a small trial protocol (see
 :class:`_SearchTrials` and :class:`_FourierTrials`): its
-``success_map``, whether it reads out pass/fail only
-(``binary_readout``), each run's expected outcome
-(``draw_expected(rngs)``), and ``sample(expected, weights, rngs)``,
-which draws each run's outcome with one uniform from its stream and
-returns the outcomes with their amplitude columns.  Search trials
-reuse the fixed uniform input every iteration and draw from one shared
-pass/fail table (:func:`backaction.outcome_table`) with
+``success_map``, whose shape is the parameter grid's, whether it reads
+out pass/fail only (which selects the feedback), and one call per
+iteration, ``trial(weights, rngs)``.  Given each run's row of |chi|^2,
+that call runs every run's trial and returns ``(passed, measured,
+columns)``: whether each run's verification passed, the outcome index
+it read out (-1 for a pass/fail readout), and the drawn outcome's
+amplitude column, shaped like the grid, that filters its wavefunction.
+Search trials reuse the fixed uniform input every iteration and draw
+from one shared pass/fail table (:func:`backaction.outcome_table`) with
 :func:`backaction.sample_batch`.  Fourier trials draw a fresh target
 index k per run and iteration, and draw the outcome bit by bit from the
 circuit's closed product form (:meth:`qft.ProductFormTrials.draw`); the
@@ -46,8 +48,8 @@ import numpy as np
 
 from .backaction import (
     PASS,
-    _check_sums,
     distribution_batch,
+    draw_targets,
     filter_batch,
     outcome_table,
     sample_batch,
@@ -110,16 +112,6 @@ class ExperimentConfig:
         if isinstance(self.problem, AqftInstance) and not 1 <= self.problem.band <= 2:
             raise ValueError("trainable Fourier experiments support band 1 or 2")
 
-    @property
-    def n_parameters(self) -> int:
-        if isinstance(self.problem, GroverInstance):
-            return 1
-        return self.problem.band
-
-    @property
-    def grid_shape(self) -> tuple:
-        return (self.grid_size,) * self.n_parameters
-
 
 @dataclass(frozen=True, eq=False)
 class RunBatch:
@@ -162,12 +154,9 @@ class _SearchTrials:
         self.success_map.flags.writeable = False  # checked once, shared by every run
         self._table, self._columns = outcome_table([t, u])  # outcome PASS, then fail
 
-    def draw_expected(self, rngs) -> np.ndarray:
-        return np.full(len(rngs), PASS)
-
-    def sample(self, expected, weights: np.ndarray, rngs):
+    def trial(self, weights: np.ndarray, rngs) -> tuple:
         outcomes = sample_batch(distribution_batch(weights, self._table), rngs)
-        return outcomes, self._columns[outcomes]
+        return outcomes == PASS, -1, self._columns[outcomes]
 
 
 class _FourierTrials:
@@ -187,17 +176,14 @@ class _FourierTrials:
         self.success_map = checked_success_map(success, shape)
         self.success_map.flags.writeable = False  # checked once, shared by every run
         self._dim = instance.dim
-        self._trials = ProductFormTrials(instance, phase_grid, shape)
+        self._trials = ProductFormTrials(instance, phase_grid)
 
-    def draw_expected(self, rngs) -> np.ndarray:
-        return np.array([int(rng.integers(self._dim)) for rng in rngs])
-
-    def sample(self, expected, weights: np.ndarray, rngs):
-        totals = weights.sum(axis=1).tolist()
-        _check_sums(totals)
-        targets = [rng.random() * total for rng, total in zip(rngs, totals)]
-        outcomes, _, columns = self._trials.draw(expected, weights, targets)
-        return outcomes, columns
+    def trial(self, weights: np.ndarray, rngs) -> tuple:
+        # each run's stream gives its k, then its uniform, then any dephasing
+        ks = np.array([int(rng.integers(self._dim)) for rng in rngs])
+        targets = draw_targets(weights.sum(axis=1), rngs)
+        outcomes, _, columns = self._trials.draw(ks, weights, targets)
+        return outcomes == ks, outcomes, columns.reshape((len(ks),) + self.success_map.shape)
 
 
 @lru_cache(maxsize=64)
@@ -222,26 +208,22 @@ def _run_batch(config: ExperimentConfig, seeds) -> RunBatch:
     trials = _trials(config.problem, config.grid_size)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     runs, iterations = len(rngs), config.iterations
-    start = uniform_init(config.grid_shape)
-    chi = np.repeat(start.amplitudes[None], runs, axis=0)
+    shape = trials.success_map.shape
+    chi = np.repeat(uniform_init(shape).amplitudes[None], runs, axis=0)
     probs = np.abs(chi) ** 2
 
     passed = np.empty((runs, iterations), dtype=bool)
-    measured = np.full((runs, iterations), -1)
+    measured = np.empty((runs, iterations), dtype=int)
     success = np.empty((runs, iterations))
     variance = np.empty((runs, iterations))
     actions = np.full((runs, iterations), "none", dtype=object)
-    snapshots = (
-        np.empty((runs, iterations) + config.grid_shape) if config.snapshot_chi else None
-    )
+    snapshots = np.empty((runs, iterations) + shape) if config.snapshot_chi else None
     successes = np.zeros(runs, dtype=int)
     failures = np.zeros(runs, dtype=int)
     consecutive = np.zeros(runs, dtype=int)
     for it in range(iterations):
-        expected = trials.draw_expected(rngs)
-        outcomes, columns = trials.sample(expected, probs.reshape(runs, -1), rngs)
+        ok, measured[:, it], columns = trials.trial(probs.reshape(runs, -1), rngs)
         chi = filter_batch(chi, columns)
-        ok = outcomes == expected
         failed = np.flatnonzero(~ok)
         if failed.size:
             # a slice when every run failed: views instead of gathered copies
@@ -261,8 +243,6 @@ def _run_batch(config: ExperimentConfig, seeds) -> RunBatch:
 
         probs = np.abs(chi) ** 2
         passed[:, it] = ok
-        if not trials.binary_readout:
-            measured[:, it] = outcomes
         success[:, it] = expected_success_batch(probs, trials.success_map)
         variance[:, it] = distribution_variance_batch(probs)
         if snapshots is not None:
@@ -318,7 +298,10 @@ class EnsembleSummary:
             ],
             "pass_counts": self.pass_counts.tolist(),
             "mean_final": self.mean_final,
-            "mean_final_trained": self.mean_final_trained,
+            # NaN when no run ever passed; JSON has no NaN
+            "mean_final_trained": (
+                None if math.isnan(self.mean_final_trained) else self.mean_final_trained
+            ),
         }
 
 
@@ -430,7 +413,7 @@ def write_summary_json(summary: EnsembleSummary, path, extra: dict | None = None
     if extra:
         payload.update(extra)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

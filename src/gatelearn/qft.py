@@ -115,7 +115,9 @@ def _window_bits(band: int) -> np.ndarray:
 class ProductFormTrials:
     """Outcome draws of the banded circuit's trials, from its product form.
 
-    The circuit maps the product-state input of a trial to a product
+    Built on a ``(cells, band)`` phase table, one row per grid cell; it
+    deals in flat ``(runs, cells)`` rows and knows no grid shape.  The
+    circuit maps the product-state input of a trial to a product
     state, so every outcome amplitude factorizes over the outcome bits:
 
         A_r(phi) = prod_q (1 + (-1)^{r_q} e^{i theta_q}) / 2,
@@ -132,15 +134,11 @@ class ProductFormTrials:
     :func:`gatelearn.oracle.trial_output_batch` is the oracle.
     """
 
-    def __init__(self, instance: AqftInstance, phase_grid, grid_shape: tuple | None = None):
+    def __init__(self, instance: AqftInstance, phase_grid):
         phase_grid = _checked_phase_grid(instance, phase_grid)
-        cells = phase_grid.shape[0]
         self.n_qubits, self.band = instance.n_qubits, instance.band
-        self.grid_shape = (cells,) if grid_shape is None else tuple(grid_shape)
-        if int(np.prod(self.grid_shape)) != cells:
-            raise ValueError(f"grid shape {self.grid_shape} does not hold {cells} cells")
         # e^{i theta_q - i alpha_q} / 2 for every window of bits q-band..q-1
-        angles = np.zeros((1 << self.band, cells))
+        angles = np.zeros((1 << self.band, phase_grid.shape[0]))
         for d, bits in enumerate(_window_bits(self.band)):
             angles += bits[:, None] * phase_grid[:, d]
         self._half_phase = 0.5 * np.exp(1j * angles)
@@ -154,10 +152,10 @@ class ProductFormTrials:
         the CDF in bit-reversed order holds ``targets[i]`` (u times the
         row's total): bit q is 1 where the target is not below the mass
         of bit q = 0.  Returns ``(outcomes, masses, columns)``: the
-        drawn r, P(r), and A_r(phi_g) of shape ``(runs, *grid_shape)``.
-        Every step acts on a run's row alone, so a row does not depend
-        on the batch around it.  Raises when an outcome of vanishing
-        probability is drawn.
+        drawn r, P(r), and A_r(phi_g) as flat ``(runs, cells)`` columns,
+        one entry per row of the phase table.  Every step acts on a
+        run's row alone, so a row does not depend on the batch around
+        it.  Raises when an outcome of vanishing probability is drawn.
         """
         n, dim = self.n_qubits, 1 << self.n_qubits
         ks = np.asarray(ks, dtype=np.int64)
@@ -183,7 +181,7 @@ class ProductFormTrials:
             masses = mass.sum(axis=1)
             if not masses.min() >= 1e-300:
                 raise NumericsError("sampled an outcome of vanishing probability")
-        return outcomes, masses, column.reshape((len(ks),) + self.grid_shape)
+        return outcomes, masses, column
 
     def _chain(self, rotation, targets, weights, guard: bool):
         """Walk the bit chain of :meth:`draw`: ``(outcomes, mass, column)`` per run."""

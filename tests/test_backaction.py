@@ -107,6 +107,15 @@ class TestOutcomeDistribution:
 
 
 class TestSampleAndUpdate:
+    def test_clamped_draw_onto_a_zero_mass_outcome_rejected(self):
+        class TopOfTheRange:
+            def random(self):
+                return 1.0
+
+        # u = 1 passes the whole CDF; the clamp to the last outcome lands on zero mass
+        with pytest.raises(NumericsError, match="vanishing probability"):
+            sample_batch(np.array([[0.5, 0.5, 0.0]]), [TopOfTheRange()])
+
     def test_pass_annihilates_zero_amplitude_cells(self):
         chi = uniform_init(2)
         table = outcome_table(

@@ -3,11 +3,15 @@
 import json
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import gatelearn
 from gatelearn import (
     AqftInstance,
     ExperimentConfig,
@@ -15,6 +19,7 @@ from gatelearn import (
     GroverInstance,
     run_ensemble,
 )
+from gatelearn import selftest
 from gatelearn.cli import parse_and_dispatch
 from gatelearn.harness import write_histogram_csv, write_runs_csv, write_summary_json
 
@@ -199,6 +204,29 @@ class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
         assert run_cli(["selftest"]) == 0
         assert "all 9 checks passed" in capsys.readouterr().out
+
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        def broken():
+            raise AssertionError("walk kernel drifted")
+
+        monkeypatch.setattr(selftest, "_CHECKS", (broken,) + selftest._CHECKS[1:])
+        assert run_cli(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL:")] == [
+            "FAIL: walk kernel drifted"
+        ]
+        assert lines[-1] == "selftest: 1/9 checks failed"
+
+    @pytest.mark.parametrize("module", ["gatelearn", "gatelearn.cli"])
+    def test_runs_as_a_module_from_a_checkout(self, module):
+        # the package need not be installed: put the imported copy on the path
+        src = str(Path(gatelearn.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        done = subprocess.run([sys.executable, "-m", module, "selftest"], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "all 9 checks passed" in done.stdout
 
 
 class TestUsageErrors:

@@ -5,7 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gatelearn import FeedbackConfig, GroverInstance, success_probability_map, uniform_init
+from gatelearn import (
+    FeedbackConfig,
+    GroverInstance,
+    NumericsError,
+    success_probability_map,
+    uniform_init,
+)
 from gatelearn.backaction import distribution_batch, filter_batch, outcome_table, sample_batch
 from gatelearn.feedback import apply_quantum_walk_batch, on_failure_batch
 from gatelearn.grover import _amplitudes_for_phases
@@ -111,6 +117,12 @@ class TestApplyQuantumWalk:
         assert not chi.flags.c_contiguous
         copy = chi.copy()
         np.testing.assert_array_equal(walk(chi, 2.0), walk(copy, 2.0))
+
+    def test_nan_row_rejected(self):
+        chi = random_chi(16, 9)
+        chi[0, 3] = np.nan
+        with pytest.raises(NumericsError, match="changed the norm"):
+            walk(chi, 0.5)
 
     def test_two_axis_walk_acts_on_both(self):
         amps = np.zeros((1, 8, 8), dtype=complex)
@@ -337,9 +349,14 @@ class TestController:
         ("initial_push_cells", 2.0),
         ("initial_push_cells", True),
         ("initial_push_cells", "8"),
+        ("initial_push_cells", 0),
+        ("walk_strength", -1.0),
+        ("walk_floor", -0.5),
+        ("walk_escalation", -1.0),
+        ("push_asymmetry", 0.0),
     ])
     def test_wrong_types_rejected_at_config(self, field, value):
         # "no" is truthy and would turn the kickstart on; 2.5 cells would be
-        # rounded inside the push
+        # rounded inside the push; the rest are out of range
         with pytest.raises(ValueError, match=f"{field} must be"):
             FeedbackConfig(**{field: value})

@@ -115,6 +115,10 @@ class TestSuccessProbabilityMap:
             pmap = success_probability_map(GroverInstance.standard(n), grid)
             assert int(np.argmax(pmap)) == 128
 
+    def test_two_axis_grid_rejected(self):
+        with pytest.raises(ValueError, match="1-axis grid"):
+            success_probability_map(GroverInstance.standard(16), uniform_init((8, 8)))
+
 
 class TestInstanceValidation:
     def test_target_overlap(self):

@@ -1,5 +1,6 @@
 """Training loop and ensembles: determinism, records, summaries, files."""
 
+import dataclasses
 import json
 import math
 
@@ -194,23 +195,22 @@ class StatevectorTrials:
         self.shape = mesh[0].shape
         self.success_map = success_map
 
-    def trial(self, k):
+    def readout(self, k):
         """(probability table, amplitude columns) of the full-register readout."""
         outputs = trial_output_batch(self.instance, k, self.phase_grid)
         return outcome_table(outputs.T.reshape((self.instance.dim,) + self.shape))
 
-    def draw_expected(self, rngs):
-        return np.array([int(rng.integers(self.instance.dim)) for rng in rngs])
-
-    def sample(self, expected, weights, rngs):
+    def trial(self, weights, rngs):
+        ks = np.array([int(rng.integers(self.instance.dim)) for rng in rngs])
         # the product form draws in bit-reversed outcome order
         order = bit_reversed_order(self.instance.n_qubits)
-        trials = [self.trial(k) for k in expected]
+        readouts = [self.readout(k) for k in ks]
         dist = np.concatenate(
-            [distribution_batch(w[None], table) for (table, _), w in zip(trials, weights)]
+            [distribution_batch(w[None], table) for (table, _), w in zip(readouts, weights)]
         )
         outcomes = order[sample_batch(dist[:, order], rngs)]
-        return outcomes, np.stack([c[r] for (_, c), r in zip(trials, outcomes)])
+        columns = np.stack([c[r] for (_, c), r in zip(readouts, outcomes)])
+        return outcomes == ks, outcomes, columns
 
 
 class TestProductFormEngine:
@@ -255,7 +255,7 @@ class TestProductFormEngine:
         trials = harness._trials(AqftInstance.standard(4, 1), 8)
         for weights in (np.full((1, 8), 0.2), np.full((1, 8), np.nan)):
             with pytest.raises(NumericsError):
-                trials.sample(np.array([3]), weights, [np.random.default_rng(0)])
+                trials.trial(weights, [np.random.default_rng(0)])
 
     def test_sixteen_qubit_training_memory_stays_linear(self):
         # a (2^16, 256) probability table would take 128 MB per trial; the
@@ -389,6 +389,24 @@ class TestFileOutputs:
         assert payload["note"] == "test"
         assert len(payload["mean_curve"]) == 5
         assert abs(sum(payload["histogram"]) - 1.0) < 1e-12
+
+    def test_summary_json_without_a_passing_run_is_strict_json(self, tmp_path):
+        # at N=10000 one iteration passes almost never: no run has a trained final
+        config = ExperimentConfig(problem=GroverInstance.standard(10000), iterations=1, runs=3,
+                                  grid_size=16)
+        summary, _ = run_ensemble(config)
+        assert not summary.pass_counts.any() and math.isnan(summary.mean_final_trained)
+        path = tmp_path / "summary.json"
+        write_summary_json(summary, path)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert payload["mean_final_trained"] is None
+        # any other non-finite value fails instead of writing a bare NaN
+        with pytest.raises(ValueError):
+            write_summary_json(dataclasses.replace(summary, mean_final=math.inf), path)
 
     def test_histogram_csv(self, tmp_path):
         summary, _ = run_ensemble(grover_config(runs=3, iterations=5))

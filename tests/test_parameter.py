@@ -166,6 +166,10 @@ class TestExpectedSuccess:
         with pytest.raises(NumericsError):
             checked_success_map([np.nan, 0.5], (2,))
 
+    def test_wrong_shape_map_rejected(self):
+        with pytest.raises(ValueError, match="grid shape"):
+            checked_success_map(np.full((4, 4), 0.5), (16,))
+
 
 class TestDistributionVariance:
     def test_delta_state_is_zero(self):
