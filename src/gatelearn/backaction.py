@@ -20,10 +20,11 @@ pass/fail) is held as :func:`outcome_table` builds it: a checked
 columns.  :func:`distribution_batch`, :func:`sample_batch` and
 :func:`filter_batch` then give each run's distribution, draw its
 outcome and filter its wavefunction, one row of a ``(runs, ...)`` array
-per run.  The Fourier trials of the training loop need no table: they
-draw outcome and column together from the circuit's product form
-(:meth:`gatelearn.qft.ProductFormTrials.draw`).  Both draws take their
-inverse-CDF targets from :func:`draw_targets`.  The explicit joint
+per run.  The Fourier trials of the training loop need no outcome
+table: :func:`sample_batch` draws each run's latent parameter cell from
+its |chi|^2 row, and the circuit's product form draws the outcome at
+that cell and builds its column over every cell
+(:meth:`gatelearn.qft.ProductFormTrials.draw`).  The explicit joint
 state, the filter's independent oracle, is built only in
 :mod:`gatelearn.oracle`.
 """
@@ -37,7 +38,6 @@ from .errors import NumericsError
 __all__ = [
     "outcome_table",
     "distribution_batch",
-    "draw_targets",
     "sample_batch",
     "filter_batch",
 ]
@@ -82,31 +82,27 @@ def distribution_batch(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.matmul(weights[:, None, :], table)[:, 0, :]
 
 
-def draw_targets(totals: np.ndarray, rngs) -> np.ndarray:
-    """Each run's inverse-CDF target: one uniform from its own stream times its total.
+def sample_batch(dist: np.ndarray, rngs) -> np.ndarray:
+    """One index per run, drawn from its ``(runs, entries)`` probability row.
 
-    ``totals`` holds each run's outcome mass.  Raises when a total is
-    not 1 within 1e-9, before any stream is read.
+    Each run's target is one uniform from its own stream times its row
+    total, and its index is the inverse CDF at that target, accumulated
+    in fixed ascending order, so a run's index depends only on its row
+    and its stream.  An entry of zero probability is never drawn for a
+    uniform in [0, 1).  Raises when a row does not sum to 1 within 1e-9,
+    before any stream is read, or when an entry of vanishing probability
+    is drawn.  The training loop draws a search trial's outcome here from
+    its distribution row, and a Fourier trial's latent cell from its
+    |chi|^2 row (:meth:`gatelearn.qft.ProductFormTrials.draw` then draws
+    the outcome).
     """
+    dist = np.asarray(dist, dtype=float)
+    cdf = np.cumsum(dist, axis=1)
+    totals = cdf[:, -1]
     # written so that a NaN total fails too
     if not np.abs(totals - 1.0).max() <= _CELL_NORM_TOL:
         raise NumericsError("outcome distribution does not sum to 1 within 1e-9")
-    return np.array([rng.random() for rng in rngs]) * totals
-
-
-def sample_batch(dist: np.ndarray, rngs) -> np.ndarray:
-    """One projective outcome per run from its ``(runs, outcomes)`` distribution row.
-
-    Each run takes its target from :func:`draw_targets` and the inverse
-    CDF, accumulated in fixed ascending outcome order, so a run's outcome
-    depends only on its row and its stream.  Raises when a row does not
-    sum to 1 within 1e-9 or an outcome of vanishing probability is drawn.
-    The training loop samples search trials here; Fourier trials draw
-    from the product form without a distribution row, in bit-reversed
-    outcome order (:meth:`gatelearn.qft.ProductFormTrials.draw`).
-    """
-    cdf = np.cumsum(dist, axis=1)
-    targets = draw_targets(cdf[:, -1], rngs)
+    targets = np.array([rng.random() for rng in rngs]) * totals
     # the count of CDF entries <= u * total is searchsorted(..., side="right")
     outcomes = (cdf <= targets[:, None]).sum(axis=1)
     np.minimum(outcomes, dist.shape[1] - 1, out=outcomes)

@@ -5,18 +5,19 @@ trial, sample one projective outcome (which filters the parameter
 wavefunction), verify the outcome classically, and on failure apply
 the configured feedback.  No per-trial outcome table is built: search
 trials read one pass/fail table shared by every iteration, and Fourier
-trials draw the outcome bit by bit and build only the drawn outcome's
-amplitude column.  Every run is driven by its own random stream, so a
-(config, seed) pair fixes every number exactly.
+trials draw the outcome at a latent parameter cell and build only the
+drawn outcome's amplitude column.  Every run is driven by its own
+random stream, so a (config, seed) pair fixes every number exactly.
 
 All runs of an ensemble are stepped together: the wavefunctions form
 one ``(runs, *grid_shape)`` array, the feedback acts on the rows of the
 runs that failed, and the records are ``(runs, iterations)`` columns of
 a :class:`RunBatch`.  Each run still makes its own draws in the same
-order (the Fourier input k, the one uniform of the outcome draw, then
-the dephasing phases after a walk), and every kernel computes a run's
-row exactly as it would alone, so no output depends on how many runs
-share a batch.
+order: for a Fourier trial its input k, the uniform of its latent cell
+and one call for its n bit uniforms; for a search trial the uniform of
+its outcome; then the dephasing phases after a walk.  Every kernel
+computes a run's row exactly as it would alone, so no output depends on
+how many runs share a batch.
 
 The loop sees a problem only through a small trial protocol (see
 :class:`_SearchTrials` and :class:`_FourierTrials`): its
@@ -30,10 +31,12 @@ amplitude column, shaped like the grid, that filters its wavefunction.
 Search trials reuse the fixed uniform input every iteration and draw
 from one shared pass/fail table (:func:`backaction.outcome_table`) with
 :func:`backaction.sample_batch`.  Fourier trials draw a fresh target
-index k per run and iteration, and draw the outcome bit by bit from the
-circuit's closed product form (:meth:`qft.ProductFormTrials.draw`); the
-gate-by-gate simulation in :mod:`gatelearn.oracle` is not run in the
-loop and serves as the tests' oracle.
+index k per run and iteration, a latent cell from the run's |chi|^2 row
+with :func:`backaction.sample_batch`, and the outcome's bits at that
+cell from the circuit's closed product form
+(:meth:`qft.ProductFormTrials.draw`); the gate-by-gate simulation in
+:mod:`gatelearn.oracle` is not run in the loop and serves as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import numpy as np
 from .backaction import (
     PASS,
     distribution_batch,
-    draw_targets,
     filter_batch,
     outcome_table,
     sample_batch,
@@ -175,14 +177,16 @@ class _FourierTrials:
         success = spectrum_on_grid(success_spectrum(instance, samples), shape)
         self.success_map = checked_success_map(success, shape)
         self.success_map.flags.writeable = False  # checked once, shared by every run
-        self._dim = instance.dim
+        self._n, self._dim = instance.n_qubits, instance.dim
         self._trials = ProductFormTrials(instance, phase_grid)
 
     def trial(self, weights: np.ndarray, rngs) -> tuple:
-        # each run's stream gives its k, then its uniform, then any dephasing
+        # each run's stream gives its k, its latent cell's uniform, its n bit
+        # uniforms, then any dephasing
         ks = np.array([int(rng.integers(self._dim)) for rng in rngs])
-        targets = draw_targets(weights.sum(axis=1), rngs)
-        outcomes, _, columns = self._trials.draw(ks, weights, targets)
+        cells = sample_batch(weights, rngs)
+        uniforms = np.array([rng.random(self._n) for rng in rngs])
+        outcomes, _, columns = self._trials.draw(ks, weights, cells, uniforms)
         return outcomes == ks, outcomes, columns.reshape((len(ks),) + self.success_map.shape)
 
 

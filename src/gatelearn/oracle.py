@@ -45,7 +45,7 @@ __all__ = [
     "trial_success_amplitude",
     "trial_output_batch",
     "average_success_statevector",
-    "bit_reversed_order",
+    "bit_conditionals",
     "dft_matrix",
     "search_statevector",
     "walk_matrix",
@@ -270,14 +270,25 @@ def average_success_statevector(instance: AqftInstance) -> float:
     return float(np.mean(np.abs(np.diagonal(amps)) ** 2))
 
 
-def bit_reversed_order(n: int) -> np.ndarray:
-    """The 2^n outcomes in the order the product-form Fourier draw takes them.
+def bit_conditionals(probs, outcome: int) -> np.ndarray:
+    """Each bit's conditional probability of 0, given one outcome's lower bits.
 
-    Entry j is j with its n bits reversed; the permutation is its own
-    inverse, so it also maps an outcome to its position.
+    ``probs`` is a dense distribution over the 2^n outcomes (one cell's
+    |A_r|^2, say).  Entry q is the probability that bit q is 0 given
+    that bits 0..q-1 equal those of ``outcome``: the sum of ``probs``
+    over the outcomes that share those bits and have bit q = 0, over
+    the sum over all that share them.  The product-form Fourier draw
+    (:meth:`gatelearn.qft.ProductFormTrials.draw`) takes bit q as 1
+    where its uniform is not below this value at the latent cell.
     """
-    j = np.arange(1 << n)
-    return sum(((j >> q) & 1) << (n - 1 - q) for q in range(n))
+    probs = np.asarray(probs, dtype=float)
+    r = np.arange(len(probs))
+    zero = []
+    for q in range(len(probs).bit_length() - 1):
+        low = (1 << q) - 1
+        shared = (r & low) == (outcome & low)
+        zero.append(probs[shared & ((r >> q) & 1 == 0)].sum() / probs[shared].sum())
+    return np.array(zero)
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _MAX_QUBITS = 20
+# a 0-d array adds to a complex array about twice as fast as the float 0.5
+_HALF = np.array(0.5 + 0j)
 
 
 def standard_phases(band: int) -> tuple:
@@ -126,11 +128,15 @@ class ProductFormTrials:
 
     with r_q bit q of the outcome r (read off qubit n-1-q) and r_j = 0
     for j < 0.  |factor q|^2 = (1 +- cos theta_q) / 2, so its two values
-    for bit q sum to 1 whatever the lower bits are: |factor q|^2 is the
-    conditional probability of bit q given the bits below it, and
-    P(r) = sum_g w_g prod_q |factor q|^2 is a chain from bit 0 upward.
-    :meth:`draw` walks that chain once per run, which is the inverse CDF
-    in bit-reversed outcome order, at O(n cells) cost and memory.
+    for bit q sum to 1 whatever the lower bits are: at one cell g,
+    |factor q|^2 is the conditional probability of bit q given the bits
+    below it.  P(r) = sum_g w_g prod_q |factor q|^2 is therefore a
+    mixture over the cells of one such chain per cell, and :meth:`draw`
+    samples it ancestrally: a latent cell g with probability w_g, then
+    the bits of r from bit 0 up at that cell alone, so r has exactly the
+    probability P(r).  The latent cell is a sampling device only; what
+    filters the parameter state is r, through its amplitude column
+    A_r(phi_g) over every cell.
     :func:`gatelearn.oracle.trial_output_batch` is the oracle.
     """
 
@@ -143,70 +149,63 @@ class ProductFormTrials:
             angles += bits[:, None] * phase_grid[:, d]
         self._half_phase = 0.5 * np.exp(1j * angles)
 
-    def draw(self, ks, weights: np.ndarray, targets):
+    def draw(self, ks, weights: np.ndarray, cells, uniforms):
         """Each run's outcome, its probability and its amplitude column.
 
-        Run i prepares the trial whose expected outcome is ``ks[i]``,
+        Run i prepares the trial whose expected outcome is ``ks[i]`` and
         weighs the cells by row i of the ``(runs, cells)`` array
-        ``weights`` (|chi_g|^2), and draws the outcome whose interval of
-        the CDF in bit-reversed order holds ``targets[i]`` (u times the
-        row's total): bit q is 1 where the target is not below the mass
-        of bit q = 0.  Returns ``(outcomes, masses, columns)``: the
-        drawn r, P(r), and A_r(phi_g) as flat ``(runs, cells)`` columns,
-        one entry per row of the phase table.  Every step acts on a
-        run's row alone, so a row does not depend on the batch around
-        it.  Raises when an outcome of vanishing probability is drawn.
+        ``weights`` (|chi_g|^2); ``cells[i]`` is its latent cell, drawn
+        from that row.  Bit q of its outcome is 1 where ``uniforms[i, q]``
+        is not below |factor q|^2 of bit q = 0 at the latent cell, given
+        the bits already drawn.  Returns ``(outcomes, masses, columns)``:
+        the drawn r, P(r) = sum_g w_g |A_r(phi_g)|^2, and A_r(phi_g) as
+        flat ``(runs, cells)`` columns, one entry per row of the phase
+        table.  Every step acts on a run's row alone, so a row does not
+        depend on the batch around it.  The conditionals are rounded like
+        any float, so a uniform within about 1e-16 of one may fall either
+        way.  Raises when an outcome of vanishing probability is drawn.
         """
-        n, dim = self.n_qubits, 1 << self.n_qubits
+        n, band, dim = self.n_qubits, self.band, 1 << self.n_qubits
         ks = np.asarray(ks, dtype=np.int64)
         if not (ks.min() >= 0 and ks.max() < dim):
             raise ValueError("basis index out of range")
-        # e^{i alpha_q(k)} of every run and outcome bit
-        turns = (ks[:, None] << (n - 1 - np.arange(n))) % dim
-        rotation = np.exp(-2j * np.pi * turns / dim)
-        targets = np.asarray(targets, dtype=float)
+        cells = np.asarray(cells, dtype=np.int64)
+        if not (cells.min() >= 0 and cells.max() < self._half_phase.shape[1]):
+            raise ValueError("latent cell out of range")
         weights = np.asarray(weights, dtype=float)
-        outcomes, mass, column = self._chain(rotation, targets, weights, guard=False)
-        masses = mass.sum(axis=1)
+        # e^{i alpha_q(k)} of every run and outcome bit
+        bits = np.arange(n)
+        turns = (ks[:, None] << (n - 1 - bits)) % dim
+        rotation = np.exp(-2j * np.pi * turns / dim)
+        # bit q is 1 where u_q >= 1/2 + Re(e^{i theta_q}) / 2 at the latent
+        # cell: a (runs, windows, bits) table, then a walk over scalars
+        latent = self._half_phase[:, cells].T[:, :, None] * rotation[:, None, :]
+        ones = np.asarray(uniforms, dtype=float)[:, None, :] >= 0.5 + latent.real
+        mask = (1 << band) - 1
+        outcomes = np.empty(len(ks), dtype=np.int64)
+        for i, table in enumerate(ones.tolist()):
+            r = 0
+            for q in range(n):
+                r |= table[((r << band) >> q) & mask][q] << q
+            outcomes[i] = r
+        # the drawn outcome's column over every cell, one bit at a time
+        windows = ((outcomes[:, None] << band) >> bits) & mask
+        signed = np.where((outcomes[:, None] >> bits) & 1, -rotation, rotation)
+        column = np.ones(weights.shape, dtype=np.complex128)
+        factor = np.empty(weights.shape, dtype=np.complex128)
+        for q in range(n):
+            # (1 + e^{i theta_q}) / 2 at bit 0, (1 - e^{i theta_q}) / 2 at bit 1
+            np.multiply(self._half_phase[windows[:, q]], signed[:, q, None], out=factor)
+            np.add(factor, _HALF, out=factor)
+            column *= factor
+        square = column.real**2
+        square += column.imag**2
+        # one dot product per row, as in backaction._row_norms
+        masses = np.matmul(weights[:, None, :], square[:, :, None])[:, 0, 0]
         # written so that a NaN mass fails too
         if not masses.min() >= 1e-300:
-            # the chain's dot products round differently from the row total,
-            # so a target just below the total can pass the last outcome of
-            # nonzero mass; redraw those runs taking bit 1 only where it has
-            # mass.  A target at or past the total still fails.
-            stuck = ~(masses >= 1e-300) & (targets < weights.sum(axis=1))
-            outcomes[stuck], mass[stuck], column[stuck] = self._chain(
-                rotation[stuck], targets[stuck], weights[stuck], guard=True
-            )
-            masses = mass.sum(axis=1)
-            if not masses.min() >= 1e-300:
-                raise NumericsError("sampled an outcome of vanishing probability")
+            raise NumericsError("sampled an outcome of vanishing probability")
         return outcomes, masses, column
-
-    def _chain(self, rotation, targets, weights, guard: bool):
-        """Walk the bit chain of :meth:`draw`: ``(outcomes, mass, column)`` per run."""
-        band = self.band
-        outcomes = np.zeros(len(rotation), dtype=np.int64)
-        remaining = targets.copy()
-        mass = weights.copy()
-        column = np.ones(mass.shape, dtype=np.complex128)
-        factor = np.empty(mass.shape, dtype=np.complex128)
-        for q in range(self.n_qubits):
-            window = ((outcomes << band) >> q) & ((1 << band) - 1)
-            np.multiply(self._half_phase[window], rotation[:, q, None], out=factor)
-            factor += 0.5  # (1 + e^{i theta_q}) / 2: bit q = 0
-            # one dot product per row, as in backaction._row_norms
-            zero = np.matmul(mass[:, None, :], factor.real[:, :, None])[:, 0, 0]
-            one = remaining >= zero
-            if guard:
-                # a sum of nonnegative terms: exactly zero iff bit 1 has no mass
-                one &= np.matmul(mass[:, None, :], 1.0 - factor.real[:, :, None])[:, 0, 0] > 0
-            remaining -= np.where(one, zero, 0.0)
-            outcomes |= one << q
-            np.subtract(1.0, factor, out=factor, where=one[:, None])  # bit q = 1
-            mass *= factor.real
-            column *= factor
-        return outcomes, mass, column
 
 
 # ---------------------------------------------------------------------------

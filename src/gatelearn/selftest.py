@@ -21,7 +21,7 @@ from .oracle import (
     apply_aqft,
     apply_single_qubit_gate,
     average_success_statevector,
-    bit_reversed_order,
+    bit_conditionals,
     brute_force_joint_step,
     dft_matrix,
     search_statevector,
@@ -182,34 +182,39 @@ def search_statevector_deviation(sizes, phases_per_size: int, seed: int) -> floa
     return worst
 
 
-def fourier_draw_deviation(instance, phase_grid, ks, weights, uniforms):
+def fourier_draw_deviation(instance, phase_grid, ks, weights, cells, uniforms):
     """(outcome mismatches, worst mass deviation, worst column deviation) of the Fourier draw.
 
     Run i weighs the rows of the ``(cells, band)`` ``phase_grid`` by row
-    i of ``weights`` and targets ``uniforms[i]`` times that row's sum.
-    :meth:`ProductFormTrials.draw` (the training loop's draw) takes the
-    outcome bit by bit from the product form; the oracle simulates the
-    circuit gate by gate (:func:`trial_output_batch`) and takes the
-    inverse CDF of its outcome distribution in bit-reversed outcome
-    order.  A draw is a mismatch when its target lies more than 1e-12
-    outside the drawn outcome's interval of that CDF; the two routes
-    round differently, so a target on an interval boundary (u = 0 with
-    an exact-zero outcome first, say) may fall either way.  The masses
-    and columns are compared at the drawn outcome.
+    i of ``weights``, takes row ``cells[i]`` as its latent cell and row i
+    of the ``(runs, n)`` array ``uniforms`` as its bit uniforms.
+    :meth:`ProductFormTrials.draw` (the training loop's draw) takes each
+    bit from the product form at the latent cell; the oracle simulates
+    the circuit gate by gate (:func:`trial_output_batch`) and takes each
+    bit's conditional by marginalizing the latent cell's dense outcome
+    distribution (:func:`bit_conditionals`).  A draw is a mismatch when
+    a bit of the drawn outcome lies more than 1e-12 on the wrong side of
+    its conditional; the two routes round differently, so a uniform on a
+    boundary may fall either way.  The masses and columns are compared
+    at the drawn outcome.
     """
     phase_grid = np.atleast_2d(np.asarray(phase_grid, dtype=float))
     weights = np.asarray(weights, dtype=float)
-    targets = np.asarray(uniforms) * weights.sum(axis=1)
-    outcomes, masses, columns = ProductFormTrials(instance, phase_grid).draw(ks, weights, targets)
-    order = bit_reversed_order(instance.n_qubits)
+    uniforms = np.asarray(uniforms, dtype=float)
+    trials = ProductFormTrials(instance, phase_grid)
+    outcomes, masses, columns = trials.draw(ks, weights, cells, uniforms)
+    bits = np.arange(instance.n_qubits)
     mismatches, worst_mass, worst_column = 0, 0.0, 0.0
-    for k, w, target, drawn, mass, column in zip(ks, weights, targets, outcomes, masses, columns):
+    for k, w, cell, u, drawn, mass, column in zip(
+        ks, weights, cells, uniforms, outcomes, masses, columns
+    ):
         amps = trial_output_batch(instance, int(k), phase_grid)
-        dist = w @ np.abs(amps) ** 2
-        cdf = np.insert(np.cumsum(dist[order]), 0, 0.0)
-        position = order[drawn]
-        mismatches += not cdf[position] - 1e-12 <= target <= cdf[position + 1] + 1e-12
-        worst_mass = max(worst_mass, abs(mass - dist[drawn]))
+        zero = bit_conditionals(np.abs(amps[cell]) ** 2, drawn)
+        # bit 1 needs u_q >= zero_q and bit 0 needs u_q < zero_q; written so
+        # that a NaN conditional (a drawn prefix of no mass) fails too
+        ok = np.where((drawn >> bits) & 1, u >= zero - 1e-12, u < zero + 1e-12)
+        mismatches += not ok.all()
+        worst_mass = max(worst_mass, abs(mass - w @ np.abs(amps[:, drawn]) ** 2))
         worst_column = max(worst_column, np.abs(column - amps[:, drawn]).max())
     return mismatches, worst_mass, worst_column
 
@@ -284,13 +289,14 @@ def _check_fourier_draw() -> str:
             rng.uniform(-np.pi, np.pi, (16, band)),
             rng.integers(0, 1 << n, 4),
             weights / weights.sum(axis=1, keepdims=True),
-            rng.random(4),
+            rng.integers(0, 16, 4),
+            rng.random((4, n)),
         )
         if mismatches:
             raise AssertionError(f"Fourier draw and statevector oracle disagree at n={n}")
         if max(mass, column) > 1e-12:
             raise AssertionError(f"Fourier draw deviates from the oracle by {max(mass, column):.2e}")
-    return "product-form Fourier draw matches the statevector inverse CDF"
+    return "product-form Fourier draw matches the statevector bit conditionals"
 
 
 def _check_success_map() -> str:

@@ -116,6 +116,12 @@ class TestSampleAndUpdate:
         with pytest.raises(NumericsError, match="vanishing probability"):
             sample_batch(np.array([[0.5, 0.5, 0.0]]), [TopOfTheRange()])
 
+    def test_nested_list_draws_as_its_array(self):
+        dist = [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]
+        from_list = sample_batch(dist, [np.random.default_rng(s) for s in (4, 5)])
+        from_array = sample_batch(np.array(dist), [np.random.default_rng(s) for s in (4, 5)])
+        np.testing.assert_array_equal(from_list, from_array)
+
     def test_pass_annihilates_zero_amplitude_cells(self):
         chi = uniform_init(2)
         table = outcome_table(

@@ -20,7 +20,7 @@ from gatelearn import (
     uniform_init,
 )
 from gatelearn import harness
-from gatelearn.backaction import distribution_batch, outcome_table, sample_batch
+from gatelearn.backaction import outcome_table, sample_batch
 from gatelearn.errors import NumericsError
 from gatelearn.harness import (
     target_success,
@@ -28,7 +28,7 @@ from gatelearn.harness import (
     write_runs_csv,
     write_summary_json,
 )
-from gatelearn.oracle import bit_reversed_order, trial_output_batch
+from gatelearn.oracle import bit_conditionals, trial_output_batch
 
 
 COLUMNS = ("passed", "measured_index", "expected_success", "circular_variance",
@@ -202,13 +202,16 @@ class StatevectorTrials:
 
     def trial(self, weights, rngs):
         ks = np.array([int(rng.integers(self.instance.dim)) for rng in rngs])
-        # the product form draws in bit-reversed outcome order
-        order = bit_reversed_order(self.instance.n_qubits)
+        # the same latent cell, then each bit from the conditional of that
+        # cell's dense outcome distribution
+        cells = sample_batch(weights, rngs)
         readouts = [self.readout(k) for k in ks]
-        dist = np.concatenate(
-            [distribution_batch(w[None], table) for (table, _), w in zip(readouts, weights)]
-        )
-        outcomes = order[sample_batch(dist[:, order], rngs)]
+        outcomes = np.empty(len(ks), dtype=int)
+        for i, ((table, _), cell, rng) in enumerate(zip(readouts, cells, rngs)):
+            r = 0
+            for q, u in enumerate(rng.random(self.instance.n_qubits)):
+                r |= int(u >= bit_conditionals(table[cell], r)[q]) << q
+            outcomes[i] = r
         columns = np.stack([c[r] for (_, c), r in zip(readouts, outcomes)])
         return outcomes == ks, outcomes, columns
 
@@ -251,6 +254,31 @@ class TestProductFormEngine:
         config = aqft_config(problem=AqftInstance.standard(5, 2), grid_size=8)
         assert run_learning(config, run_seed=2).iterations == 30
 
+    def test_zero_weight_cell_is_never_the_latent_cell(self):
+        # 2 qubits, k = 1, grid phases 0, pi/2, pi and 3 pi/2: the cell at
+        # pi/2 reads out 1 and the cell at 3 pi/2 reads out 3 with certainty.
+        # At phases 0 and pi bit 1 is a fair coin, so at each case's bit
+        # uniform every other cell would read out the other outcome.  Cell
+        # uniforms 0 and 1 - 2^-53 land on the CDF's flat steps at the
+        # zero-weight cells.
+        class Stream:
+            def __init__(self, cell_uniform, bit_uniform):
+                self.cell_uniform, self.bit_uniform = cell_uniform, bit_uniform
+
+            def integers(self, high):
+                return 1
+
+            def random(self, size=None):
+                return self.cell_uniform if size is None else np.full(size, self.bit_uniform)
+
+        trials = harness._trials(AqftInstance.standard(2, 1), 4)
+        for cell, bit_uniform in ((1, 0.75), (3, 0.25)):
+            weights = np.eye(1, 4, cell)
+            for cell_uniform in (0.0, 1.0 - 2.0**-53):
+                passed, outcomes, _ = trials.trial(weights, [Stream(cell_uniform, bit_uniform)])
+                assert outcomes[0] == cell
+                assert passed[0] == (cell == 1)
+
     def test_draw_rejects_unnormalized_or_nan_weights(self):
         trials = harness._trials(AqftInstance.standard(4, 1), 8)
         for weights in (np.full((1, 8), 0.2), np.full((1, 8), np.nan)):
@@ -259,7 +287,8 @@ class TestProductFormEngine:
 
     def test_sixteen_qubit_training_memory_stays_linear(self):
         # a (2^16, 256) probability table would take 128 MB per trial; the
-        # bit-by-bit draw holds a few (runs, cells) rows per outcome bit
+        # draw takes the outcome's bits at one latent cell, a (runs, 2^band,
+        # n) table, and builds the column in two (runs, cells) buffers
         import tracemalloc
 
         config = aqft_config(problem=AqftInstance.standard(16, 1), grid_size=256,

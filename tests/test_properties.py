@@ -168,7 +168,7 @@ def test_search_amplitude_closure_100_cases():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_product_form_draw_matches_statevector_oracle(data):
-    """The chain draw equals the statevector inverse CDF in bit-reversed order."""
+    """Each bit of the draw falls where the statevector's conditional at the latent cell puts it."""
     n = data.draw(st.integers(2, 9), label="n")
     band = data.draw(st.sampled_from([1, 2] if n > 2 else [1]), label="band")
     runs = data.draw(st.integers(1, 4), label="runs")
@@ -183,10 +183,13 @@ def test_product_form_draw_matches_statevector_oracle(data):
         st.lists(st.lists(st.floats(0.0, 1.0), min_size=cells, max_size=cells),
                  min_size=runs, max_size=runs), label="weights")) ** 4 + 1e-3
     weights /= weights.sum(axis=1, keepdims=True)
-    uniforms = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+    latent = data.draw(st.lists(st.integers(0, cells - 1), min_size=runs, max_size=runs),
+                       label="latent cells")
+    uniform = st.floats(0.0, 1.0, exclude_max=True)
+    uniforms = data.draw(st.lists(st.lists(uniform, min_size=n, max_size=n),
                                   min_size=runs, max_size=runs), label="u")
     mismatches, mass, column = fourier_draw_deviation(
-        AqftInstance.standard(n, band), rows, ks, weights, uniforms
+        AqftInstance.standard(n, band), rows, ks, weights, latent, uniforms
     )
     assert mismatches == 0
     assert mass <= 1e-12 and column <= 1e-12

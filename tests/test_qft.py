@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import gatelearn
 from gatelearn import (
@@ -21,7 +22,7 @@ from gatelearn.oracle import (
     PureState,
     apply_aqft,
     average_success_statevector,
-    bit_reversed_order,
+    bit_conditionals,
     dft_matrix,
     trial_output_batch,
     trial_success_amplitude,
@@ -110,9 +111,11 @@ class TestTrials:
 
 
 class TestProductFormDraw:
-    def test_cdf_midpoints_draw_their_outcome_exhaustively(self):
-        # n=5 band 2: every k, and for every outcome of nonzero probability a
-        # target at the midpoint of its interval of the bit-reversed CDF
+    def test_conditional_midpoints_draw_their_outcome_exhaustively(self):
+        # n=5 band 2: every k, every latent cell, and for every outcome of
+        # nonzero probability at that cell, each bit's uniform at the midpoint
+        # of its interval of the cell's conditional, taken from the dense
+        # statevector output
         n = 5
         inst = AqftInstance.standard(n, 2)
         rng = np.random.default_rng(5)
@@ -120,43 +123,77 @@ class TestProductFormDraw:
         weights = rng.random(6) + 0.1
         weights /= weights.sum()
         trials = ProductFormTrials(inst, grid)
-        order = bit_reversed_order(n)
+        bits = np.arange(n)
         drawn = 0
         for k in range(1 << n):
-            dist = weights @ np.abs(trial_output_batch(inst, k, grid)) ** 2
-            cdf = np.concatenate([[0.0], np.cumsum(dist[order])])
-            wide = np.flatnonzero(np.diff(cdf) > 1e-9)
-            midpoints = (cdf[wide] + cdf[wide + 1]) / 2
-            outcomes, masses, _ = trials.draw(np.full(len(wide), k),
-                                              np.tile(weights, (len(wide), 1)), midpoints)
-            np.testing.assert_array_equal(outcomes, order[wide])
-            np.testing.assert_allclose(masses, dist[order[wide]], rtol=0, atol=1e-12)
-            drawn += len(wide)
-        assert drawn >= 10 * (1 << n)  # about a third of the (k, r) pairs can occur
+            amps = trial_output_batch(inst, k, grid)
+            probs = np.abs(amps) ** 2
+            cells, expected, uniforms = [], [], []
+            for cell, row in enumerate(probs):
+                for r in np.flatnonzero(row > 1e-9):
+                    zero = bit_conditionals(row, r)
+                    uniforms.append(np.where((r >> bits) & 1, (1.0 + zero) / 2, zero / 2))
+                    cells.append(cell)
+                    expected.append(r)
+            outcomes, masses, columns = trials.draw(
+                np.full(len(cells), k), np.tile(weights, (len(cells), 1)), cells, uniforms
+            )
+            np.testing.assert_array_equal(outcomes, expected)
+            np.testing.assert_allclose(masses, weights @ probs[:, expected], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(columns, amps[:, expected].T, rtol=0, atol=1e-12)
+            drawn += len(cells)
+        assert drawn >= 6 * 10 * (1 << n)
+
+    @pytest.mark.parametrize("n,band,k", [(5, 1, 11), (4, 2, 7)])
+    def test_outcome_frequencies_follow_the_born_rule(self, n, band, k):
+        # 200k seeded draws against the oracle's P(r); latent cells come from
+        # numpy's own weighted choice, so only the bit draw is under test
+        inst = AqftInstance.standard(n, band)
+        rng = np.random.default_rng(100 * n + band)
+        grid = rng.uniform(-np.pi, np.pi, (8, band))
+        weights = rng.random(8) + 0.2
+        weights /= weights.sum()
+        expected = weights @ np.abs(trial_output_batch(inst, k, grid)) ** 2
+        trials = ProductFormTrials(inst, grid)
+        counts = np.zeros(1 << n)
+        draws, chunk = 200_000, 20_000
+        for _ in range(draws // chunk):
+            cells = rng.choice(len(weights), size=chunk, p=weights)
+            outcomes, _, _ = trials.draw(np.full(chunk, k), np.tile(weights, (chunk, 1)),
+                                         cells, rng.random((chunk, n)))
+            counts += np.bincount(outcomes, minlength=1 << n)
+        possible = expected > 1e-12
+        assert counts[~possible].sum() == 0
+        chi2 = ((counts - draws * expected)[possible] ** 2 / (draws * expected[possible])).sum()
+        assert scipy.stats.chi2.sf(chi2, possible.sum() - 1) > 1e-3
+
+    def test_certain_outcome_drawn_at_extreme_uniforms(self):
+        # where the product form rounds a certain bit's conditional to exactly
+        # 0 or 1, bit uniforms 0 and 1 - 2^-53 both draw the certain outcome:
+        # at phase 0, k = 0 and k = 2^(n-1) pass with certainty on every cell,
+        # and so does every k of the exact 2-qubit circuit
+        top = 1.0 - 2.0**-53
+        zero_phase = ProductFormTrials(AqftInstance.standard(5, 2), np.zeros((3, 2)))
+        exact = ProductFormTrials(AqftInstance.standard(2, 1), [[np.pi / 2]])
+        for trials, n, ks, cells in ((zero_phase, 5, (0, 16), 3), (exact, 2, range(4), 1)):
+            weights = np.full((1, cells), 1.0 / cells)
+            for k in ks:
+                for u in (0.0, top):
+                    outcomes, masses, _ = trials.draw([k], weights, [cells - 1], [[u] * n])
+                    assert outcomes[0] == k
+                    assert abs(masses[0] - 1.0) < 1e-12
 
     def test_vanishing_outcome_rejected(self):
-        # with the textbook phase the 2-qubit band-1 circuit is exact: a
-        # target past the mass of the passing outcome can only reach outcomes
-        # of zero probability
-        trials = ProductFormTrials(AqftInstance.standard(2, 1), [[np.pi / 2]])
+        # at phase 0 and k = 0 bit 0 is 0 with certainty; a bit uniform of 1,
+        # outside [0, 1), takes bit 1, whose mass is exactly 0
+        trials = ProductFormTrials(AqftInstance.standard(2, 1), [[0.0]])
         with pytest.raises(NumericsError):
-            trials.draw([0], np.ones((1, 1)), [1.0])
-
-    def test_target_just_below_the_total_draws_an_outcome_of_mass(self):
-        # phase 0 and k=0 pass with certainty; u = 1 - 2^-53 puts the target
-        # one rounding below the row total, which the chain's own dot product
-        # may not exceed, and bit 1 of each qubit has no mass at all
-        weights = np.array([[0.0, 1.0, 0.718019718276694, 0.0]]) ** 4 + 1e-3
-        weights /= weights.sum()
-        trials = ProductFormTrials(AqftInstance.standard(2, 1), [[0.0]] * 4)
-        outcomes, masses, _ = trials.draw([0], weights, [0.9999999999999999 * weights.sum()])
-        assert outcomes[0] == 0
-        assert abs(masses[0] - 1.0) < 1e-12
+            trials.draw([0], np.ones((1, 1)), [0], [[1.0, 0.0]])
 
     def test_nan_weights_rejected(self):
         trials = ProductFormTrials(AqftInstance.standard(3, 1), [[0.3], [1.2]])
         with pytest.raises(NumericsError):
-            trials.draw([2], np.array([[np.nan, 0.5]]), [0.1])
+            trials.draw([2], np.array([[np.nan, 0.5]]), [1], [[0.1, 0.1, 0.1]])
 
     def test_nan_phase_row_rejected_when_built(self):
         inst = AqftInstance.standard(4, 2)
