@@ -119,9 +119,9 @@ def _walk_spectrum(strength: float, grid_shape: tuple) -> np.ndarray:
 
 
 def _norms_squared(amps: np.ndarray) -> np.ndarray:
-    rows = np.ascontiguousarray(amps).reshape(len(amps), -1)
-    parts = rows.view(np.float64)  # real, imag interleaved
-    return np.einsum("ij,ij->i", parts, parts)
+    """Each run's squared norm: one dot product of its interleaved real and imaginary parts."""
+    parts = np.ascontiguousarray(amps).reshape(len(amps), 1, -1).view(np.float64)
+    return np.matmul(parts, parts.swapaxes(1, 2)).reshape(len(amps))
 
 
 def apply_quantum_walk_batch(amps: np.ndarray, strengths) -> np.ndarray:

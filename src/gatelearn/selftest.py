@@ -282,15 +282,16 @@ def _check_qft_circuit() -> str:
 
 def _check_fourier_draw() -> str:
     rng = np.random.default_rng(11)
-    for n, band in ((5, 1), (7, 2), (9, 2)):
-        weights = rng.random((4, 16)) ** 4 + 1e-3
+    # the last case's column spans four of the draw's blocks of runs
+    for n, band, cells, runs in ((5, 1, 16, 4), (7, 2, 16, 4), (9, 2, 16, 4), (6, 2, 1024, 13)):
+        weights = rng.random((runs, cells)) ** 4 + 1e-3
         mismatches, mass, column = fourier_draw_deviation(
             AqftInstance.standard(n, band),
-            rng.uniform(-np.pi, np.pi, (16, band)),
-            rng.integers(0, 1 << n, 4),
+            rng.uniform(-np.pi, np.pi, (cells, band)),
+            rng.integers(0, 1 << n, runs),
             weights / weights.sum(axis=1, keepdims=True),
-            rng.integers(0, 16, 4),
-            rng.random((4, n)),
+            rng.integers(0, cells, runs),
+            rng.random((runs, n)),
         )
         if mismatches:
             raise AssertionError(f"Fourier draw and statevector oracle disagree at n={n}")

@@ -288,7 +288,7 @@ class TestProductFormEngine:
     def test_sixteen_qubit_training_memory_stays_linear(self):
         # a (2^16, 256) probability table would take 128 MB per trial; the
         # draw takes the outcome's bits at one latent cell, a (runs, 2^band,
-        # n) table, and builds the column in two (runs, cells) buffers
+        # n) table, and builds the column in blocks of about 2^14 entries
         import tracemalloc
 
         config = aqft_config(problem=AqftInstance.standard(16, 1), grid_size=256,

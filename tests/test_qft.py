@@ -27,7 +27,28 @@ from gatelearn.oracle import (
     trial_output_batch,
     trial_success_amplitude,
 )
+from gatelearn import qft
 from gatelearn.qft import ProductFormTrials
+from gatelearn.selftest import fourier_draw_deviation
+
+
+def running_product_column(trials, k, r):
+    """Outcome r's column as the running product from bit 0 up, the draw's reference.
+
+    Factor q is 1/2 + (-1)^{r_q} e^{i theta_q} / 2 over every cell, with
+    the draw's own arithmetic, so a block-wise product must match it bit
+    for bit.
+    """
+    n, band, dim = trials.n_qubits, trials.band, 1 << trials.n_qubits
+    half_phase = trials._half_phase[: 1 << band]
+    bits = np.arange(n)
+    rotation = np.exp(-2j * np.pi * ((k << (n - 1 - bits)) % dim) / dim)
+    column = np.ones(half_phase.shape[1], dtype=complex)
+    for q in bits:
+        window = ((r << band) >> q) & ((1 << band) - 1)
+        sign = -rotation[q] if (r >> q) & 1 else rotation[q]
+        column *= np.multiply(half_phase[window], sign) + qft._HALF
+    return column
 
 
 def random_state(n, seed):
@@ -168,14 +189,19 @@ class TestProductFormDraw:
         assert scipy.stats.chi2.sf(chi2, possible.sum() - 1) > 1e-3
 
     def test_certain_outcome_drawn_at_extreme_uniforms(self):
-        # where the product form rounds a certain bit's conditional to exactly
-        # 0 or 1, bit uniforms 0 and 1 - 2^-53 both draw the certain outcome:
-        # at phase 0, k = 0 and k = 2^(n-1) pass with certainty on every cell,
-        # and so does every k of the exact 2-qubit circuit
+        # bit uniforms 0 and 1 - 2^-53 both draw an outcome that is certain in
+        # exact arithmetic: at phase 0, k = 0 and k = 2^(n-1) pass with
+        # certainty on every cell, and so does every k of an exact circuit.
+        # From 3 qubits up some certain conditionals of the exact circuit
+        # round to about 2^-54 instead of 0, and a uniform of 0 below that
+        # once took the impossible bit: k = 7 of the 3-qubit circuit drew
+        # outcome 3, of mass 1e-32
         top = 1.0 - 2.0**-53
-        zero_phase = ProductFormTrials(AqftInstance.standard(5, 2), np.zeros((3, 2)))
-        exact = ProductFormTrials(AqftInstance.standard(2, 1), [[np.pi / 2]])
-        for trials, n, ks, cells in ((zero_phase, 5, (0, 16), 3), (exact, 2, range(4), 1)):
+        cases = [(ProductFormTrials(AqftInstance.standard(5, 2), np.zeros((3, 2))), 5, (0, 16), 3)]
+        for n in range(2, 9):
+            exact = AqftInstance.standard(n, n - 1)
+            cases.append((ProductFormTrials(exact, [exact.phases]), n, range(1 << n), 1))
+        for trials, n, ks, cells in cases:
             weights = np.full((1, cells), 1.0 / cells)
             for k in ks:
                 for u in (0.0, top):
@@ -183,12 +209,67 @@ class TestProductFormDraw:
                     assert outcomes[0] == k
                     assert abs(masses[0] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n,band,cells,runs", [(10, 1, 256, 20), (6, 2, 1024, 13)])
+    def test_chunked_rows_match_runs_drawn_alone(self, n, band, cells, runs):
+        # the column is built in blocks of runs; these batches span 4 blocks,
+        # and each row must equal the run drawn alone and the running product
+        assert runs > 3 * (qft._CHUNK_ENTRIES // (n * cells))
+        inst = AqftInstance.standard(n, band)
+        rng = np.random.default_rng(n + band)
+        grid = rng.uniform(-np.pi, np.pi, (cells, band))
+        weights = rng.random((runs, cells)) ** 4 + 1e-3
+        weights /= weights.sum(axis=1, keepdims=True)
+        ks, latent = rng.integers(0, 1 << n, runs), rng.integers(0, cells, runs)
+        uniforms = rng.random((runs, n))
+        trials = ProductFormTrials(inst, grid)
+        outcomes, masses, columns = trials.draw(ks, weights, latent, uniforms)
+        for i in range(runs):
+            alone = trials.draw(ks[i : i + 1], weights[i : i + 1], latent[i : i + 1],
+                                uniforms[i : i + 1])
+            assert alone[0][0] == outcomes[i]
+            assert alone[1][0].tobytes() == masses[i].tobytes()
+            assert alone[2][0].tobytes() == columns[i].tobytes()
+            reference = running_product_column(trials, int(ks[i]), int(outcomes[i]))
+            assert reference.tobytes() == columns[i].tobytes()
+        mismatches, mass, column = fourier_draw_deviation(inst, grid, ks, weights, latent,
+                                                          uniforms)
+        assert mismatches == 0
+        assert mass <= 1e-12 and column <= 1e-12
+
+    def test_many_run_draw_memory_set_by_the_chunk(self):
+        # 200 runs of 16 bits on 256 cells would gather 13 MB at once; in
+        # blocks of about 2^14 entries the peak is the (runs, cells) output
+        # plus one block
+        n, runs, cells = 16, 200, 256
+        rng = np.random.default_rng(16)
+        trials = ProductFormTrials(AqftInstance.standard(n, 1), rng.uniform(0, 2 * np.pi, (cells, 1)))
+        weights = np.full((runs, cells), 1.0 / cells)
+        args = (rng.integers(0, 1 << n, runs), weights, rng.integers(0, cells, runs),
+                rng.random((runs, n)))
+        tracemalloc.start()
+        try:
+            trials.draw(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_vanishing_outcome_rejected(self):
         # at phase 0 and k = 0 bit 0 is 0 with certainty; a bit uniform of 1,
         # outside [0, 1), takes bit 1, whose mass is exactly 0
         trials = ProductFormTrials(AqftInstance.standard(2, 1), [[0.0]])
         with pytest.raises(NumericsError):
             trials.draw([0], np.ones((1, 1)), [0], [[1.0, 0.0]])
+
+    def test_out_of_range_index_or_cell_rejected(self):
+        trials = ProductFormTrials(AqftInstance.standard(3, 1), [[0.3], [1.2]])
+        weights, u = np.full((1, 2), 0.5), [[0.1] * 3]
+        for k in (-1, 8, -(2**40)):
+            with pytest.raises(ValueError, match="basis index"):
+                trials.draw([k], weights, [0], u)
+        for cell in (-1, 2):
+            with pytest.raises(ValueError, match="latent cell"):
+                trials.draw([3], weights, [cell], u)
 
     def test_nan_weights_rejected(self):
         trials = ProductFormTrials(AqftInstance.standard(3, 1), [[0.3], [1.2]])
