@@ -39,8 +39,9 @@ def main():
 
     def measure(chi, rng):
         """One projective readout and its back-action on the run."""
-        outcome = sample_batch(distribution_batch(np.abs(chi) ** 2, table), [rng])
-        return outcome[0], filter_batch(chi, columns[outcome])
+        dist = distribution_batch(np.abs(chi) ** 2, table)
+        outcome = sample_batch(dist, [rng])
+        return outcome[0], filter_batch(chi, columns[outcome], dist[0, outcome])
 
     chi = grid.amplitudes[None]  # a batch of one run
 

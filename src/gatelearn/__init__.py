@@ -35,9 +35,9 @@ from .optimize import (
     optimize_phases,
 )
 from .parameter import ParameterState, uniform_init
+from .productform import ProductFormTrials
 from .qft import (
     AqftInstance,
-    ProductFormTrials,
     average_success,
     average_success_map,
     standard_phases,

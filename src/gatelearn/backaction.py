@@ -12,20 +12,22 @@ total outcome probability.  Repeated conditioning concentrates |chi|^2
 where the observed outcomes are likely: the measurement itself acts as
 a Bayesian-style filter on the parameter.
 
-The filter needs two things from a trial: the outcome distribution for
-the current |chi|^2 and the amplitude column A_r of the one sampled
-outcome.  A trial with a fixed amplitude table (search, read out as
-pass/fail) is held as :func:`outcome_table` builds it: a checked
-``(cells, outcomes)`` probability table and its per-outcome amplitude
-columns.  :func:`distribution_batch`, :func:`sample_batch` and
-:func:`filter_batch` then give each run's distribution, draw its
-outcome and filter its wavefunction, one row of a ``(runs, ...)`` array
-per run.  The Fourier trials of the training loop need no outcome
-table: :func:`sample_batch` draws each run's latent parameter cell from
-its |chi|^2 row, and the circuit's product form draws the outcome at
-that cell and builds its column over every cell
-(:meth:`gatelearn.qft.ProductFormTrials.draw`).  The explicit joint
-state, the filter's independent oracle, is built only in
+The filter needs three things from a trial: the outcome distribution
+for the current |chi|^2, the amplitude column A_r of the one sampled
+outcome, and its probability P(r), by whose root it divides.  A trial
+with a fixed amplitude table (search, read out as pass/fail) is held as
+:func:`outcome_table` builds it: a checked ``(cells, outcomes)``
+probability table and its per-outcome amplitude columns.
+:func:`distribution_batch`, :func:`sample_batch` and :func:`filter_batch`
+then give each run's distribution, draw its outcome and filter its
+wavefunction, one row of a ``(runs, ...)`` array per run, with P(r) read
+off the run's distribution row.  The Fourier trials of the training loop
+need no outcome table: :func:`sample_batch` draws each run's latent
+parameter cell from its |chi|^2 row, and the circuit's product form
+draws the outcome at that cell and builds its column over every cell,
+summing P(r) on the way
+(:meth:`gatelearn.productform.ProductFormTrials.draw`).  The explicit
+joint state, the filter's independent oracle, is built only in
 :mod:`gatelearn.oracle`.
 """
 
@@ -93,41 +95,37 @@ def sample_batch(dist: np.ndarray, rngs) -> np.ndarray:
     before any stream is read, or when an entry of vanishing probability
     is drawn.  The training loop draws a search trial's outcome here from
     its distribution row, and a Fourier trial's latent cell from its
-    |chi|^2 row (:meth:`gatelearn.qft.ProductFormTrials.draw` then draws
-    the outcome).
+    |chi|^2 row (:meth:`gatelearn.productform.ProductFormTrials.draw`
+    then draws the outcome).
     """
+    # the ufuncs' own accumulate and reduce, which np.cumsum, np.max, np.sum
+    # and np.min call, without their wrappers' cost
     dist = np.asarray(dist, dtype=float)
-    cdf = np.cumsum(dist, axis=1)
+    cdf = np.add.accumulate(dist, axis=1)
     totals = cdf[:, -1]
     # written so that a NaN total fails too
-    if not np.abs(totals - 1.0).max() <= _CELL_NORM_TOL:
+    if not np.maximum.reduce(np.abs(totals - 1.0)) <= _CELL_NORM_TOL:
         raise NumericsError("outcome distribution does not sum to 1 within 1e-9")
     targets = np.array([rng.random() for rng in rngs]) * totals
     # the count of CDF entries <= u * total is searchsorted(..., side="right")
-    outcomes = (cdf <= targets[:, None]).sum(axis=1)
+    outcomes = np.add.reduce(cdf <= targets[:, None], axis=1)
     np.minimum(outcomes, dist.shape[1] - 1, out=outcomes)
-    if not dist[np.arange(len(outcomes)), outcomes].min() >= 1e-300:
+    if not np.minimum.reduce(dist[np.arange(len(outcomes)), outcomes]) >= 1e-300:
         raise NumericsError("sampled an outcome of vanishing probability")
     return outcomes
 
 
-def _row_norms(amps: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of every run's row, bit for bit.
+def filter_batch(amps: np.ndarray, columns: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """chi_g * A_r(phi_g) / sqrt(P(r)) for each run's row, sampled column and outcome mass.
 
-    ``np.linalg.norm`` adds one BLAS dot product of the real parts and
-    one of the imaginary parts; a stacked ``(1, cells) @ (cells, 1)``
-    matmul makes the same dot call for each row.
+    ``masses`` holds each run's P(r) = sum_g |chi_g|^2 |A_r(phi_g)|^2,
+    which the draw has already summed, so the filter computes no norm.
     """
-    flat = amps.reshape(len(amps), 1, -1)
-    re, im = flat.real, flat.imag
-    squares = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
-    return np.sqrt(squares.reshape(len(amps)))
-
-
-def filter_batch(amps: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """chi_g * A_r(phi_g), renormalized, for each run's row and sampled column."""
     # an explicit ufunc keeps the operand order: a * b and b * a may differ
     # in the last bit for complex operands
     filtered = np.multiply(amps, columns)
-    norms = _row_norms(filtered).reshape((-1,) + (1,) * (amps.ndim - 1))
-    return filtered / norms
+    # each real and imaginary part divided as a float: complex division
+    # by a real number is slower and not correctly rounded
+    parts = filtered.reshape(len(filtered), -1).view(np.float64)
+    parts /= np.sqrt(masses)[:, None]
+    return filtered

@@ -25,16 +25,19 @@ The loop sees a problem only through a small trial protocol (see
 out pass/fail only (which selects the feedback), and one call per
 iteration, ``trial(weights, rngs)``.  Given each run's row of |chi|^2,
 that call runs every run's trial and returns ``(passed, measured,
-columns)``: whether each run's verification passed, the outcome index
-it read out (-1 for a pass/fail readout), and the drawn outcome's
-amplitude column, shaped like the grid, that filters its wavefunction.
-Search trials reuse the fixed uniform input every iteration and draw
-from one shared pass/fail table (:func:`backaction.outcome_table`) with
-:func:`backaction.sample_batch`.  Fourier trials draw a fresh target
-index k per run and iteration, a latent cell from the run's |chi|^2 row
-with :func:`backaction.sample_batch`, and the outcome's bits at that
-cell from the circuit's closed product form
-(:meth:`qft.ProductFormTrials.draw`); the gate-by-gate simulation in
+columns, masses)``: whether each run's verification passed, the outcome
+index it read out (-1 for a pass/fail readout), the drawn outcome's
+amplitude column, shaped like the grid, and the outcome's probability
+P(r); :func:`backaction.filter_batch` multiplies the wavefunction by the
+column and divides it by sqrt(P(r)).  Search trials reuse the fixed
+uniform input every iteration and draw from one shared pass/fail table
+(:func:`backaction.outcome_table`) with :func:`backaction.sample_batch`,
+and read P(r) off the same distribution row.  Fourier trials draw a
+fresh target index k per run and iteration, a latent cell from the
+run's |chi|^2 row with :func:`backaction.sample_batch`, and the
+outcome's bits at that cell from the circuit's closed product form,
+built on the grid's axes (:meth:`productform.ProductFormTrials.draw`),
+which also sums P(r); the gate-by-gate simulation in
 :mod:`gatelearn.oracle` is not run in the loop and serves as the tests'
 oracle.
 """
@@ -65,9 +68,9 @@ from .parameter import (
     expected_success_batch,
     uniform_init,
 )
+from .productform import ProductFormTrials
 from .qft import (
     AqftInstance,
-    ProductFormTrials,
     average_success_map,
     spectrum_on_grid,
     spectrum_phases,
@@ -121,6 +124,8 @@ class RunBatch:
 
     Row i is run i; column j is iteration j + 1.  ``measured_index`` is
     -1 where the trial is read out as pass/fail only (search).
+    ``min_outcome_mass`` holds, per run, the smallest probability P(r)
+    of any outcome it drew, a ``(runs,)`` health record.
     ``chi_snapshots`` holds |chi|^2 after every iteration, shape
     ``(runs, iterations, *grid_shape)``, when the config asks for it.
     """
@@ -130,6 +135,7 @@ class RunBatch:
     expected_success: np.ndarray
     circular_variance: np.ndarray
     feedback_action: np.ndarray
+    min_outcome_mass: np.ndarray
     chi_snapshots: np.ndarray | None = None
 
     @property
@@ -157,8 +163,10 @@ class _SearchTrials:
         self._table, self._columns = outcome_table([t, u])  # outcome PASS, then fail
 
     def trial(self, weights: np.ndarray, rngs) -> tuple:
-        outcomes = sample_batch(distribution_batch(weights, self._table), rngs)
-        return outcomes == PASS, -1, self._columns[outcomes]
+        dist = distribution_batch(weights, self._table)
+        outcomes = sample_batch(dist, rngs)
+        masses = np.take_along_axis(dist, outcomes[:, None], axis=1)[:, 0]
+        return outcomes == PASS, -1, self._columns[outcomes], masses
 
 
 class _FourierTrials:
@@ -168,9 +176,6 @@ class _FourierTrials:
 
     def __init__(self, instance: AqftInstance, grid_size: int):
         shape = (grid_size,) * instance.band
-        axes = [uniform_init(grid_size).axis_values(0)] * instance.band
-        mesh = np.meshgrid(*axes, indexing="ij")
-        phase_grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
         # the success is a trigonometric polynomial of the phases: a small
         # exact sample fixes it, and its spectrum gives every grid cell
         samples = average_success_map(instance, spectrum_phases(instance))
@@ -178,7 +183,8 @@ class _FourierTrials:
         self.success_map = checked_success_map(success, shape)
         self.success_map.flags.writeable = False  # checked once, shared by every run
         self._n, self._dim = instance.n_qubits, instance.dim
-        self._trials = ProductFormTrials(instance, phase_grid)
+        axes = [uniform_init(grid_size).axis_values(0)] * instance.band
+        self._trials = ProductFormTrials(instance, axes)
 
     def trial(self, weights: np.ndarray, rngs) -> tuple:
         # each run's stream gives its k, its latent cell's uniform, its n bit
@@ -186,8 +192,9 @@ class _FourierTrials:
         ks = np.array([int(rng.integers(self._dim)) for rng in rngs])
         cells = sample_batch(weights, rngs)
         uniforms = np.array([rng.random(self._n) for rng in rngs])
-        outcomes, _, columns = self._trials.draw(ks, weights, cells, uniforms)
-        return outcomes == ks, outcomes, columns.reshape((len(ks),) + self.success_map.shape)
+        outcomes, masses, columns = self._trials.draw(ks, weights, cells, uniforms)
+        columns = columns.reshape((len(ks),) + self.success_map.shape)
+        return outcomes == ks, outcomes, columns, masses
 
 
 @lru_cache(maxsize=64)
@@ -222,12 +229,14 @@ def _run_batch(config: ExperimentConfig, seeds) -> RunBatch:
     variance = np.empty((runs, iterations))
     actions = np.full((runs, iterations), "none", dtype=object)
     snapshots = np.empty((runs, iterations) + shape) if config.snapshot_chi else None
+    smallest = np.full(runs, np.inf)
     successes = np.zeros(runs, dtype=int)
     failures = np.zeros(runs, dtype=int)
     consecutive = np.zeros(runs, dtype=int)
     for it in range(iterations):
-        ok, measured[:, it], columns = trials.trial(probs.reshape(runs, -1), rngs)
-        chi = filter_batch(chi, columns)
+        ok, measured[:, it], columns, masses = trials.trial(probs.reshape(runs, -1), rngs)
+        np.minimum(smallest, masses, out=smallest)
+        chi = filter_batch(chi, columns, masses)
         failed = np.flatnonzero(~ok)
         if failed.size:
             # a slice when every run failed: views instead of gathered copies
@@ -251,7 +260,7 @@ def _run_batch(config: ExperimentConfig, seeds) -> RunBatch:
         variance[:, it] = distribution_variance_batch(probs)
         if snapshots is not None:
             snapshots[:, it] = probs
-    return RunBatch(passed, measured, success, variance, actions, snapshots)
+    return RunBatch(passed, measured, success, variance, actions, smallest, snapshots)
 
 
 def run_learning(config: ExperimentConfig, run_seed) -> RunBatch:
@@ -268,7 +277,11 @@ def run_learning(config: ExperimentConfig, run_seed) -> RunBatch:
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    """Aggregate statistics of an ensemble of independent runs."""
+    """Aggregate statistics of an ensemble of independent runs.
+
+    ``health`` holds numerical-health figures over the runs: the minimum
+    and median of each run's smallest drawn outcome probability.
+    """
 
     runs: int
     iterations: int
@@ -284,6 +297,7 @@ class EnsembleSummary:
     pass_counts: np.ndarray
     mean_final: float
     mean_final_trained: float
+    health: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -306,6 +320,7 @@ class EnsembleSummary:
             "mean_final_trained": (
                 None if math.isnan(self.mean_final_trained) else self.mean_final_trained
             ),
+            "health": self.health,
         }
 
 
@@ -357,6 +372,8 @@ def summarize(config: ExperimentConfig, batch: RunBatch) -> EnsembleSummary:
         pass_counts=pass_counts,
         mean_final=float(finals.mean()),
         mean_final_trained=float(trained.mean()) if trained.size else float("nan"),
+        health={"min_outcome_mass": {"min": float(batch.min_outcome_mass.min()),
+                                     "median": float(np.median(batch.min_outcome_mass))}},
     )
 
 

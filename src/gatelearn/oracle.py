@@ -245,7 +245,7 @@ def trial_output_batch(instance: AqftInstance, k: int, phase_grid: np.ndarray) -
 
     ``phase_grid`` has shape (cells, band); returns (cells, 2**n) by
     gate-by-gate simulation.  The training loop draws from the product
-    form (:class:`gatelearn.qft.ProductFormTrials`) instead; this is its
+    form (:class:`gatelearn.productform.ProductFormTrials`) instead; this is its
     oracle.
     """
     phase_grid = _checked_phase_grid(instance, phase_grid)
@@ -278,7 +278,7 @@ def bit_conditionals(probs, outcome: int) -> np.ndarray:
     that bits 0..q-1 equal those of ``outcome``: the sum of ``probs``
     over the outcomes that share those bits and have bit q = 0, over
     the sum over all that share them.  The product-form Fourier draw
-    (:meth:`gatelearn.qft.ProductFormTrials.draw`) takes bit q as 1
+    (:meth:`gatelearn.productform.ProductFormTrials.draw`) takes bit q as 1
     where its uniform is not below this value at the latent cell.
     """
     probs = np.asarray(probs, dtype=float)

@@ -130,22 +130,56 @@ def translate_batch(amps: np.ndarray, shifts, axes) -> np.ndarray:
     return out
 
 
+# e^{2 pi i j / 2^8} and e^{2 pi i j / 2^16} for j < 2^8 (4 KiB each), each
+# part rounded once from extended precision
+_TURN = 8 * np.arctan(np.longdouble(1))
+_COARSE, _FINE = (np.cos(a).astype(float) + 1j * np.sin(a).astype(float)
+                  for a in np.arange(1 << 8) * (_TURN / [[1 << 8], [1 << 16]]))
+
+
+def _unit_phasors(uniforms: np.ndarray) -> np.ndarray:
+    """e^{2 pi i u} for every u in [0, 1), without cos and sin of random angles.
+
+    The top 16 bits of u pick a root of unity from each table, and the
+    rest, eps = 2 pi (u - j / 2^16) < 2 pi 2^-16, enters as
+    cos eps = 1 - eps^2 / 2 and sin eps = eps - eps^3 / 6, whose dropped
+    terms are below 4e-18.  Each part is within 1e-15 of cos and sin of
+    2 pi u, and the modulus within 5e-16 of 1.
+    """
+    scaled = uniforms * float(1 << 16)
+    index = scaled.astype(np.intp)
+    eps = (scaled - index) * (_TWO_PI / (1 << 16))
+    square = eps * eps
+    series = np.empty(uniforms.shape, dtype=np.complex128)
+    np.multiply(square, -0.5, out=series.real)
+    series.real += 1.0
+    np.multiply(square, -1.0 / 6.0, out=series.imag)
+    series.imag += 1.0
+    series.imag *= eps
+    phasors = _COARSE[index >> 8]
+    phasors *= _FINE[index & 0xFF]
+    phasors *= series
+    return phasors
+
+
 def dephase_batch(amps: np.ndarray, rngs) -> np.ndarray:
     """Random phase per cell for each run, drawn from that run's own stream.
 
     Magnitudes are untouched; this scrambles interference between grid
-    cells.  Phases are drawn uniformly from [0, 2*pi) in row-major cell
-    order, so a fixed seed reproduces the same phase pattern.
+    cells.  Each run's row is filled with ``rng.random`` in row-major
+    cell order, the same doubles in the same order that
+    ``rng.uniform(0, 2 pi, size)`` draws, so a fixed seed reproduces the
+    same phase pattern and the stream ends where it would.  The phasor
+    of a uniform u, e^{2 pi i u}, comes from two tables of roots of unity
+    and a short series (:func:`_unit_phasors`), within 1e-15 of cos and
+    sin of 2 pi u in each part.
     """
-    theta = np.stack([rng.uniform(0.0, _TWO_PI, size=amps.shape[1:]) for rng in rngs])
-    # e^{i theta} written as cos and sin into one complex array: the same
-    # bits as np.exp(1j * theta), without the complex exponential's cost
-    phasors = np.empty(theta.shape, dtype=np.complex128)
-    np.cos(theta, out=phasors.real)
-    np.sin(theta, out=phasors.imag)
+    uniforms = np.empty(amps.shape)
+    for rng, row in zip(rngs, uniforms):
+        rng.random(out=row)
     # an explicit ufunc keeps the operand order: a * b and b * a may differ
     # in the last bit for complex operands
-    return np.multiply(amps, phasors)
+    return np.multiply(amps, _unit_phasors(uniforms))
 
 
 def invert_about_mean_batch(amps: np.ndarray) -> np.ndarray:

@@ -13,11 +13,12 @@ of a uniformly drawn basis state |k>, runs the banded circuit, and
 passes iff the measured outcome equals k.  The circuit maps basis
 states, and the trial input, to tensor products of single-qubit
 phases, so both the per-trial outcome amplitudes and the k-averaged
-pass probability have closed product forms.  The training loop draws
-each trial's outcome and amplitude column with
-:class:`ProductFormTrials`.  The circuit itself is simulated gate by
-gate only in :mod:`gatelearn.oracle`, the independent oracle the tests
-check both product forms against.
+pass probability have closed product forms.  This module holds the
+averaged one; the training loop draws each trial's outcome and
+amplitude column with :class:`gatelearn.productform.ProductFormTrials`.
+The circuit itself is simulated gate by gate only in
+:mod:`gatelearn.oracle`, the independent oracle the tests check both
+product forms against.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericsError, check_integer
+from .errors import check_integer
 
 __all__ = [
     "AqftInstance",
     "standard_phases",
-    "ProductFormTrials",
     "average_success",
     "average_success_map",
     "spectrum_phases",
@@ -42,12 +42,6 @@ __all__ = [
 ]
 
 _MAX_QUBITS = 20
-# a 0-d array adds to a complex array about twice as fast as the float 0.5
-_HALF = np.array(0.5 + 0j)
-# a bit's conditional this close to 0 or 1 is rounding off a certain bit
-_CERTAIN = 2.0**-52
-# complex entries per gathered block of the drawn column's factors
-_CHUNK_ENTRIES = 1 << 14
 
 
 def standard_phases(band: int) -> tuple:
@@ -113,129 +107,6 @@ def _window_bits(band: int) -> np.ndarray:
     """
     w = np.arange(1 << band)
     return ((w >> (band - 1 - np.arange(band))[:, None]) & 1).astype(float)
-
-
-# ---------------------------------------------------------------------------
-# product-form trial engine
-
-class ProductFormTrials:
-    """Outcome draws of the banded circuit's trials, from its product form.
-
-    Built on a ``(cells, band)`` phase table, one row per grid cell; it
-    deals in flat ``(runs, cells)`` rows and knows no grid shape.  The
-    circuit maps the product-state input of a trial to a product
-    state, so every outcome amplitude factorizes over the outcome bits:
-
-        A_r(phi) = prod_q (1 + (-1)^{r_q} e^{i theta_q}) / 2,
-        theta_q  = alpha_q(k) + sum_{d=1..band} phi_d r_{q-d},
-        alpha_q(k) = -2 pi k 2^{n-1-q} / 2^n,
-
-    with r_q bit q of the outcome r (read off qubit n-1-q) and r_j = 0
-    for j < 0.  |factor q|^2 = (1 +- cos theta_q) / 2, so its two values
-    for bit q sum to 1 whatever the lower bits are: at one cell g,
-    |factor q|^2 is the conditional probability of bit q given the bits
-    below it.  P(r) = sum_g w_g prod_q |factor q|^2 is therefore a
-    mixture over the cells of one such chain per cell, and :meth:`draw`
-    samples it ancestrally: a latent cell g with probability w_g, then
-    the bits of r from bit 0 up at that cell alone, so r has exactly the
-    probability P(r).  The latent cell is a sampling device only; what
-    filters the parameter state is r, through its amplitude column
-    A_r(phi_g) over every cell.
-    :func:`gatelearn.oracle.trial_output_batch` is the oracle.
-    """
-
-    def __init__(self, instance: AqftInstance, phase_grid):
-        phase_grid = _checked_phase_grid(instance, phase_grid)
-        self.n_qubits, self.band = instance.n_qubits, instance.band
-        # e^{i theta_q - i alpha_q} / 2 for every window of bits q-band..q-1
-        angles = np.zeros((1 << self.band, phase_grid.shape[0]))
-        for d, bits in enumerate(_window_bits(self.band)):
-            angles += bits[:, None] * phase_grid[:, d]
-        half_phase = 0.5 * np.exp(1j * angles)
-        # row window + 2^band r_q holds (-1)^{r_q} e^{i theta_q - i alpha_q} / 2
-        self._half_phase = np.concatenate([half_phase, -half_phase])
-        # alpha_q(k) is -(k << (n-1-q)) mod 2^n turns of 2 pi / 2^n
-        self._bits = np.arange(self.n_qubits)
-        self._shifts = self.n_qubits - 1 - self._bits
-
-    def draw(self, ks, weights: np.ndarray, cells, uniforms):
-        """Each run's outcome, its probability and its amplitude column.
-
-        Run i prepares the trial whose expected outcome is ``ks[i]`` and
-        weighs the cells by row i of the ``(runs, cells)`` array
-        ``weights`` (|chi_g|^2); ``cells[i]`` is its latent cell, drawn
-        from that row.  Bit q of its outcome is 1 where ``uniforms[i, q]``
-        is not below |factor q|^2 of bit q = 0 at the latent cell, given
-        the bits already drawn; a conditional within 2^-52 of 0 or 1 is
-        taken as exactly 0 or 1, so a bit that is certain in exact
-        arithmetic is drawn for every uniform in [0, 1).  The column is
-        then one product over the bits of the gathered factors, taken in
-        blocks of as many runs as fit in 2^14 complex entries (at least
-        one), so memory beyond the ``(runs, cells)`` output does not grow
-        with the batch.
-
-        Returns ``(outcomes, masses, columns)``: the drawn r,
-        P(r) = sum_g w_g |A_r(phi_g)|^2, and A_r(phi_g) as flat
-        ``(runs, cells)`` columns, one entry per row of the phase table.
-        Every step acts on a run's row alone, so a row does not depend on
-        the batch around it.  Other conditionals are rounded like any
-        float, so a uniform within about 1e-16 of one may fall either way.
-        Raises when an outcome of vanishing probability is drawn.
-        """
-        n, band, dim = self.n_qubits, self.band, 1 << self.n_qubits
-        ks = np.asarray(ks, dtype=np.int64)
-        # a basis index has no bit at or above bit n; a negative one has all
-        if (ks >> n).any():
-            raise ValueError("basis index out of range")
-        cells = np.asarray(cells, dtype=np.int64)
-        if not (cells.min() >= 0 and cells.max() < self._half_phase.shape[1]):
-            raise ValueError("latent cell out of range")
-        weights = np.asarray(weights, dtype=float)
-        runs, windows = len(ks), 1 << band
-        # e^{i alpha_q(k)} of every run and outcome bit
-        turns = (ks[:, None] << self._shifts) % dim
-        rotation = np.exp(-2j * np.pi * turns / dim)
-        # the conditional of bit 0 is 1/2 + Re(e^{i theta_q}) / 2 at the
-        # latent cell: a (runs, windows, bits) table, then a walk over scalars
-        latent = self._half_phase[:windows, cells].T[:, :, None] * rotation[:, None, :]
-        zero = 0.5 + latent.real
-        zero[zero <= _CERTAIN] = 0.0
-        zero[zero >= 1.0 - _CERTAIN] = 1.0
-        ones = np.asarray(uniforms, dtype=float)[:, None, :] >= zero
-        mask = windows - 1
-        outcomes = np.empty(runs, dtype=np.int64)
-        for i, table in enumerate(ones.tolist()):
-            r = 0
-            for q in range(n):
-                r |= table[((r << band) >> q) & mask][q] << q
-            outcomes[i] = r
-        # bit q's factor sits in row ((r << band) >> q) mod 2^(band+1) of
-        # the phase table: its window below bit q, then bit q itself
-        steps = ((outcomes[:, None] << band) >> self._bits) & (2 * windows - 1)
-        # the column is the product over the bits of 1/2 +- e^{i theta_q} / 2
-        # at every cell, gathered as (runs, bits, cells) blocks in one buffer
-        # per call.  With two or more cells, numpy reduces the bit axis with
-        # its elementwise loop, from bit 0 up, so each entry has the bits of
-        # a running product; on a one-cell table it takes its scalar loop,
-        # which may round the last bit differently
-        chunk = max(1, _CHUNK_ENTRIES // (n * weights.shape[1]))
-        column = np.empty(weights.shape, dtype=np.complex128)
-        block = np.empty((min(chunk, runs), n, weights.shape[1]), dtype=np.complex128)
-        for start in range(0, runs, chunk):
-            stop = min(start + chunk, runs)
-            factors = block[: stop - start]
-            np.take(self._half_phase, steps[start:stop], axis=0, out=factors, mode="clip")
-            np.multiply(factors, rotation[start:stop, :, None], out=factors)
-            np.add(factors, _HALF, out=factors)
-            np.multiply.reduce(factors, axis=1, out=column[start:stop])
-        square = column.real**2
-        square += column.imag**2
-        # one dot product per row, as in backaction._row_norms
-        masses = np.matmul(weights[:, None, :], square[:, :, None])[:, 0, 0]
-        # written so that a NaN mass fails too
-        if not masses.min() >= 1e-300:
-            raise NumericsError("sampled an outcome of vanishing probability")
-        return outcomes, masses, column
 
 
 # ---------------------------------------------------------------------------

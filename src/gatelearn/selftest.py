@@ -29,10 +29,10 @@ from .oracle import (
     walk_bessel_kernel,
     walk_matrix,
 )
-from .parameter import invert_about_mean_batch, uniform_init
+from .parameter import _unit_phasors, invert_about_mean_batch, uniform_init
+from .productform import ProductFormTrials
 from .qft import (
     AqftInstance,
-    ProductFormTrials,
     average_success_map,
     spectrum_derivatives,
     spectrum_phases,
@@ -140,7 +140,7 @@ def joint_oracle_deviation(theta, seed: int, steps: int = 20, cells: int = 8):
         table, columns = outcome_table(np.stack([circuit(phi, src).amplitudes for phi in phis], 1))
         dist = distribution_batch(np.abs(chi_block) ** 2, table)
         r_block = sample_batch(dist, [rng_block])
-        chi_block = filter_batch(chi_block, columns[r_block])
+        chi_block = filter_batch(chi_block, columns[r_block], dist[0, r_block])
         r_joint, chi_joint = brute_force_joint_step(chi_joint, circuit, src, rng_joint)
         mismatches += r_block[0] != r_joint
         worst = max(worst, np.abs(chi_block[0] - chi_joint.amplitudes).max())
@@ -182,12 +182,13 @@ def search_statevector_deviation(sizes, phases_per_size: int, seed: int) -> floa
     return worst
 
 
-def fourier_draw_deviation(instance, phase_grid, ks, weights, cells, uniforms):
+def fourier_draw_deviation(instance, axes, ks, weights, cells, uniforms):
     """(outcome mismatches, worst mass deviation, worst column deviation) of the Fourier draw.
 
-    Run i weighs the rows of the ``(cells, band)`` ``phase_grid`` by row
-    i of ``weights``, takes row ``cells[i]`` as its latent cell and row i
-    of the ``(runs, n)`` array ``uniforms`` as its bit uniforms.
+    The grid is the product of the ``band`` 1-D phase ``axes``, its cells
+    in C order.  Run i weighs the cells by row i of ``weights``, takes
+    flat cell ``cells[i]`` as its latent cell and row i of the
+    ``(runs, n)`` array ``uniforms`` as its bit uniforms.
     :meth:`ProductFormTrials.draw` (the training loop's draw) takes each
     bit from the product form at the latent cell; the oracle simulates
     the circuit gate by gate (:func:`trial_output_batch`) and takes each
@@ -198,10 +199,11 @@ def fourier_draw_deviation(instance, phase_grid, ks, weights, cells, uniforms):
     boundary may fall either way.  The masses and columns are compared
     at the drawn outcome.
     """
-    phase_grid = np.atleast_2d(np.asarray(phase_grid, dtype=float))
+    mesh = np.meshgrid(*[np.asarray(axis, dtype=float) for axis in axes], indexing="ij")
+    phase_grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
     weights = np.asarray(weights, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
-    trials = ProductFormTrials(instance, phase_grid)
+    trials = ProductFormTrials(instance, axes)
     outcomes, masses, columns = trials.draw(ks, weights, cells, uniforms)
     bits = np.arange(instance.n_qubits)
     mismatches, worst_mass, worst_column = 0, 0.0, 0.0
@@ -282,12 +284,15 @@ def _check_qft_circuit() -> str:
 
 def _check_fourier_draw() -> str:
     rng = np.random.default_rng(11)
-    # the last case's column spans four of the draw's blocks of runs
-    for n, band, cells, runs in ((5, 1, 16, 4), (7, 2, 16, 4), (9, 2, 16, 4), (6, 2, 1024, 13)):
+    # an unequal 5 x 3 grid, and 13 runs on 256 cells, whose factors span
+    # three of the draw's blocks of runs
+    for n, band, shape, runs in ((5, 1, (16,), 4), (7, 2, (4, 4), 4), (9, 2, (4, 4), 4),
+                                 (6, 2, (5, 3), 6), (10, 1, (256,), 13)):
+        cells = int(np.prod(shape))
         weights = rng.random((runs, cells)) ** 4 + 1e-3
         mismatches, mass, column = fourier_draw_deviation(
             AqftInstance.standard(n, band),
-            rng.uniform(-np.pi, np.pi, (cells, band)),
+            [rng.uniform(-np.pi, np.pi, size) for size in shape],
             rng.integers(0, 1 << n, runs),
             weights / weights.sum(axis=1, keepdims=True),
             rng.integers(0, cells, runs),
@@ -298,6 +303,16 @@ def _check_fourier_draw() -> str:
         if max(mass, column) > 1e-12:
             raise AssertionError(f"Fourier draw deviates from the oracle by {max(mass, column):.2e}")
     return "product-form Fourier draw matches the statevector bit conditionals"
+
+
+def _check_phasors() -> str:
+    uniforms = np.concatenate([np.random.default_rng(19).random(1 << 16), [0.0, 1.0 - 2.0**-53]])
+    phasors, angles = _unit_phasors(uniforms), 2.0 * np.pi * uniforms
+    gap = max(np.abs(phasors.real - np.cos(angles)).max(),
+              np.abs(phasors.imag - np.sin(angles)).max())
+    if not (gap <= 2e-15 and np.abs(np.abs(phasors) - 1.0).max() <= 1e-15):
+        raise AssertionError(f"dephasing phasors deviate from cos and sin by {gap:.2e}")
+    return "dephasing phasors match cos and sin of 2 pi u"
 
 
 def _check_success_map() -> str:
@@ -337,6 +352,7 @@ _CHECKS = (
     _check_grover_subspace,
     _check_qft_circuit,
     _check_fourier_draw,
+    _check_phasors,
     _check_success_map,
     _check_spectrum,
     _check_inversion,

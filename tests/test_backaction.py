@@ -42,8 +42,9 @@ def outcome_distribution(chi, trial):
 def sample_and_update(chi, trial, rng):
     """One run's draw and filter through the training loop's kernels."""
     table, columns = trial
-    r = sample_batch(distribution_batch(chi.probabilities().reshape(1, -1), table), [rng])
-    filtered = filter_batch(chi.amplitudes[None], columns[r])[0]
+    dist = distribution_batch(chi.probabilities().reshape(1, -1), table)
+    r = sample_batch(dist, [rng])
+    filtered = filter_batch(chi.amplitudes[None], columns[r], dist[0, r])[0]
     return int(r[0]), ParameterState(filtered)
 
 

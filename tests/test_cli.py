@@ -203,7 +203,7 @@ class TestCurveCommand:
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
         assert run_cli(["selftest"]) == 0
-        assert "all 9 checks passed" in capsys.readouterr().out
+        assert "all 10 checks passed" in capsys.readouterr().out
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         def broken():
@@ -215,7 +215,7 @@ class TestSelftestCommand:
         assert [line for line in lines if line.startswith("FAIL:")] == [
             "FAIL: walk kernel drifted"
         ]
-        assert lines[-1] == "selftest: 1/9 checks failed"
+        assert lines[-1] == "selftest: 1/10 checks failed"
 
     @pytest.mark.parametrize("module", ["gatelearn", "gatelearn.cli"])
     def test_runs_as_a_module_from_a_checkout(self, module):
@@ -226,7 +226,7 @@ class TestSelftestCommand:
         done = subprocess.run([sys.executable, "-m", module, "selftest"], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert "all 9 checks passed" in done.stdout
+        assert "all 10 checks passed" in done.stdout
 
 
 class TestUsageErrors:

@@ -205,8 +205,9 @@ class TestKickstart:
         chi = grid.amplitudes[None]
         rng = np.random.default_rng(4)
         while True:  # condition on a failed first trial
-            r = sample_batch(distribution_batch(np.abs(chi) ** 2, table), [rng])
-            filtered = filter_batch(chi, columns[r])
+            dist = distribution_batch(np.abs(chi) ** 2, table)
+            r = sample_batch(dist, [rng])
+            filtered = filter_batch(chi, columns[r], dist[0, r])
             if r[0] == 1:
                 break
         pmap = success_probability_map(inst, grid)

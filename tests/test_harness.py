@@ -36,8 +36,8 @@ COLUMNS = ("passed", "measured_index", "expected_success", "circular_variance",
 
 
 def assert_same_runs(a, b):
-    """Every column, and the snapshots, bit for bit."""
-    for column in COLUMNS + ("chi_snapshots",):
+    """Every column, the per-run health record and the snapshots, bit for bit."""
+    for column in COLUMNS + ("min_outcome_mass", "chi_snapshots"):
         np.testing.assert_array_equal(getattr(a, column), getattr(b, column), err_msg=column)
 
 
@@ -213,7 +213,9 @@ class StatevectorTrials:
                 r |= int(u >= bit_conditionals(table[cell], r)[q]) << q
             outcomes[i] = r
         columns = np.stack([c[r] for (_, c), r in zip(readouts, outcomes)])
-        return outcomes == ks, outcomes, columns
+        masses = np.array([w @ table[:, r]
+                           for w, (table, _), r in zip(weights, readouts, outcomes)])
+        return outcomes == ks, outcomes, columns, masses
 
 
 class TestProductFormEngine:
@@ -275,7 +277,7 @@ class TestProductFormEngine:
         for cell, bit_uniform in ((1, 0.75), (3, 0.25)):
             weights = np.eye(1, 4, cell)
             for cell_uniform in (0.0, 1.0 - 2.0**-53):
-                passed, outcomes, _ = trials.trial(weights, [Stream(cell_uniform, bit_uniform)])
+                passed, outcomes, _, _ = trials.trial(weights, [Stream(cell_uniform, bit_uniform)])
                 assert outcomes[0] == cell
                 assert passed[0] == (cell == 1)
 
@@ -288,7 +290,8 @@ class TestProductFormEngine:
     def test_sixteen_qubit_training_memory_stays_linear(self):
         # a (2^16, 256) probability table would take 128 MB per trial; the
         # draw takes the outcome's bits at one latent cell, a (runs, 2^band,
-        # n) table, and builds the column in blocks of about 2^14 entries
+        # n) table, and builds the column from one small table per axis,
+        # rows 0, +-1 and +-e^{i phi}, in blocks of about 2^14 entries
         import tracemalloc
 
         config = aqft_config(problem=AqftInstance.standard(16, 1), grid_size=256,
@@ -302,6 +305,31 @@ class TestProductFormEngine:
             tracemalloc.stop()
         assert result.iterations == 120
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("problem,grid_size", [(AqftInstance.standard(6, 2), 8),
+                                                   (AqftInstance.standard(5, 1), 32),
+                                                   (GroverInstance.standard(16), 32)])
+    def test_smallest_drawn_mass_is_recorded(self, monkeypatch, problem, grid_size):
+        # every trial's P(r), as the draw (or the search distribution) gives
+        # it, recorded on the side; the batch keeps each run's smallest and
+        # the summary its minimum and median over the runs
+        make = aqft_config if isinstance(problem, AqftInstance) else grover_config
+        config = make(problem=problem, grid_size=grid_size, runs=4)
+        trials = harness._trials(problem, grid_size)
+        seen = []
+
+        def recording(weights, rngs):
+            result = type(trials).trial(trials, weights, rngs)
+            seen.append(result[3])
+            return result
+
+        monkeypatch.setattr(trials, "trial", recording)
+        summary, batch = run_ensemble(config)
+        smallest = np.min(seen, axis=0)
+        np.testing.assert_array_equal(batch.min_outcome_mass, smallest)
+        assert summary.health == {"min_outcome_mass": {"min": smallest.min(),
+                                                       "median": np.median(smallest)}}
+        assert (smallest > 0).all() and (smallest <= 1).all()
 
 
 class TestRunEnsemble:
@@ -357,7 +385,7 @@ class TestBatchSizeIndependence:
         seeds = np.random.SeedSequence(config.master_seed).spawn(config.runs)
         for i, seed in enumerate(seeds):
             one = run_learning(config, seed)
-            for column in COLUMNS:
+            for column in COLUMNS + ("min_outcome_mass",):
                 np.testing.assert_array_equal(getattr(batch, column)[i : i + 1],
                                               getattr(one, column), err_msg=f"run {i} {column}")
 
@@ -418,6 +446,7 @@ class TestFileOutputs:
         assert payload["note"] == "test"
         assert len(payload["mean_curve"]) == 5
         assert abs(sum(payload["histogram"]) - 1.0) < 1e-12
+        assert set(payload["health"]["min_outcome_mass"]) == {"min", "median"}
 
     def test_summary_json_without_a_passing_run_is_strict_json(self, tmp_path):
         # at N=10000 one iteration passes almost never: no run has a trained final

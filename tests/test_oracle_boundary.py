@@ -12,7 +12,8 @@ import pytest
 import gatelearn
 
 PACKAGE = Path(gatelearn.__file__).resolve().parent
-FAST_PATH = ("parameter", "backaction", "feedback", "grover", "qft", "harness", "optimize", "cli")
+FAST_PATH = ("parameter", "backaction", "feedback", "grover", "qft", "productform", "harness",
+             "optimize", "cli")
 
 
 def imported_names(module):

@@ -5,6 +5,7 @@ import pytest
 
 from gatelearn import NumericsError, uniform_init
 from gatelearn.parameter import (
+    _unit_phasors,
     checked_success_map,
     dephase_batch,
     distribution_variance_batch,
@@ -113,6 +114,39 @@ class TestDephase:
         a = dephase_batch(chi, [np.random.default_rng(77)])
         b = dephase_batch(chi, [np.random.default_rng(77)])
         np.testing.assert_array_equal(a, b)
+
+    def test_phasors_match_cos_and_sin(self):
+        # a million seeded uniforms, both ends of [0, 1) and every boundary
+        # of both tables, j / 2^8 and j / 2^16, with the doubles just below
+        # each; cos and sin of 2 pi u round 2 pi u first, so both sides
+        # carry about 1e-15 of error
+        j = np.arange(1 << 16) / 2.0**16
+        uniforms = np.concatenate([np.random.default_rng(2026).random(10**6), [0.0, 1.0 - 2.0**-53],
+                                   j, np.nextafter(j[1:], 0.0)])
+        assert np.isin(np.arange(1 << 8) / 2.0**8, uniforms).all()
+        phasors, angles = _unit_phasors(uniforms), 2.0 * np.pi * uniforms
+        assert np.abs(phasors.real - np.cos(angles)).max() <= 2e-15
+        assert np.abs(phasors.imag - np.sin(angles)).max() <= 2e-15
+        assert np.abs(np.abs(phasors) - 1.0).max() <= 1e-15
+        assert _unit_phasors(np.zeros(1))[0] == 1.0
+
+    @pytest.mark.parametrize("shape", [(3, 256), (2, 16, 8)])
+    def test_streams_end_where_uniform_phases_would(self, shape):
+        # the phases use the same doubles, in the same order, as
+        # rng.uniform(0, 2 pi, size) on each run's stream
+        dephased = [np.random.default_rng(seed) for seed in range(shape[0])]
+        reference = [np.random.default_rng(seed) for seed in range(shape[0])]
+        dephase_batch(np.ones(shape, dtype=complex), dephased)
+        for a, b in zip(dephased, reference):
+            b.uniform(0.0, 2.0 * np.pi, size=shape[1:])
+            assert a.random() == b.random()
+
+    def test_row_in_a_batch_equals_the_row_alone(self):
+        chi = np.concatenate([random_chi(64 * 64, seed) for seed in range(5)]).reshape(5, 64, 64)
+        batch = dephase_batch(chi, [np.random.default_rng(seed) for seed in range(5)])
+        for i in range(5):
+            alone = dephase_batch(chi[i : i + 1], [np.random.default_rng(i)])
+            assert alone.tobytes() == batch[i : i + 1].tobytes()
 
 
 class TestInvertAboutMean:

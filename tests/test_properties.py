@@ -173,10 +173,9 @@ def test_product_form_draw_matches_statevector_oracle(data):
     band = data.draw(st.sampled_from([1, 2] if n > 2 else [1]), label="band")
     runs = data.draw(st.integers(1, 4), label="runs")
     angle = st.floats(-2 * np.pi, 2 * np.pi)
-    rows = data.draw(
-        st.lists(st.tuples(*[angle] * band), min_size=1, max_size=8), label="phase rows"
-    )
-    cells = len(rows)
+    axes = [data.draw(st.lists(angle, min_size=1, max_size=8 // band), label=f"phase axis {d}")
+            for d in range(band)]
+    cells = int(np.prod([len(axis) for axis in axes]))
     ks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=runs, max_size=runs),
                    label="k")
     weights = np.array(data.draw(
@@ -189,7 +188,7 @@ def test_product_form_draw_matches_statevector_oracle(data):
     uniforms = data.draw(st.lists(st.lists(uniform, min_size=n, max_size=n),
                                   min_size=runs, max_size=runs), label="u")
     mismatches, mass, column = fourier_draw_deviation(
-        AqftInstance.standard(n, band), rows, ks, weights, latent, uniforms
+        AqftInstance.standard(n, band), axes, ks, weights, latent, uniforms
     )
     assert mismatches == 0
     assert mass <= 1e-12 and column <= 1e-12
@@ -197,7 +196,7 @@ def test_product_form_draw_matches_statevector_oracle(data):
 
 #: every column of a RunBatch, the snapshots included
 RUN_COLUMNS = ("passed", "measured_index", "expected_success", "circular_variance",
-               "feedback_action", "chi_snapshots")
+               "feedback_action", "min_outcome_mass", "chi_snapshots")
 
 
 @st.composite

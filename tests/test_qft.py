@@ -27,28 +27,13 @@ from gatelearn.oracle import (
     trial_output_batch,
     trial_success_amplitude,
 )
-from gatelearn import qft
-from gatelearn.qft import ProductFormTrials
+from gatelearn.productform import ProductFormTrials
 from gatelearn.selftest import fourier_draw_deviation
 
 
-def running_product_column(trials, k, r):
-    """Outcome r's column as the running product from bit 0 up, the draw's reference.
-
-    Factor q is 1/2 + (-1)^{r_q} e^{i theta_q} / 2 over every cell, with
-    the draw's own arithmetic, so a block-wise product must match it bit
-    for bit.
-    """
-    n, band, dim = trials.n_qubits, trials.band, 1 << trials.n_qubits
-    half_phase = trials._half_phase[: 1 << band]
-    bits = np.arange(n)
-    rotation = np.exp(-2j * np.pi * ((k << (n - 1 - bits)) % dim) / dim)
-    column = np.ones(half_phase.shape[1], dtype=complex)
-    for q in bits:
-        window = ((r << band) >> q) & ((1 << band) - 1)
-        sign = -rotation[q] if (r >> q) & 1 else rotation[q]
-        column *= np.multiply(half_phase[window], sign) + qft._HALF
-    return column
+def product_grid(axes):
+    """The ``(cells, band)`` phase table of a product grid, cells in C order."""
+    return np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def random_state(n, seed):
@@ -140,10 +125,11 @@ class TestProductFormDraw:
         n = 5
         inst = AqftInstance.standard(n, 2)
         rng = np.random.default_rng(5)
-        grid = rng.uniform(-np.pi, np.pi, (6, 2))
+        axes = [rng.uniform(-np.pi, np.pi, 3), rng.uniform(-np.pi, np.pi, 2)]
+        grid = product_grid(axes)
         weights = rng.random(6) + 0.1
         weights /= weights.sum()
-        trials = ProductFormTrials(inst, grid)
+        trials = ProductFormTrials(inst, axes)
         bits = np.arange(n)
         drawn = 0
         for k in range(1 << n):
@@ -171,11 +157,11 @@ class TestProductFormDraw:
         # numpy's own weighted choice, so only the bit draw is under test
         inst = AqftInstance.standard(n, band)
         rng = np.random.default_rng(100 * n + band)
-        grid = rng.uniform(-np.pi, np.pi, (8, band))
+        axes = [rng.uniform(-np.pi, np.pi, size) for size in ((8,), (4, 2))[band - 1]]
         weights = rng.random(8) + 0.2
         weights /= weights.sum()
-        expected = weights @ np.abs(trial_output_batch(inst, k, grid)) ** 2
-        trials = ProductFormTrials(inst, grid)
+        expected = weights @ np.abs(trial_output_batch(inst, k, product_grid(axes))) ** 2
+        trials = ProductFormTrials(inst, axes)
         counts = np.zeros(1 << n)
         draws, chunk = 200_000, 20_000
         for _ in range(draws // chunk):
@@ -197,10 +183,12 @@ class TestProductFormDraw:
         # once took the impossible bit: k = 7 of the 3-qubit circuit drew
         # outcome 3, of mass 1e-32
         top = 1.0 - 2.0**-53
-        cases = [(ProductFormTrials(AqftInstance.standard(5, 2), np.zeros((3, 2))), 5, (0, 16), 3)]
+        at_zero = ProductFormTrials(AqftInstance.standard(5, 2), [np.zeros(3), [0.0]])
+        cases = [(at_zero, 5, (0, 16), 3)]
         for n in range(2, 9):
             exact = AqftInstance.standard(n, n - 1)
-            cases.append((ProductFormTrials(exact, [exact.phases]), n, range(1 << n), 1))
+            axes = [[phase] for phase in exact.phases]
+            cases.append((ProductFormTrials(exact, axes), n, range(1 << n), 1))
         for trials, n, ks, cells in cases:
             weights = np.full((1, cells), 1.0 / cells)
             for k in ks:
@@ -209,19 +197,23 @@ class TestProductFormDraw:
                     assert outcomes[0] == k
                     assert abs(masses[0] - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("n,band,cells,runs", [(10, 1, 256, 20), (6, 2, 1024, 13)])
-    def test_chunked_rows_match_runs_drawn_alone(self, n, band, cells, runs):
-        # the column is built in blocks of runs; these batches span 4 blocks,
-        # and each row must equal the run drawn alone and the running product
-        assert runs > 3 * (qft._CHUNK_ENTRIES // (n * cells))
+    @pytest.mark.parametrize("n,band,shape,runs", [(10, 1, (256,), 20), (6, 2, (32, 32), 13),
+                                                   (6, 2, (5, 3), 13), (6, 2, (64, 64), 5)],
+                             ids=["10-1-256-20", "6-2-1024-13", "6-2-5x3-13", "6-2-64x64-5"])
+    def test_chunked_rows_match_runs_drawn_alone(self, n, band, shape, runs):
+        # the axis factors are gathered in blocks of runs, and 20 runs on 256
+        # cells span 4 of them; the 5 x 3 grid has unequal axes, and the
+        # 64 x 64 one is the two-axis training grid.  Every row must equal
+        # the run drawn alone and agree with the statevector oracle
         inst = AqftInstance.standard(n, band)
         rng = np.random.default_rng(n + band)
-        grid = rng.uniform(-np.pi, np.pi, (cells, band))
+        axes = [rng.uniform(-np.pi, np.pi, size) for size in shape]
+        cells = int(np.prod(shape))
         weights = rng.random((runs, cells)) ** 4 + 1e-3
         weights /= weights.sum(axis=1, keepdims=True)
         ks, latent = rng.integers(0, 1 << n, runs), rng.integers(0, cells, runs)
         uniforms = rng.random((runs, n))
-        trials = ProductFormTrials(inst, grid)
+        trials = ProductFormTrials(inst, axes)
         outcomes, masses, columns = trials.draw(ks, weights, latent, uniforms)
         for i in range(runs):
             alone = trials.draw(ks[i : i + 1], weights[i : i + 1], latent[i : i + 1],
@@ -229,20 +221,35 @@ class TestProductFormDraw:
             assert alone[0][0] == outcomes[i]
             assert alone[1][0].tobytes() == masses[i].tobytes()
             assert alone[2][0].tobytes() == columns[i].tobytes()
-            reference = running_product_column(trials, int(ks[i]), int(outcomes[i]))
-            assert reference.tobytes() == columns[i].tobytes()
-        mismatches, mass, column = fourier_draw_deviation(inst, grid, ks, weights, latent,
+        mismatches, mass, column = fourier_draw_deviation(inst, axes, ks, weights, latent,
                                                           uniforms)
         assert mismatches == 0
         assert mass <= 1e-12 and column <= 1e-12
 
+    @pytest.mark.parametrize("n,band,shape,runs", [(6, 2, (1, 4), 6), (7, 2, (3, 1), 5),
+                                                   (5, 2, (1, 1), 4), (4, 1, (1,), 3)],
+                             ids=["6-2-1x4-6", "7-2-3x1-5", "5-2-1x1-4", "4-1-1-3"])
+    def test_one_cell_axes_match_statevector_oracle(self, n, band, shape, runs):
+        # product grids with a one-cell axis, and one-cell grids, against
+        # the gate-by-gate oracle
+        rng = np.random.default_rng(10 * n + len(shape))
+        axes = [rng.uniform(-np.pi, np.pi, size) for size in shape]
+        cells = int(np.prod(shape))
+        weights = rng.random((runs, cells)) ** 4 + 1e-3
+        mismatches, mass, column = fourier_draw_deviation(
+            AqftInstance.standard(n, band), axes, rng.integers(0, 1 << n, runs),
+            weights / weights.sum(axis=1, keepdims=True), rng.integers(0, cells, runs),
+            rng.random((runs, n)))
+        assert mismatches == 0
+        assert mass <= 1e-12 and column <= 1e-12
+
     def test_many_run_draw_memory_set_by_the_chunk(self):
-        # 200 runs of 16 bits on 256 cells would gather 13 MB at once; in
-        # blocks of about 2^14 entries the peak is the (runs, cells) output
-        # plus one block
+        # 200 runs of 16 bits on 256 cells would gather 13 MB of factors at
+        # once; in blocks of about 2^14 entries the peak is the (runs, cells)
+        # output plus a few buffers of its size
         n, runs, cells = 16, 200, 256
         rng = np.random.default_rng(16)
-        trials = ProductFormTrials(AqftInstance.standard(n, 1), rng.uniform(0, 2 * np.pi, (cells, 1)))
+        trials = ProductFormTrials(AqftInstance.standard(n, 1), [rng.uniform(0, 2 * np.pi, cells)])
         weights = np.full((runs, cells), 1.0 / cells)
         args = (rng.integers(0, 1 << n, runs), weights, rng.integers(0, cells, runs),
                 rng.random((runs, n)))
@@ -262,7 +269,7 @@ class TestProductFormDraw:
             trials.draw([0], np.ones((1, 1)), [0], [[1.0, 0.0]])
 
     def test_out_of_range_index_or_cell_rejected(self):
-        trials = ProductFormTrials(AqftInstance.standard(3, 1), [[0.3], [1.2]])
+        trials = ProductFormTrials(AqftInstance.standard(3, 1), [[0.3, 1.2]])
         weights, u = np.full((1, 2), 0.5), [[0.1] * 3]
         for k in (-1, 8, -(2**40)):
             with pytest.raises(ValueError, match="basis index"):
@@ -272,15 +279,23 @@ class TestProductFormDraw:
                 trials.draw([3], weights, [cell], u)
 
     def test_nan_weights_rejected(self):
-        trials = ProductFormTrials(AqftInstance.standard(3, 1), [[0.3], [1.2]])
+        trials = ProductFormTrials(AqftInstance.standard(3, 1), [[0.3, 1.2]])
         with pytest.raises(NumericsError):
             trials.draw([2], np.array([[np.nan, 0.5]]), [1], [[0.1, 0.1, 0.1]])
+
+    def test_bad_axes_rejected_when_built(self):
+        inst = AqftInstance.standard(4, 2)
+        for axes in ([[0.1, 0.2]], [[0.1], [0.2], [0.3]], [[0.1], []], [[0.1], [[0.2]]]):
+            with pytest.raises(ValueError, match="phase axes"):
+                ProductFormTrials(inst, axes)
+        with pytest.raises(ValueError, match="band >= 1"):
+            ProductFormTrials(AqftInstance.standard(4, 0), [])
 
     def test_nan_phase_row_rejected_when_built(self):
         inst = AqftInstance.standard(4, 2)
         grid = np.array([[0.1, 0.2], [np.nan, 0.3]])
         with pytest.raises(ValueError):
-            ProductFormTrials(inst, grid)
+            ProductFormTrials(inst, [[0.1, np.nan], [0.2, 0.3]])
         with pytest.raises(ValueError):
             average_success_map(inst, grid)
         with pytest.raises(ValueError):
