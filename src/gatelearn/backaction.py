@@ -102,15 +102,15 @@ def sample_batch(dist: np.ndarray, rngs) -> np.ndarray:
     # and np.min call, without their wrappers' cost
     dist = np.asarray(dist, dtype=float)
     cdf = np.add.accumulate(dist, axis=1)
-    totals = cdf[:, -1]
+    totals = cdf[:, -1].tolist()
     # written so that a NaN total fails too
-    if not np.maximum.reduce(np.abs(totals - 1.0)) <= _CELL_NORM_TOL:
+    if not all(abs(total - 1.0) <= _CELL_NORM_TOL for total in totals):
         raise NumericsError("outcome distribution does not sum to 1 within 1e-9")
-    targets = np.array([rng.random() for rng in rngs]) * totals
+    targets = np.array([rng.random() * total for rng, total in zip(rngs, totals)])
     # the count of CDF entries <= u * total is searchsorted(..., side="right")
     outcomes = np.add.reduce(cdf <= targets[:, None], axis=1)
     np.minimum(outcomes, dist.shape[1] - 1, out=outcomes)
-    if not np.minimum.reduce(dist[np.arange(len(outcomes)), outcomes]) >= 1e-300:
+    if not all(dist.item(i, r) >= 1e-300 for i, r in enumerate(outcomes.tolist())):
         raise NumericsError("sampled an outcome of vanishing probability")
     return outcomes
 

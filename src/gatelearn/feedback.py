@@ -151,10 +151,11 @@ def apply_quantum_walk_batch(amps: np.ndarray, strengths) -> np.ndarray:
     np.multiply(walked, spectra, out=walked)
     for axis in range(amps.ndim - 1, 0, -1):
         walked = np.fft.ifft(walked, axis=axis)
-    within = np.abs(_norms_squared(walked) - _norms_squared(amps)) <= _NORM_TOL
-    if not within.all():
-        x = strengths[int(np.argmin(within))]
-        raise NumericsError(f"walk at x={x} changed the norm beyond {_NORM_TOL:g}")
+    norms = zip(strengths, _norms_squared(walked).tolist(), _norms_squared(amps).tolist())
+    for x, after, before in norms:
+        # written so that a NaN norm fails too
+        if not abs(after - before) <= _NORM_TOL:
+            raise NumericsError(f"walk at x={x} changed the norm beyond {_NORM_TOL:g}")
     return walked
 
 
@@ -167,7 +168,7 @@ def _push_move(failure_count: int, success_count: int, config: FeedbackConfig, n
     cycling through grid axes for multi-parameter grids.  Asymmetry
     scales the leftward magnitude only.
     """
-    base = config.initial_push_cells / np.sqrt(1.0 + success_count)
+    base = config.initial_push_cells / math.sqrt(1.0 + success_count)
     direction = failure_count % (2 * ndim)
     axis, sign = direction // 2, (1 if direction % 2 == 0 else -1)
     if sign < 0:
@@ -204,11 +205,12 @@ def on_failure_batch(
     ``amps`` is ``(runs, *grid_shape)``, one row per failed run.  The
     counts are per run: total passes, total failures and the current run
     of consecutive failures, all read off the pass/fail record and all
-    excluding the failure being handled.  ``rngs`` are the runs' own
-    streams; ``binary_readout`` says the trial was read out as pass/fail
-    only (search) rather than as a full outcome index (Fourier).  Each
-    row gets what it would get alone.  Returns the new rows and an
-    object array of short action tags for the run record.
+    excluding the failure being handled, each a sequence of integers
+    (the training loop keeps them as Python ints).  ``rngs`` are the
+    runs' own streams; ``binary_readout`` says the trial was read out as
+    pass/fail only (search) rather than as a full outcome index
+    (Fourier).  Each row gets what it would get alone.  Returns the new
+    rows and a list of short action tags (``str``) for the run record.
 
     When the kickstart (the inversion about the mean) is enabled, the
     first failure of a run triggers it, and under the double push on a
@@ -228,27 +230,27 @@ def on_failure_batch(
     structured, and under the single push repeating it lowers the search
     ensemble mean (N=1024: 0.72 to 0.57 of the ideal success).
     """
-    successes, failures = np.asarray(successes), np.asarray(failures)
-    consecutive_failures = np.asarray(consecutive_failures)
-    kick = failures == 0
+    kick = [f == 0 for f in failures]
     if binary_readout and config.strategy == "double_push":
-        kick |= successes == 0  # still searching: no pass yet
-    if not (config.kickstart_enabled and kick.any()):
+        kick = [k or s == 0 for k, s in zip(kick, successes)]  # still searching: no pass yet
+    if not (config.kickstart_enabled and any(kick)):
         return _push_or_walk(amps, successes, failures, consecutive_failures, config, rngs)
-    rest = np.flatnonzero(~kick)
+    rest = [i for i, kicked in enumerate(kick) if not kicked]
     # the reflection is row-wise, so reflecting every row and overwriting
     # the others leaves each kickstarted row as it would be alone
     out = invert_about_mean_batch(amps)
-    tags = np.full(len(amps), "kickstart", dtype=object)
-    if rest.size:
-        out[rest], tags[rest] = _push_or_walk(
+    tags = ["kickstart"] * len(amps)
+    if rest:
+        out[rest], moved = _push_or_walk(
             amps[rest],
-            successes[rest],
-            failures[rest],
-            consecutive_failures[rest],
+            [successes[i] for i in rest],
+            [failures[i] for i in rest],
+            [consecutive_failures[i] for i in rest],
             config,
             [rngs[i] for i in rest],
         )
+        for i, tag in zip(rest, moved):
+            tags[i] = tag
     return out, tags
 
 
@@ -256,16 +258,13 @@ def _push_or_walk(amps, successes, failures, consecutive_failures, config, rngs)
     """The configured strategy's step on failed runs that take no kickstart."""
     if config.strategy == "single_push":
         ndim = amps.ndim - 1
-        moves = [
-            _push_move(f, n, config, ndim)
-            for f, n in zip(failures.tolist(), successes.tolist())
-        ]
+        moves = [_push_move(int(f), int(n), config, ndim) for f, n in zip(failures, successes)]
         axes, shifts = zip(*moves)
         tags = [
             f"push{shift:+d}" if ndim == 1 else f"push[ax{axis}]{shift:+d}"
             for axis, shift in moves
         ]
-        return translate_batch(amps, shifts, axes), np.array(tags, dtype=object)
-    strengths = [_effective_walk_strength(config, c) for c in consecutive_failures.tolist()]
+        return translate_batch(amps, shifts, axes), tags
+    strengths = [_effective_walk_strength(config, int(c)) for c in consecutive_failures]
     walked = apply_quantum_walk_batch(amps, strengths)
-    return dephase_batch(walked, rngs), np.full(len(amps), "walk+dephase", dtype=object)
+    return dephase_batch(walked, rngs), ["walk+dephase"] * len(amps)

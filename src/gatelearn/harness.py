@@ -12,7 +12,11 @@ random stream, so a (config, seed) pair fixes every number exactly.
 All runs of an ensemble are stepped together: the wavefunctions form
 one ``(runs, *grid_shape)`` array, the feedback acts on the rows of the
 runs that failed, and the records are ``(runs, iterations)`` columns of
-a :class:`RunBatch`.  Each run still makes its own draws in the same
+a :class:`RunBatch`.  Work with one value per grid cell is one numpy
+operation over the batch; bookkeeping with one value per run (the pass,
+failure and consecutive-failure counts, which runs failed, their action
+tags) stays in Python scalars, so a batch of one pays no numpy call for
+it.  Each run still makes its own draws in the same
 order: for a Fourier trial its input k, the uniform of its latent cell
 and one call for its n bit uniforms; for a search trial the uniform of
 its outcome; then the dephasing phases after a walk.  Every kernel
@@ -191,7 +195,7 @@ class _FourierTrials:
         # uniforms, then any dephasing
         ks = np.array([int(rng.integers(self._dim)) for rng in rngs])
         cells = sample_batch(weights, rngs)
-        uniforms = np.array([rng.random(self._n) for rng in rngs])
+        uniforms = [rng.random(self._n).tolist() for rng in rngs]
         outcomes, masses, columns = self._trials.draw(ks, weights, cells, uniforms)
         columns = columns.reshape((len(ks),) + self.success_map.shape)
         return outcomes == ks, outcomes, columns, masses
@@ -230,29 +234,29 @@ def _run_batch(config: ExperimentConfig, seeds) -> RunBatch:
     actions = np.full((runs, iterations), "none", dtype=object)
     snapshots = np.empty((runs, iterations) + shape) if config.snapshot_chi else None
     smallest = np.full(runs, np.inf)
-    successes = np.zeros(runs, dtype=int)
-    failures = np.zeros(runs, dtype=int)
-    consecutive = np.zeros(runs, dtype=int)
+    successes, failures, consecutive = [0] * runs, [0] * runs, [0] * runs
     for it in range(iterations):
         ok, measured[:, it], columns, masses = trials.trial(probs.reshape(runs, -1), rngs)
         np.minimum(smallest, masses, out=smallest)
         chi = filter_batch(chi, columns, masses)
-        failed = np.flatnonzero(~ok)
-        if failed.size:
+        flags = ok.tolist()
+        failed = [i for i, passed_now in enumerate(flags) if not passed_now]
+        if failed:
             # a slice when every run failed: views instead of gathered copies
-            rows = slice(None) if failed.size == runs else failed
+            rows = slice(None) if len(failed) == runs else failed
             chi[rows], actions[rows, it] = on_failure_batch(
                 chi[rows],
-                successes[rows],
-                failures[rows],
-                consecutive[rows],
+                [successes[i] for i in failed],
+                [failures[i] for i in failed],
+                [consecutive[i] for i in failed],
                 config.feedback,
                 [rngs[i] for i in failed],
                 binary_readout=trials.binary_readout,
             )
-        successes += ok
-        failures += ~ok
-        consecutive = np.where(ok, 0, consecutive + 1)
+        for i, passed_now in enumerate(flags):
+            successes[i] += passed_now
+            failures[i] += not passed_now
+            consecutive[i] = 0 if passed_now else consecutive[i] + 1
 
         probs = np.abs(chi) ** 2
         passed[:, it] = ok
@@ -401,32 +405,29 @@ def quantile_analysis(summaries: dict, quantiles=(0.10, 0.25)) -> list:
 # file output (plot-ready, deterministic formatting)
 
 def write_runs_csv(batch: RunBatch, path) -> None:
-    """All runs' iteration records as one CSV with a leading run column."""
-    runs, iterations = batch.passed.shape
-    measured = batch.measured_index.ravel()
+    """All runs' iteration records as one CSV with a leading run column.
+
+    Floats are written as their ``repr``, a measured index of -1 as an
+    empty field; no field ever needs CSV quoting.
+    """
     columns = (
-        np.repeat(np.arange(runs), iterations).tolist(),
-        np.tile(np.arange(1, iterations + 1), runs).tolist(),
-        np.where(batch.passed, "pass", "fail").ravel().tolist(),
-        map(repr, batch.expected_success.ravel().tolist()),
-        map(repr, batch.circular_variance.ravel().tolist()),
-        batch.feedback_action.ravel().tolist(),
-        np.where(measured < 0, "", measured.astype(str)).tolist(),
+        batch.passed.tolist(),
+        batch.expected_success.tolist(),
+        batch.circular_variance.tolist(),
+        batch.feedback_action.tolist(),
+        batch.measured_index.tolist(),
     )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "run",
-                "iteration",
-                "outcome",
-                "expected_success",
-                "circular_variance",
-                "feedback_action",
-                "measured_index",
-            ]
-        )
-        writer.writerows(zip(*columns))
+        fh.write("run,iteration,outcome,expected_success,circular_variance,"
+                 "feedback_action,measured_index\n")
+        # one string per run keeps large ensembles' memory bounded
+        for run, records in enumerate(zip(*columns)):
+            fh.write("".join(
+                "%d,%d,%s,%r,%r,%s,%s\n"
+                % (run, it, "pass" if ok else "fail", success, variance, action,
+                   "" if index < 0 else index)
+                for it, (ok, success, variance, action, index) in enumerate(zip(*records), 1)
+            ))
 
 
 def write_summary_json(summary: EnsembleSummary, path, extra: dict | None = None) -> None:

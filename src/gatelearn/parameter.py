@@ -151,11 +151,14 @@ def _unit_phasors(uniforms: np.ndarray) -> np.ndarray:
     eps = (scaled - index) * (_TWO_PI / (1 << 16))
     square = eps * eps
     series = np.empty(uniforms.shape, dtype=np.complex128)
-    np.multiply(square, -0.5, out=series.real)
-    series.real += 1.0
-    np.multiply(square, -1.0 / 6.0, out=series.imag)
-    series.imag += 1.0
-    series.imag *= eps
+    # in place on the part views: an augmented assignment to series.real
+    # would also copy the part back into itself
+    real, imag = series.real, series.imag
+    np.multiply(square, -0.5, out=real)
+    np.add(real, 1.0, out=real)
+    np.multiply(square, -1.0 / 6.0, out=imag)
+    np.add(imag, 1.0, out=imag)
+    np.multiply(imag, eps, out=imag)
     phasors = _COARSE[index >> 8]
     phasors *= _FINE[index & 0xFF]
     phasors *= series
@@ -216,14 +219,14 @@ def distribution_variance_batch(probs: np.ndarray) -> np.ndarray:
     approaches sigma^2 / 2.
     """
     ndim = probs.ndim - 1
-    total = np.zeros(probs.shape[0])
+    spreads = []
     for axis in range(ndim):
         others = tuple(1 + a for a in range(ndim) if a != axis)
         marginal = np.add.reduce(probs, axis=others) if others else probs
         phasors = _axis_phasors(probs.shape[1 + axis])
         moment = np.abs(np.add.reduce(np.multiply(marginal, phasors), axis=1))
-        total = total + (1.0 - moment)
-    return np.maximum(total, 0.0)
+        spreads.append(1.0 - moment)
+    return np.maximum(sum(spreads[1:], spreads[0]), 0.0)
 
 
 def checked_success_map(success_map, grid_shape: tuple) -> np.ndarray:

@@ -18,6 +18,7 @@ __all__ = ["ProductFormTrials"]
 
 # a bit's conditional this close to 0 or 1 is rounding off a certain bit
 _CERTAIN = 2.0**-52
+_ALMOST_ONE = 1.0 - _CERTAIN
 # a 0-d array adds to a complex array about twice as fast as the float 1
 _ONE = np.array(1 + 0j)
 # complex entries per gathered block of an axis's factors
@@ -101,8 +102,7 @@ class ProductFormTrials:
         self._rows = (rows + 5 * np.arange(band)[:, None]).T
         self._sign, self._slot = np.where(gates[w] > 1, 1 - 2 * negative, 0), slot[w].clip(0)
         # alpha_q(k) is -(k << (n-1-q)) mod 2^n turns of 2 pi / 2^n
-        self._bits = np.arange(self.n_qubits)
-        self._shifts = self.n_qubits - 1 - self._bits
+        self._shifts = self.n_qubits - 1 - np.arange(self.n_qubits)
 
     def draw(self, ks, weights: np.ndarray, cells, uniforms):
         """Each run's outcome, its probability and its amplitude column.
@@ -111,10 +111,16 @@ class ProductFormTrials:
         weighs the cells by row i of the ``(runs, cells)`` array
         ``weights`` (|chi_g|^2); ``cells[i]`` is its latent cell, a flat
         index drawn from that row.  Bit q of its outcome is 1 where
-        ``uniforms[i, q]`` is not below |factor q|^2 of bit q = 0 at the
+        ``uniforms[i][q]`` is not below |factor q|^2 of bit q = 0 at the
         latent cell, given the bits already drawn; a conditional within
         2^-52 of 0 or 1 is taken as exactly 0 or 1, so a bit that is
         certain in exact arithmetic is drawn for every uniform in [0, 1).
+        ``uniforms`` is a ``(runs, n)`` array or a sequence of rows (the
+        loop passes lists of floats).  The bits are a per-run walk over
+        Python scalars: the run's window phasors at its latent cell are
+        gathered once, and each bit's conditional, its snap and the step
+        that picks its factor (the window below it and the bit) are
+        scalar work.
         The column is then the product over the bits of the doubled
         factors 1 + (-1)^{r_q} e^{i theta_q}, times 2^-n: one product per
         axis (a factor of another kind enters it as exactly 1), their
@@ -132,37 +138,43 @@ class ProductFormTrials:
         n, band, dim = self.n_qubits, self.band, 1 << self.n_qubits
         ks = np.asarray(ks, dtype=np.int64)
         # a basis index has no bit at or above bit n; a negative one has all
-        if (ks >> n).any():
+        if np.bitwise_or.reduce(ks) >> n:
             raise ValueError("basis index out of range")
         cells = np.asarray(cells, dtype=np.int64)
-        if not (cells.min() >= 0 and cells.max() < self._cells):
+        if not (np.minimum.reduce(cells) >= 0 and np.maximum.reduce(cells) < self._cells):
             raise ValueError("latent cell out of range")
         weights = np.asarray(weights, dtype=float)
-        runs, windows = len(ks), 1 << band
+        runs = len(ks)
         # e^{i alpha_q(k)} of every run and outcome bit
         turns = (ks[:, None] << self._shifts) % dim
         rotation = np.exp(-2j * np.pi * turns / dim)
-        # the conditional of bit 0 is 1/2 + Re(e^{i theta_q}) / 2 at the
-        # latent cell: a (runs, windows, bits) table, then a walk over scalars
+        # each run's window phasors at its latent cell; its bits are then a
+        # walk over Python scalars, the conditional of bit 0 being
+        # 1/2 + Re(e^{i theta_q}) / 2 at that cell
         base, div, mod = self._latent
-        latent = self._flat[base + cells[:, None] // div % mod][:, :, None] * rotation[:, None, :]
-        zero = 0.5 + 0.5 * latent.real
-        zero[zero <= _CERTAIN] = 0.0
-        zero[zero >= 1.0 - _CERTAIN] = 1.0
-        ones = np.asarray(uniforms, dtype=float)[:, None, :] >= zero
-        mask = windows - 1
-        outcomes = np.empty(runs, dtype=np.int64)
-        for i, table in enumerate(ones.tolist()):
-            r = 0
+        latent = self._flat[base + cells[:, None] // div % mod].tolist()
+        top, outcomes, steps = band - 1, [], []
+        for phasors, turn, u in zip(latent, rotation.tolist(), uniforms):
+            r = window = 0
             for q in range(n):
-                r |= table[((r << band) >> q) & mask][q] << q
-            outcomes[i] = r
+                zero = 0.5 + 0.5 * (phasors[window] * turn[q]).real
+                if zero <= _CERTAIN:
+                    zero = 0.0
+                elif zero >= _ALMOST_ONE:
+                    zero = 1.0
+                bit = 1 if u[q] >= zero else 0
+                # step s = window + 2^band r_q, the window below bit q and then bit q
+                steps.append(window | bit << band)
+                r |= bit << q
+                window = window >> 1 | bit << top
+            outcomes.append(r)
+        outcomes = np.array(outcomes, dtype=np.int64)
+        steps = np.array(steps, dtype=np.intp).reshape(runs, n)
         # factor q's row in each axis's table, gathered as (runs, bits, axes,
         # width) blocks of as many runs as fit in 2^14 entries (one at least);
         # numpy reduces the bit axis from bit 0 up with its elementwise loop
         # (with its scalar loop on a one-cell axis, which may round the last
         # bit differently)
-        steps = ((outcomes[:, None] << band) >> self._bits) & (2 * windows - 1)
         rows = self._rows[steps]
         vectors = np.empty((runs, band, self._table.shape[1]), dtype=np.complex128)
         chunk = max(1, _CHUNK_ENTRIES // (band * n * self._table.shape[1]))
@@ -170,12 +182,12 @@ class ProductFormTrials:
         for start in range(0, runs, chunk):
             stop = min(start + chunk, runs)
             factors = block[: stop - start]
-            np.take(self._table, rows[start:stop], axis=0, out=factors, mode="clip")
+            self._table.take(rows[start:stop], axis=0, out=factors, mode="clip")
             np.multiply(factors, rotation[start:stop, :, None, None], out=factors)
             np.add(factors, _ONE, out=factors)
             np.multiply.reduce(factors, axis=1, out=vectors[start:stop])
-        vectors[:, 0] *= 0.5**n
         column = vectors[:, 0, : self.shape[0]]
+        np.multiply(column, 0.5**n, out=column)
         for d, size in enumerate(self.shape[1:], 1):
             column = (column[:, :, None] * vectors[:, d, None, :size]).reshape(runs, -1)
         signs = self._sign[steps]
@@ -189,6 +201,6 @@ class ProductFormTrials:
         # one dot product per row
         masses = np.matmul(weights[:, None, :], square[:, :, None])[:, 0, 0]
         # written so that a NaN mass fails too
-        if not masses.min() >= 1e-300:
+        if not np.minimum.reduce(masses) >= 1e-300:
             raise NumericsError("sampled an outcome of vanishing probability")
         return outcomes, masses, column

@@ -310,6 +310,38 @@ class TestController:
         for c in range(0, int(1023 * escalation) + 1):
             assert _effective_walk_strength(config, c) == min(24.0, floor * 2.0 ** (c / escalation))
 
+    @pytest.mark.parametrize("strategy,binary_readout,shape", [
+        ("double_push", True, (32,)),  # kickstart rows beside walked rows
+        ("single_push", False, (32,)),
+        ("single_push", False, (8, 8)),  # push[axN] tags
+    ])
+    def test_counts_of_any_integer_type_give_the_same_step(self, strategy, binary_readout,
+                                                           shape):
+        # the loop passes lists of Python ints; numpy arrays and lists of
+        # numpy integers must give the same rows, byte for byte, and tags
+        amps = np.concatenate([random_chi(int(np.prod(shape)), seed) for seed in range(5)])
+        amps = amps.reshape((5,) + shape)
+        successes, failures, consecutive = [0, 0, 3, 1, 2], [0, 4, 5, 1, 6], [0, 4, 2, 1, 3]
+        config = FeedbackConfig(strategy=strategy, initial_push_cells=3)
+        results = []
+        for cast in (list, np.array, lambda counts: [np.int64(c) for c in counts]):
+            rngs = [np.random.default_rng(seed) for seed in range(5)]
+            results.append(on_failure_batch(amps, cast(successes), cast(failures),
+                                            cast(consecutive), config, rngs, binary_readout))
+        for out, tags in results:
+            assert out.tobytes() == results[0][0].tobytes()
+            assert tags == results[0][1]
+            assert all(type(tag) is str for tag in tags)
+        tags = results[0][1]
+        if strategy == "double_push":
+            assert tags == ["kickstart", "kickstart", "walk+dephase", "walk+dephase",
+                            "walk+dephase"]
+        elif len(shape) == 1:
+            assert tags[0] == "kickstart" and all(tag.startswith("push") for tag in tags[1:])
+        else:
+            assert tags[0] == "kickstart"
+            assert all(tag.startswith("push[ax") for tag in tags[1:])
+
     def test_all_feedback_preserves_norm(self):
         rng = np.random.default_rng(11)
         for strategy in ("single_push", "double_push"):

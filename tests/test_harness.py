@@ -1,5 +1,6 @@
 """Training loop and ensembles: determinism, records, summaries, files."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -23,6 +24,7 @@ from gatelearn import harness
 from gatelearn.backaction import outcome_table, sample_batch
 from gatelearn.errors import NumericsError
 from gatelearn.harness import (
+    RunBatch,
     target_success,
     write_histogram_csv,
     write_runs_csv,
@@ -122,6 +124,9 @@ class TestRunLearning:
         assert result.passed.dtype == bool
         assert np.all(result.measured_index == -1)  # search trials record pass/fail only
         assert np.all((result.feedback_action == "none") == result.passed)
+        # the feedback returns its tags as a list; the record stays an object array
+        assert result.feedback_action.dtype == object
+        assert all(type(tag) is str for tag in result.feedback_action.ravel())
 
     def test_kickstart_fires_exactly_once_on_first_failure(self):
         result = run_learning(grover_config(iterations=60), run_seed=2)
@@ -436,6 +441,43 @@ class TestFileOutputs:
             "feedback_action,measured_index"
         )
         assert len(lines) == 1 + 2 * 5
+
+    def test_runs_csv_bytes_equal_a_csv_writer_rendering(self, tmp_path):
+        # every action tag form, both measured-index kinds (-1 is written
+        # empty) and floats whose repr takes an exponent, a sign or no fraction
+        tags = ["none", "kickstart", "walk+dephase", "push+8", "push-3", "push[ax0]+2",
+                "push[ax1]-1"]
+        runs, iterations = 2, len(tags)
+        rng = np.random.default_rng(3)
+        success = rng.random((runs, iterations))
+        success[0, :4] = [0.0, 1.0, 1e-17, 0.1 + 0.2]
+        variance = rng.random((runs, iterations))
+        variance[1, :2] = [2.5e-300, -0.0]
+        measured = np.array([[-1] * iterations, [0, 5, 1023, 7, -1, 2, 65535]])
+        batch = RunBatch(
+            passed=np.array([[True, False] * 3 + [True]] * runs),
+            measured_index=measured,
+            expected_success=success,
+            circular_variance=variance,
+            feedback_action=np.array([tags, tags[::-1]], dtype=object),
+            min_outcome_mass=np.ones(runs),
+        )
+        path = tmp_path / "runs.csv"
+        write_runs_csv(batch, path)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["run", "iteration", "outcome", "expected_success",
+                             "circular_variance", "feedback_action", "measured_index"])
+            for run in range(runs):
+                for it in range(iterations):
+                    index = int(measured[run, it])
+                    writer.writerow([run, it + 1, "pass" if batch.passed[run, it] else "fail",
+                                     repr(float(success[run, it])),
+                                     repr(float(variance[run, it])),
+                                     batch.feedback_action[run, it],
+                                     "" if index < 0 else index])
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_summary_json_round_trips(self, tmp_path):
         summary, _ = run_ensemble(grover_config(runs=3, iterations=5))

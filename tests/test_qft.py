@@ -226,6 +226,26 @@ class TestProductFormDraw:
         assert mismatches == 0
         assert mass <= 1e-12 and column <= 1e-12
 
+    @pytest.mark.parametrize("n,band,shape", [(10, 1, (256,)), (6, 2, (8, 16))])
+    def test_uniform_rows_of_any_sequence_draw_alike(self, n, band, shape):
+        # the loop passes lists of Python floats; a 2-D array, nested lists
+        # and a list of 1-D arrays must give the same outcomes and bytes
+        runs = 9
+        rng = np.random.default_rng(40 + band)
+        axes = [rng.uniform(-np.pi, np.pi, size) for size in shape]
+        cells = int(np.prod(shape))
+        weights = rng.random((runs, cells)) + 1e-3
+        weights /= weights.sum(axis=1, keepdims=True)
+        ks, latent = rng.integers(0, 1 << n, runs), rng.integers(0, cells, runs)
+        uniforms = rng.random((runs, n))
+        trials = ProductFormTrials(AqftInstance.standard(n, band), axes)
+        draws = [trials.draw(ks, weights, latent, form)
+                 for form in (uniforms, uniforms.tolist(), list(uniforms))]
+        for outcomes, masses, columns in draws[1:]:
+            np.testing.assert_array_equal(outcomes, draws[0][0])
+            assert masses.tobytes() == draws[0][1].tobytes()
+            assert columns.tobytes() == draws[0][2].tobytes()
+
     @pytest.mark.parametrize("n,band,shape,runs", [(6, 2, (1, 4), 6), (7, 2, (3, 1), 5),
                                                    (5, 2, (1, 1), 4), (4, 1, (1,), 3)],
                              ids=["6-2-1x4-6", "7-2-3x1-5", "5-2-1x1-4", "4-1-1-3"])
