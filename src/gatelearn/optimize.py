@@ -6,8 +6,9 @@ Fourier circuit over its phase angles, the relative improvement over
 the standard angles, and the ideal-search reference curve.
 
 The k-averaged success is a trigonometric polynomial of degree at most
-n - d in phase d, so a small uniform sample fixes it exactly and one
-FFT gives its coefficients (:func:`gatelearn.qft.success_spectrum`).
+n - d in phase d, so a uniform sample of 2(n - d) + 1 points per phase
+axis, the fewest that fix its coefficients, determines it exactly, and
+one FFT gives those coefficients (:func:`gatelearn.qft.success_spectrum`).
 The optimizer finds the basin on a fine grid of that polynomial, which
 costs no further success evaluations, and refines it by Newton steps on
 the polynomial's exact gradient and Hessian.  Everything is
@@ -27,9 +28,9 @@ from .errors import check_integer
 from .grover import reference_max_success
 from .qft import (
     AqftInstance,
+    _SpectrumDerivatives,
     average_success,
     average_success_map,
-    spectrum_derivatives,
     spectrum_on_grid,
     spectrum_phases,
     standard_phases,
@@ -67,8 +68,9 @@ def _newton(spectrum: np.ndarray, phases: np.ndarray) -> np.ndarray:
     NaN stops too), once a step falls below 1e-13 rad, or after 50
     steps; from a basin's grid point it converges in a few.
     """
+    derivatives = _SpectrumDerivatives(spectrum)
     for _ in range(50):
-        _, gradient, hessian = spectrum_derivatives(spectrum, phases)
+        _, gradient, hessian = derivatives(phases)
         if not np.linalg.eigvalsh(hessian).max() < 0.0:
             break
         step = np.linalg.solve(hessian, -gradient)
@@ -82,11 +84,11 @@ def optimize_phases(instance: AqftInstance) -> OptimizationResult:
     """Maximize the k-averaged trial success over the instance's phases.
 
     Supports 1 to 3 trained phases.  The success is sampled exactly on
-    2(n - d) + 2 uniform points per phase axis d, which fixes it as a
-    trigonometric polynomial; its coefficients locate the basin on a
-    grid of max(64, P_d) points per axis (max(32, P_d) for three-phase
-    cells) without new evaluations, and Newton steps on the exact
-    gradient and Hessian refine the best grid point.  The result is the
+    P_d = 2(n - d) + 1 uniform points per phase axis d, the fewest that
+    fix it as a trigonometric polynomial; its coefficients locate the
+    basin on a grid of max(64, P_d + 1) points per axis (max(32, P_d + 1)
+    for three-phase cells) without new evaluations, and Newton steps on
+    the exact gradient and Hessian refine the best grid point.  The result is the
     best of three exact evaluations: at the Newton point, the best
     sample, and the standard phases, so the reported optimum never
     falls below the baseline or the sample.  ``evaluations`` counts the

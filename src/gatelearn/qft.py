@@ -257,7 +257,7 @@ def average_success_map(instance: AqftInstance, phase_grid: np.ndarray) -> np.nd
 # the averaged success as a trigonometric polynomial of the phases
 
 def _sample_shape(instance: AqftInstance) -> tuple:
-    return tuple(2 * (instance.n_qubits - d) + 2 for d in range(1, instance.band + 1))
+    return tuple(2 * (instance.n_qubits - d) + 1 for d in range(1, instance.band + 1))
 
 
 def _frequencies(points: int) -> np.ndarray:
@@ -272,10 +272,10 @@ def spectrum_phases(instance: AqftInstance) -> np.ndarray:
     the factor cos^2(delta_L / 2) = (1 + cos delta_L) / 2 has degree at
     most 1 in phase_d, and only the n - d layers L >= d hold phase_d.
     The k-averaged success is therefore a trigonometric polynomial of
-    degree at most D_d = n - d in phase_d, and P_d = 2 D_d + 2 uniform
-    points 2 pi j / P_d per axis sample it without aliasing, with the
-    Nyquist bin empty.  Rows run over the (P_1, ..., P_band) grid, last
-    phase fastest.  Needs band >= 1.
+    degree at most D_d = n - d in phase_d, and P_d = 2 D_d + 1 uniform
+    points 2 pi j / P_d per axis, the fewest that fix its 2 D_d + 1
+    coefficients, sample it without aliasing.  Rows run over the
+    (P_1, ..., P_band) grid, last phase fastest.  Needs band >= 1.
     """
     axes = [np.arange(p) * (2.0 * np.pi / p) for p in _sample_shape(instance)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -288,14 +288,35 @@ def success_spectrum(instance: AqftInstance, samples) -> np.ndarray:
     ``samples`` holds the success at the rows of
     :func:`spectrum_phases`.  Entry ``[D_1 + f_1, ..., D_band + f_band]``
     of the returned ``(2 D_1 + 1, ..., 2 D_band + 1)`` array is the
-    coefficient of e^{i f . phase}; the sample's Nyquist bin, which the
-    polynomial leaves empty up to rounding, is dropped.
+    coefficient of e^{i f . phase}.  Every axis of the sample has an odd
+    number of points, so it has no Nyquist bin and every coefficient is
+    the polynomial's own.
     """
     shape = _sample_shape(instance)
-    # after the shift, frequency f of an axis sits at P/2 + f and the
-    # Nyquist frequency -P/2 at 0
-    spectrum = np.fft.fftshift(np.fft.fftn(np.reshape(samples, shape), norm="forward"))
-    return spectrum[(slice(1, None),) * len(shape)]
+    # after the shift, frequency f of an axis of 2D + 1 points sits at D + f
+    return np.fft.fftshift(np.fft.fftn(np.reshape(samples, shape), norm="forward"))
+
+
+def _fold(values: np.ndarray, axis: int, size: int, bins: int) -> np.ndarray:
+    """Sum a spectrum axis modulo ``size``, keeping bins 0..bins-1 of the result.
+
+    Entry m of the axis holds frequency m - D, which lands in bin
+    (m - D) mod size.  Consecutive entries fill consecutive bins up to
+    the wrap, so each such run is one slice addition; the runs are added
+    in entry order, the order ``np.add.at`` adds in.
+    """
+    points = values.shape[axis]
+    folded = np.zeros(values.shape[:axis] + (bins,) + values.shape[axis + 1 :], complex)
+    source, target = np.moveaxis(values, axis, 0), np.moveaxis(folded, axis, 0)
+    start = 0
+    while start < points:
+        cell = (start - points // 2) % size
+        run = min(points - start, size - cell)
+        kept = min(run, bins - cell)
+        if kept > 0:
+            target[cell : cell + kept] += source[start : start + kept]
+        start += run
+    return folded
 
 
 def spectrum_on_grid(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
@@ -304,18 +325,53 @@ def spectrum_on_grid(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
     At the G points of an axis, frequency f takes the same values as
     f mod G, so each axis folds its coefficients modulo G, which stays
     exact whether G is above or below the sample size, and one inverse
-    FFT evaluates every cell.
+    FFT evaluates every cell.  ``shape`` needs one size per spectrum
+    axis.
     """
+    shape = tuple(shape)
+    if len(shape) != spectrum.ndim:
+        raise ValueError(f"grid shape {shape} needs {spectrum.ndim} axes, one per spectrum axis")
     folded = spectrum
     for axis, size in enumerate(shape):
-        index = (slice(None),) * axis + (_frequencies(spectrum.shape[axis]) % size,)
-        wrapped = np.zeros(folded.shape[:axis] + (size,) + folded.shape[axis + 1 :], complex)
-        np.add.at(wrapped, index, folded)
-        folded = wrapped
-    # the polynomial is real, so the upper half of the last axis only
-    # repeats the conjugate of the lower half
-    half = folded[..., : shape[-1] // 2 + 1]
-    return np.fft.irfftn(half, shape, axes=range(len(shape)), norm="forward")
+        # the polynomial is real, so the inverse FFT reads only the lower
+        # half of the last axis: the upper half repeats its conjugate
+        bins = size // 2 + 1 if axis == len(shape) - 1 else size
+        folded = _fold(folded, axis, size, bins)
+    return np.fft.irfftn(folded, shape, axes=range(len(shape)), norm="forward")
+
+
+class _SpectrumDerivatives:
+    """:func:`spectrum_derivatives` of one spectrum, for many phase vectors.
+
+    The frequencies, the powers (i f)^o and the table positions of the
+    gradient and Hessian depend on the spectrum alone, so they are built
+    once; each call then takes one exponential and one product over
+    every axis's frequencies, and one matrix product per axis.  Calls do
+    not check ``phases``: it must hold one angle per spectrum axis.
+    """
+
+    def __init__(self, spectrum: np.ndarray):
+        self.spectrum = spectrum
+        self.sizes = spectrum.shape
+        self.bounds = np.cumsum((0,) + self.sizes).tolist()
+        self.i_freqs = 1j * np.concatenate([_frequencies(size) for size in self.sizes])
+        self.powers = self.i_freqs ** np.arange(3)[:, None]
+        # flat positions in the (3,) * band table: gradient entry d has order
+        # 1 on axis d, Hessian entry (d, e) orders summing to 2 on d and e
+        self.gradient_at = 3 ** np.arange(spectrum.ndim)[::-1]
+        self.hessian_at = self.gradient_at[:, None] + self.gradient_at[None, :]
+
+    def __call__(self, phases) -> tuple:
+        orders = self.powers * np.exp(self.i_freqs * np.repeat(phases, self.sizes))
+        table = self.spectrum
+        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+            # np.tensordot(table, orders of this axis, axes=(0, 1)), without
+            # its per-call set-up: the same reshape and the same np.dot
+            rest = table.shape[1:]
+            rows = np.moveaxis(table, 0, -1).reshape(-1, hi - lo)
+            table = np.dot(rows, orders[:, lo:hi].T).reshape(rest + (3,))
+        table = table.real.ravel()
+        return table[0], table[self.gradient_at], table[self.hessian_at]
 
 
 def spectrum_derivatives(spectrum: np.ndarray, phases) -> tuple:
@@ -324,15 +380,12 @@ def spectrum_derivatives(spectrum: np.ndarray, phases) -> tuple:
     The exponentials factorize over the axes, so each axis in turn is
     contracted with its derivatives of order 0, 1 and 2,
     (i f)^o e^{i f phase_d}, leaving a (3,) * band table indexed by the
-    derivative order along each axis.
+    derivative order along each axis.  ``phases`` needs one angle per
+    spectrum axis.
     """
-    table = spectrum
-    for phase in phases:
-        freqs = _frequencies(table.shape[0])
-        orders = (1j * freqs) ** np.arange(3)[:, None] * np.exp(1j * freqs * phase)
-        table = np.tensordot(table, orders, axes=(0, 1))
-    table = table.real
-    unit = np.eye(len(phases), dtype=int)
-    gradient = np.array([table[tuple(a)] for a in unit])
-    hessian = np.array([[table[tuple(a + b)] for b in unit] for a in unit])
-    return table[(0,) * len(phases)], gradient, hessian
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (spectrum.ndim,):
+        raise ValueError(
+            f"need {spectrum.ndim} phases, one per spectrum axis, got shape {phases.shape}"
+        )
+    return _SpectrumDerivatives(spectrum)(phases)

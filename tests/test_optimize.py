@@ -16,7 +16,27 @@ from gatelearn import (
     standard_phases,
 )
 from gatelearn.optimize import improvement_table_csv
-from gatelearn.qft import spectrum_derivatives, spectrum_phases, success_spectrum
+from gatelearn.qft import (
+    spectrum_derivatives,
+    spectrum_on_grid,
+    spectrum_phases,
+    success_spectrum,
+)
+
+
+def standard_spectrum(n, band):
+    inst = AqftInstance.standard(n, band)
+    return success_spectrum(inst, average_success_map(inst, spectrum_phases(inst)))
+
+
+def direct_sum(spectrum, shape):
+    """Sum over f of c_f e^{i f . phase} at every cell 2 pi j / shape, axis by axis."""
+    value = spectrum
+    for size in shape:
+        freqs = np.arange(value.shape[0]) - value.shape[0] // 2
+        cells = 2.0 * np.pi * np.arange(size) / size
+        value = np.tensordot(value, np.exp(1j * np.outer(freqs, cells)), axes=(0, 0))
+    return value
 
 
 class TestOptimizePhases:
@@ -65,6 +85,30 @@ class TestOptimizePhases:
     def test_band_out_of_range(self):
         with pytest.raises(ValueError):
             optimize_phases(AqftInstance.standard(8, 4))
+
+
+class TestSpectrum:
+    # small axes fold many frequencies into each cell; the basin grids are
+    # the optimizer's, finer than every axis of the spectrum
+    @pytest.mark.parametrize("band", [1, 2, 3])
+    @pytest.mark.parametrize("size", [2, 3, 7, "basin"])
+    def test_grid_equals_the_direct_sum(self, band, size):
+        spectrum = standard_spectrum(10, band)
+        if size == "basin":
+            size = 64 if band < 3 else 32
+        shape = (size,) * band
+        np.testing.assert_allclose(spectrum_on_grid(spectrum, shape),
+                                   direct_sum(spectrum, shape).real, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 16, 16)])
+    def test_grid_needs_one_size_per_axis(self, shape):
+        with pytest.raises(ValueError, match="one per spectrum axis"):
+            spectrum_on_grid(standard_spectrum(6, 2), shape)
+
+    @pytest.mark.parametrize("phases", [[0.3], [0.3, 0.4, 0.5], [[0.3, 0.4]]])
+    def test_derivatives_need_one_phase_per_axis(self, phases):
+        with pytest.raises(ValueError, match="one per spectrum axis"):
+            spectrum_derivatives(standard_spectrum(6, 2), phases)
 
 
 @pytest.mark.parametrize("qubits,bands,message", [
@@ -116,8 +160,7 @@ class TestImprovementTable:
         # grid point or the standard phases
         for row in small_table:
             if row["best_phases"] is not None:
-                inst = AqftInstance.standard(row["n_qubits"], row["band"])
-                spectrum = success_spectrum(inst, average_success_map(inst, spectrum_phases(inst)))
+                spectrum = standard_spectrum(row["n_qubits"], row["band"])
                 _, gradient, _ = spectrum_derivatives(spectrum, row["best_phases"])
                 assert np.abs(gradient).max() < 1e-9
 

@@ -26,6 +26,7 @@ from gatelearn.oracle import (
     walk_matrix,
 )
 from gatelearn.parameter import invert_about_mean_batch, translate_batch
+from gatelearn.qft import _sample_shape
 from gatelearn.selftest import fourier_draw_deviation, spectrum_deviation, success_map_deviation
 
 RNG = np.random.default_rng(20260808)
@@ -254,7 +255,7 @@ def test_spectrum_interpolant_matches_success_map(data):
     """Off its sample grid, the success's spectrum interpolant equals the success map."""
     n = data.draw(st.integers(2, 12), label="n")
     band = data.draw(st.integers(1, min(3, n - 1)), label="band")
-    columns = [off_sample_grid(2 * (n - d) + 2) for d in range(1, band + 1)]
+    columns = [off_sample_grid(p) for p in _sample_shape(AqftInstance.standard(n, band))]
     rows = data.draw(st.lists(st.tuples(*columns), min_size=1, max_size=4), label="phase rows")
     assert spectrum_deviation(n, band, rows) <= 1e-12
 
