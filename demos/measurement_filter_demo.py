@@ -11,7 +11,7 @@ own kernels.
 
 import numpy as np
 
-from gatelearn import GroverInstance, success_probability_map, uniform_init
+from gatelearn import GroverInstance, grid_points
 from gatelearn.backaction import distribution_batch, filter_batch, outcome_table, sample_batch
 from gatelearn.grover import _amplitudes_for_phases
 from gatelearn.parameter import invert_about_mean_batch
@@ -32,9 +32,8 @@ def probabilities(chi):
 
 def main():
     instance = GroverInstance.standard(16)
-    grid = uniform_init(CELLS)
-    pmap = success_probability_map(instance, grid)
-    t, u = _amplitudes_for_phases(instance, grid.axis_values(0))
+    t, u = _amplitudes_for_phases(instance, grid_points(CELLS))
+    pmap = np.abs(t) ** 2  # the success probability at each grid point
     table, columns = outcome_table([t, u])  # outcome 0 passes, 1 fails
 
     def measure(chi, rng):
@@ -43,7 +42,7 @@ def main():
         outcome = sample_batch(dist, [rng])
         return outcome[0], filter_batch(chi, columns[outcome], dist[0, outcome])
 
-    chi = grid.amplitudes[None]  # a batch of one run
+    chi = np.full((1, CELLS), 1 / np.sqrt(CELLS), dtype=complex)  # a flat batch of one run
 
     print(f"search space: {instance.n_elements} elements, "
           f"{instance.iterations} amplification rounds")

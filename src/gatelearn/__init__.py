@@ -34,7 +34,7 @@ from .optimize import (
     improvement_table,
     optimize_phases,
 )
-from .parameter import ParameterState, uniform_init
+from .parameter import ParameterState, grid_points, uniform_init
 from .productform import ProductFormTrials
 from .qft import (
     AqftInstance,

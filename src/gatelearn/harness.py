@@ -70,7 +70,7 @@ from .parameter import (
     checked_success_map,
     distribution_variance_batch,
     expected_success_batch,
-    uniform_init,
+    grid_points,
 )
 from .productform import ProductFormTrials
 from .qft import (
@@ -161,7 +161,7 @@ class _SearchTrials:
     binary_readout = True
 
     def __init__(self, instance: GroverInstance, grid_size: int):
-        t, u = _amplitudes_for_phases(instance, uniform_init(grid_size).axis_values(0))
+        t, u = _amplitudes_for_phases(instance, grid_points(grid_size))
         self.success_map = checked_success_map(np.abs(t) ** 2, (grid_size,))
         self.success_map.flags.writeable = False  # checked once, shared by every run
         self._table, self._columns = outcome_table([t, u])  # outcome PASS, then fail
@@ -187,7 +187,7 @@ class _FourierTrials:
         self.success_map = checked_success_map(success, shape)
         self.success_map.flags.writeable = False  # checked once, shared by every run
         self._n, self._dim = instance.n_qubits, instance.dim
-        axes = [uniform_init(grid_size).axis_values(0)] * instance.band
+        axes = [grid_points(grid_size)] * instance.band
         self._trials = ProductFormTrials(instance, axes)
 
     def trial(self, weights: np.ndarray, rngs) -> tuple:
@@ -224,7 +224,7 @@ def _run_batch(config: ExperimentConfig, seeds) -> RunBatch:
     rngs = [np.random.default_rng(seed) for seed in seeds]
     runs, iterations = len(rngs), config.iterations
     shape = trials.success_map.shape
-    chi = np.repeat(uniform_init(shape).amplitudes[None], runs, axis=0)
+    chi = np.full((runs,) + shape, 1.0 / np.sqrt(trials.success_map.size), dtype=np.complex128)
     probs = np.abs(chi) ** 2
 
     passed = np.empty((runs, iterations), dtype=bool)

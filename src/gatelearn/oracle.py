@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .grover import GroverInstance
-from .parameter import ParameterState
+from .parameter import grid_points, phase_table
 from .qft import AqftInstance, _checked_phase_grid
 
 __all__ = [
@@ -235,9 +235,7 @@ def trial_success_amplitude(instance: AqftInstance, k: int):
     """
     if not 0 <= k < instance.dim:
         raise ValueError(f"basis index {k} out of range")
-    amps = _fourier_input(instance.n_qubits, k)[None, :].copy()
-    _run_circuit(amps, instance.n_qubits, instance.band, instance.phases)
-    return amps[0], k
+    return trial_output_batch(instance, k, [instance.phases])[0], k
 
 
 def trial_output_batch(instance: AqftInstance, k: int, phase_grid: np.ndarray) -> np.ndarray:
@@ -347,34 +345,35 @@ def walk_bessel_kernel(cells: int, x: float) -> np.ndarray:
 # the explicit joint state
 
 def brute_force_joint_step(
-    chi: ParameterState, circuit, input_state: PureState, rng: np.random.Generator
+    chi: np.ndarray, circuit, input_state: PureState, rng: np.random.Generator
 ):
     """Reference implementation via the explicit joint state.
 
-    Builds sum_g chi_g |g> (x) U(phi_g)|input> as one dense vector,
-    measures the processor factor projectively (single inverse-CDF draw
-    over ascending basis order), and extracts the conditional parameter
-    state.  Fed the same random stream, it must reproduce the training
-    loop's kernels (:func:`gatelearn.backaction.sample_batch` and
-    :func:`gatelearn.backaction.filter_batch`) exactly; it is
+    ``chi`` is one run's wavefunction on the product grid, each axis
+    carrying :func:`grid_points` of its length.  Builds sum_g chi_g |g> (x)
+    U(phi_g)|input> as one dense vector, measures the processor factor
+    projectively (single inverse-CDF draw over ascending basis order),
+    and returns the outcome and the conditional parameter wavefunction,
+    shaped like ``chi``.  Fed the same random stream, it must reproduce
+    the training loop's kernels (:func:`gatelearn.backaction.sample_batch`
+    and :func:`gatelearn.backaction.filter_batch`) exactly; it is
     deliberately written from the joint-state definition rather than the
     cell-wise filter.
 
     ``circuit`` is a callable ``circuit(phi, input_state) -> PureState``
-    giving the processor output at parameter value phi.  Only meant for
-    test scales: refuses to run when cells * 2**n exceeds 2**16.
+    giving the processor output at parameter value phi (a row of phases
+    on a grid of several axes).  Only meant for test scales: refuses to
+    run when cells * 2**n exceeds 2**16.
     """
-    cells = int(np.prod(chi.grid_shape))
+    chi = np.asarray(chi, dtype=np.complex128)
     dim = input_state.amplitudes.size
-    if cells * dim > _JOINT_LIMIT:
+    if chi.size * dim > _JOINT_LIMIT:
         raise ValueError(
-            f"joint dimension {cells * dim} exceeds the test-scale limit {_JOINT_LIMIT}"
+            f"joint dimension {chi.size * dim} exceeds the test-scale limit {_JOINT_LIMIT}"
         )
-    chi_flat = chi.amplitudes.reshape(-1)
-    grids = np.meshgrid(*[chi.axis_values(a) for a in range(chi.ndim)], indexing="ij")
-    values = list(zip(*[g.reshape(-1) for g in grids]))
-    joint = np.empty((cells, dim), dtype=np.complex128)
-    for g, phi in enumerate(values):
+    chi_flat = chi.reshape(-1)
+    joint = np.empty((chi.size, dim), dtype=np.complex128)
+    for g, phi in enumerate(phase_table([grid_points(cells) for cells in chi.shape])):
         arg = phi[0] if len(phi) == 1 else phi
         joint[g] = chi_flat[g] * circuit(arg, input_state).amplitudes
     cdf = np.cumsum(np.sum(np.abs(joint) ** 2, axis=0))
@@ -384,5 +383,4 @@ def brute_force_joint_step(
     # written so that a NaN norm fails too
     if not norm >= 1e-150:
         raise NumericsError("measured an outcome of vanishing probability")
-    new_amps = (conditional / norm).reshape(chi.grid_shape)
-    return r, ParameterState(new_amps)
+    return r, (conditional / norm).reshape(chi.shape)

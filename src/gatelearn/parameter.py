@@ -16,8 +16,8 @@ Each operator and diagnostic is an array kernel over a batch of runs,
 an array of shape ``(runs, *grid_shape)``, named ``*_batch``; one run
 is a batch of one.  Every kernel computes each run's row exactly as it
 would alone, so results never depend on how many runs share a batch.
-:class:`ParameterState` describes a grid: its shape, grid points and
-the flat starting wavefunction (:func:`uniform_init`).
+This module owns the grid convention: :func:`grid_points` places one
+axis's cells and :func:`phase_table` lists a product grid's cells.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .errors import NumericsError
 __all__ = [
     "ParameterState",
     "uniform_init",
+    "grid_points",
+    "phase_table",
     "checked_success_map",
     "translate_batch",
     "dephase_batch",
@@ -43,13 +45,17 @@ _TWO_PI = 2.0 * np.pi
 
 
 class ParameterState:
-    """Discretized wavefunction chi over a periodic parameter grid.
+    """A one-run wavefunction on a grid, as :func:`uniform_init` returns it.
+
+    It survives only as ``uniform_init``'s handle for the benchmark's
+    reference checks, which read ``axis_values(0)`` and pass it to
+    :func:`gatelearn.grover.success_probability_map`; everything else
+    holds wavefunctions as plain complex arrays.
 
     Parameters
     ----------
     amplitudes : ndarray of complex
-        Shape ``grid_shape``; one axis per trained parameter, each axis
-        spanning [0, 2*pi).
+        One axis per trained parameter, each axis spanning [0, 2*pi).
     """
 
     __slots__ = ("amplitudes",)
@@ -63,36 +69,33 @@ class ParameterState:
         self.amplitudes = amps
 
     @property
-    def grid_shape(self) -> tuple:
-        return self.amplitudes.shape
-
-    @property
     def ndim(self) -> int:
         return self.amplitudes.ndim
 
     def axis_values(self, axis: int = 0) -> np.ndarray:
         """Parameter values at the grid points of one axis."""
-        return _grid_points(self.grid_shape[axis])
-
-    def probabilities(self) -> np.ndarray:
-        """|chi|^2 over the grid."""
-        return np.abs(self.amplitudes) ** 2
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def __repr__(self) -> str:
-        return f"ParameterState(grid_shape={self.grid_shape})"
+        return grid_points(self.amplitudes.shape[axis])
 
 
-def _grid_points(cells: int) -> np.ndarray:
+def grid_points(cells: int) -> np.ndarray:
+    """The phases of one grid axis: cell g sits at 2 pi g / cells."""
     return np.arange(cells) * _TWO_PI / cells
+
+
+def phase_table(axes) -> np.ndarray:
+    """The ``(cells, len(axes))`` table of a product grid, last axis fastest.
+
+    Row g holds the phases of flat cell g of a C-order grid whose axis i
+    has the points ``axes[i]``.
+    """
+    mesh = np.meshgrid(*[np.asarray(axis, dtype=float) for axis in axes], indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
 @lru_cache(maxsize=64)
 def _axis_phasors(cells: int) -> np.ndarray:
     """e^{i phi} at one axis's grid points."""
-    phasors = np.exp(1j * _grid_points(cells))
+    phasors = np.exp(1j * grid_points(cells))
     phasors.flags.writeable = False
     return phasors
 

@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import check_integer
+from .parameter import phase_table
 
 __all__ = [
     "AqftInstance",
@@ -248,7 +249,13 @@ def average_success(instance: AqftInstance) -> float:
 
 
 def average_success_map(instance: AqftInstance, phase_grid: np.ndarray) -> np.ndarray:
-    """Exact k-averaged success for every row of a (cells, band) phase table."""
+    """Exact k-averaged success for every row of a (cells, band) phase table.
+
+    A row's last bit depends on how many rows share the call: the
+    evaluation is a matrix product, and BLAS picks its kernel by the
+    row count.  Callers whose figures must not move keep their row sets
+    fixed.
+    """
     phase_grid = _checked_phase_grid(instance, phase_grid)
     return _diagonal_model(instance.n_qubits, instance.band).success_many(phase_grid)
 
@@ -277,9 +284,7 @@ def spectrum_phases(instance: AqftInstance) -> np.ndarray:
     coefficients, sample it without aliasing.  Rows run over the
     (P_1, ..., P_band) grid, last phase fastest.  Needs band >= 1.
     """
-    axes = [np.arange(p) * (2.0 * np.pi / p) for p in _sample_shape(instance)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+    return phase_table([np.arange(p) * (2.0 * np.pi / p) for p in _sample_shape(instance)])
 
 
 def success_spectrum(instance: AqftInstance, samples) -> np.ndarray:

@@ -11,6 +11,8 @@ environments.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .backaction import distribution_batch, filter_batch, outcome_table, sample_batch
@@ -29,7 +31,7 @@ from .oracle import (
     walk_bessel_kernel,
     walk_matrix,
 )
-from .parameter import _unit_phasors, invert_about_mean_batch, uniform_init
+from .parameter import _unit_phasors, grid_points, invert_about_mean_batch, phase_table
 from .productform import ProductFormTrials
 from .qft import (
     AqftInstance,
@@ -110,40 +112,42 @@ def _check_walk_operator() -> str:
     return "quantum walk matches dense circulant exponential"
 
 
-def joint_oracle_deviation(theta, seed: int, steps: int = 20, cells: int = 8):
+def joint_oracle_deviation(theta, seed: int, steps: int = 20, shape=(8,)):
     """(outcome mismatches, worst state deviation) of the filter against the joint state.
 
-    The circuit rotates qubit q by ``theta[q]`` about an axis set by the
-    trained phase phi.  Starting from a uniform parameter state on
-    ``cells`` cells, the training loop's kernels (a batch of one run
-    through :func:`sample_batch` and :func:`filter_batch`) and the
-    explicit joint-state measurement :func:`brute_force_joint_step` each
-    take ``steps`` chained measurements, fed identical streams seeded
-    with ``seed``.
+    The circuit rotates qubit q by ``theta[q]`` about an axis set by
+    trained phase q mod ``len(shape)``.  Starting from a uniform
+    parameter state on a grid of ``shape``, the training loop's kernels
+    (a batch of one run through :func:`sample_batch` and
+    :func:`filter_batch`, its outcome table listing the cells itself,
+    last axis fastest) and the explicit joint-state measurement
+    :func:`brute_force_joint_step` each take ``steps`` chained
+    measurements, fed identical streams seeded with ``seed``.
     """
 
     def circuit(phi, state):
         out = state
-        for q, th in enumerate(theta):
+        for q, (th, p) in enumerate(zip(theta, np.resize(phi, len(theta)))):
             c, s = np.cos(th), np.sin(th)
-            gate = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]])
+            gate = np.array([[c, -s * np.exp(-1j * p)], [s * np.exp(1j * p), c]])
             out = apply_single_qubit_gate(out, q, gate)
         return out
 
     src = PureState.basis(len(theta), 0)
-    chi_joint = uniform_init(cells)
-    phis = chi_joint.axis_values(0)
-    chi_block = chi_joint.amplitudes[None]
+    axes = [grid_points(cells) for cells in shape]
+    outputs = [circuit(phi, src).amplitudes for phi in product(*axes)]
+    table, columns = outcome_table(np.stack(outputs, 1).reshape((-1,) + tuple(shape)))
+    chi_joint = np.full(shape, 1.0 / np.sqrt(np.prod(shape)), dtype=complex)
+    chi_block = chi_joint[None]
     rng_block, rng_joint = np.random.default_rng(seed), np.random.default_rng(seed)
     mismatches, worst = 0, 0.0
     for _ in range(steps):
-        table, columns = outcome_table(np.stack([circuit(phi, src).amplitudes for phi in phis], 1))
-        dist = distribution_batch(np.abs(chi_block) ** 2, table)
+        dist = distribution_batch(np.abs(chi_block.reshape(1, -1)) ** 2, table)
         r_block = sample_batch(dist, [rng_block])
         chi_block = filter_batch(chi_block, columns[r_block], dist[0, r_block])
         r_joint, chi_joint = brute_force_joint_step(chi_joint, circuit, src, rng_joint)
         mismatches += r_block[0] != r_joint
-        worst = max(worst, np.abs(chi_block[0] - chi_joint.amplitudes).max())
+        worst = max(worst, np.abs(chi_block[0] - chi_joint).max())
     return mismatches, worst
 
 
@@ -199,8 +203,7 @@ def fourier_draw_deviation(instance, axes, ks, weights, cells, uniforms):
     boundary may fall either way.  The masses and columns are compared
     at the drawn outcome.
     """
-    mesh = np.meshgrid(*[np.asarray(axis, dtype=float) for axis in axes], indexing="ij")
-    phase_grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    phase_grid = phase_table(axes)
     weights = np.asarray(weights, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
     trials = ProductFormTrials(instance, axes)

@@ -9,22 +9,16 @@ from gatelearn import (
     FeedbackConfig,
     GroverInstance,
     NumericsError,
-    success_probability_map,
-    uniform_init,
+    grid_points,
 )
 from gatelearn.backaction import distribution_batch, filter_batch, outcome_table, sample_batch
 from gatelearn.feedback import apply_quantum_walk_batch, on_failure_batch
 from gatelearn.grover import _amplitudes_for_phases
 from gatelearn.oracle import walk_bessel_kernel, walk_matrix
 from gatelearn.parameter import invert_about_mean_batch
+from test_parameter import flat_chi, random_chi
 
 # every operator runs on a batch of one run: an array of shape (1, *grid_shape)
-
-
-def random_chi(n, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return (amps / np.linalg.norm(amps))[None]
 
 
 def walk(chi, x):
@@ -188,7 +182,7 @@ class TestSinglePush:
 
 class TestKickstart:
     def test_uniform_unchanged(self):
-        chi = uniform_init(32).amplitudes[None]
+        chi = flat_chi(32)
         out = invert_about_mean_batch(chi)
         np.testing.assert_allclose(out, chi, atol=1e-15)
 
@@ -199,10 +193,9 @@ class TestKickstart:
         # uniform chi filtered by one failed verification carries a dip at
         # the good phase; the kickstart must relocate the maximum there
         inst = GroverInstance.standard(16)
-        grid = uniform_init(256)
-        t, u = _amplitudes_for_phases(inst, grid.axis_values(0))
+        t, u = _amplitudes_for_phases(inst, grid_points(256))
         table, columns = outcome_table([t, u])
-        chi = grid.amplitudes[None]
+        chi = flat_chi(256)
         rng = np.random.default_rng(4)
         while True:  # condition on a failed first trial
             dist = distribution_batch(np.abs(chi) ** 2, table)
@@ -210,7 +203,7 @@ class TestKickstart:
             filtered = filter_batch(chi, columns[r], dist[0, r])
             if r[0] == 1:
                 break
-        pmap = success_probability_map(inst, grid)
+        pmap = np.abs(t) ** 2
         before = int(np.argmax(np.abs(filtered[0]) ** 2))
         assert pmap[before] < 0.5  # the dip sits away from the optimum
         kicked = invert_about_mean_batch(filtered)

@@ -89,30 +89,28 @@ class TestReferenceMaxSuccess:
 
 
 class TestSuccessProbabilityMap:
+    grid = uniform_init(256)  # the grid handle the map takes
+
     def test_peak_cell_value_matches_reference(self):
-        grid = uniform_init(256)
         for n in (16, 200, 10000):
             inst = GroverInstance.standard(n)
-            pmap = success_probability_map(inst, grid)
+            pmap = success_probability_map(inst, self.grid)
             cell_at_pi = 128  # pi sits exactly on the grid
             assert abs(pmap[cell_at_pi] - reference_max_success(n)) < 1e-12
 
     def test_zero_phase_cell(self):
-        grid = uniform_init(256)
         inst = GroverInstance.standard(64)
-        pmap = success_probability_map(inst, grid)
+        pmap = success_probability_map(inst, self.grid)
         assert abs(pmap[0] - 1.0 / 64) < 1e-12
 
     def test_symmetry_about_pi(self):
-        grid = uniform_init(256)
         for n in (8, 200):
-            pmap = success_probability_map(GroverInstance.standard(n), grid)
+            pmap = success_probability_map(GroverInstance.standard(n), self.grid)
             np.testing.assert_allclose(pmap[1:], pmap[1:][::-1], atol=1e-12)
 
     def test_argmax_at_pi_for_larger_spaces(self):
-        grid = uniform_init(256)
         for n in (8, 16, 64, 200, 1024, 10000):
-            pmap = success_probability_map(GroverInstance.standard(n), grid)
+            pmap = success_probability_map(GroverInstance.standard(n), self.grid)
             assert int(np.argmax(pmap)) == 128
 
     def test_two_axis_grid_rejected(self):

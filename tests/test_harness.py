@@ -15,10 +15,10 @@ from gatelearn import (
     FeedbackConfig,
     GroverInstance,
     average_success_map,
+    grid_points,
     quantile_analysis,
     run_ensemble,
     run_learning,
-    uniform_init,
 )
 from gatelearn import harness
 from gatelearn.backaction import outcome_table, sample_batch
@@ -31,6 +31,7 @@ from gatelearn.harness import (
     write_summary_json,
 )
 from gatelearn.oracle import bit_conditionals, trial_output_batch
+from gatelearn.parameter import phase_table
 
 
 COLUMNS = ("passed", "measured_index", "expected_success", "circular_variance",
@@ -193,17 +194,14 @@ class StatevectorTrials:
     binary_readout = False
 
     def __init__(self, instance, grid_size, success_map):
-        axes = [uniform_init(grid_size).axis_values(0)] * instance.band
-        mesh = np.meshgrid(*axes, indexing="ij")
         self.instance = instance
-        self.phase_grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        self.shape = mesh[0].shape
+        self.phase_grid = phase_table([grid_points(grid_size)] * instance.band)
         self.success_map = success_map
 
     def readout(self, k):
         """(probability table, amplitude columns) of the full-register readout."""
         outputs = trial_output_batch(self.instance, k, self.phase_grid)
-        return outcome_table(outputs.T.reshape((self.instance.dim,) + self.shape))
+        return outcome_table(outputs.T.reshape((self.instance.dim,) + self.success_map.shape))
 
     def trial(self, weights, rngs):
         ks = np.array([int(rng.integers(self.instance.dim)) for rng in rngs])
@@ -246,8 +244,7 @@ class TestProductFormEngine:
                                                   (6, 2, 64)])
     def test_success_map_equals_the_map_of_every_cell(self, n, band, grid_size):
         problem = AqftInstance.standard(n, band)
-        axes = [uniform_init(grid_size).axis_values(0)] * band
-        cells = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        cells = phase_table([grid_points(grid_size)] * band)
         expected = average_success_map(problem, cells).reshape((grid_size,) * band)
         np.testing.assert_allclose(harness._trials(problem, grid_size).success_map, expected,
                                    rtol=0, atol=1e-12)

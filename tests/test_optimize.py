@@ -9,6 +9,7 @@ from gatelearn import (
     AqftInstance,
     average_success,
     average_success_map,
+    grid_points,
     grover_reference_curve,
     improvement_table,
     optimize_phases,
@@ -16,6 +17,7 @@ from gatelearn import (
     standard_phases,
 )
 from gatelearn.optimize import improvement_table_csv
+from gatelearn.parameter import phase_table
 from gatelearn.qft import (
     spectrum_derivatives,
     spectrum_on_grid,
@@ -74,8 +76,7 @@ class TestOptimizePhases:
         # standard phases
         inst = AqftInstance.standard(n, m)
         result = optimize_phases(inst)
-        axis = np.arange(points) * (2.0 * np.pi / points)
-        dense = np.stack([g.reshape(-1) for g in np.meshgrid(*[axis] * m, indexing="ij")], axis=1)
+        dense = phase_table([grid_points(points)] * m)
         samples = average_success_map(inst, spectrum_phases(inst))
         assert result.best_value >= average_success_map(inst, dense).max()
         assert result.best_value >= samples.max()

@@ -1,6 +1,7 @@
 """The training loop's modules never import the statevector oracle, no
-module starts threads or processes (every ensemble runs as one batch), and
-``import gatelearn`` never loads scipy (the oracle imports it when called)."""
+module starts threads or processes (every ensemble runs as one batch),
+``import gatelearn`` never loads scipy (the oracle imports it when called),
+and wavefunctions are plain arrays outside the benchmark-facing modules."""
 
 import ast
 import subprocess
@@ -51,6 +52,16 @@ def test_fast_path_never_imports_the_oracle(module):
 def test_no_module_imports_a_worker_pool(module):
     pools = {"concurrent", "threading", "multiprocessing"}
     assert not {name.split(".")[0] for name in imported_names(module)} & pools
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("parameter", "grover", "__init__")
+))
+def test_only_benchmark_facing_modules_import_the_grid_handle(module):
+    # ParameterState and uniform_init remain for the benchmark's reference checks
+    handles = {f"gatelearn{part}.{name}" for part in ("", ".parameter")
+               for name in ("ParameterState", "uniform_init")}
+    assert not imported_names(module) & handles
 
 
 def test_package_import_loads_no_scipy():

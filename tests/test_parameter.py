@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gatelearn import NumericsError, uniform_init
+from gatelearn import NumericsError, grid_points, uniform_init
 from gatelearn.parameter import (
     _unit_phasors,
     checked_success_map,
@@ -11,10 +11,15 @@ from gatelearn.parameter import (
     distribution_variance_batch,
     expected_success_batch,
     invert_about_mean_batch,
+    phase_table,
     translate_batch,
 )
 
 # every operator runs on a batch of one run: an array of shape (1, *grid_shape)
+
+
+def flat_chi(n):
+    return np.full((1, n), 1 / np.sqrt(n), dtype=complex)
 
 
 def delta_state(n, cell):
@@ -48,22 +53,31 @@ class TestUniformInit:
         np.testing.assert_allclose(state.amplitudes, 0.5)
 
     def test_flat_average_of_any_observable(self):
-        state = uniform_init(10)
         observable = np.linspace(0.0, 1.0, 10)
-        assert abs(expected_success(state.amplitudes[None], observable) - observable.mean()) < 1e-12
+        assert abs(expected_success(flat_chi(10), observable) - observable.mean()) < 1e-12
 
     def test_cell_width(self):
-        points = uniform_init(256).axis_values(0)
+        points = grid_points(256)
         assert abs(points[1] - points[0] - 2 * np.pi / 256) < 1e-15
 
     def test_grid_points_include_pi(self):
         # left-edge convention: pi sits exactly on the grid for even sizes
-        state = uniform_init(256)
-        assert np.pi in state.axis_values(0)
+        assert grid_points(256)[128] == np.pi
+
+    @pytest.mark.parametrize("cells", [16, 32, 64, 256])
+    def test_axis_values_are_the_grid_points(self, cells):
+        # the benchmark reads its grids through uniform_init
+        assert uniform_init(cells).axis_values(0).tobytes() == grid_points(cells).tobytes()
+
+    def test_phase_table_last_axis_fastest(self):
+        table = phase_table([grid_points(5), grid_points(3)])
+        assert table.shape == (15, 2)
+        np.testing.assert_array_equal(table[:, 0], np.repeat(grid_points(5), 3))
+        np.testing.assert_array_equal(table[:, 1], np.tile(grid_points(3), 5))
 
     def test_two_axis_grid(self):
         state = uniform_init((8, 8))
-        assert state.grid_shape == (8, 8)
+        assert state.amplitudes.shape == (8, 8)
         np.testing.assert_allclose(state.amplitudes, 1 / 8)
 
     def test_too_small_grid_rejected(self):
@@ -151,7 +165,7 @@ class TestDephase:
 
 class TestInvertAboutMean:
     def test_uniform_is_fixed_point(self):
-        chi = uniform_init(16).amplitudes[None]
+        chi = flat_chi(16)
         out = invert_about_mean_batch(chi)
         np.testing.assert_allclose(out, chi, atol=1e-15)
 
@@ -182,8 +196,7 @@ class TestExpectedSuccess:
         assert abs(expected_success(delta_state(8, 5), p) - p[5]) < 1e-15
 
     def test_uniform_two_cells(self):
-        chi = uniform_init(2).amplitudes[None]
-        assert abs(expected_success(chi, np.array([0.0, 1.0])) - 0.5) < 1e-15
+        assert abs(expected_success(flat_chi(2), np.array([0.0, 1.0])) - 0.5) < 1e-15
 
     def test_monotone_in_the_map(self):
         chi = random_chi(32, seed=7)
@@ -194,7 +207,7 @@ class TestExpectedSuccess:
 
     def test_out_of_range_map_rejected(self):
         with pytest.raises(NumericsError):
-            expected_success(uniform_init(4).amplitudes[None], np.array([0.0, 0.5, 1.2, 0.1]))
+            expected_success(flat_chi(4), np.array([0.0, 0.5, 1.2, 0.1]))
 
     def test_nan_map_rejected(self):
         with pytest.raises(NumericsError):
@@ -211,7 +224,7 @@ class TestDistributionVariance:
 
     def test_uniform_is_one(self):
         # first trigonometric moment of the full circle vanishes
-        assert abs(distribution_variance(uniform_init(64).amplitudes[None]) - 1.0) < 1e-12
+        assert abs(distribution_variance(flat_chi(64)) - 1.0) < 1e-12
 
     def test_antipodal_pair_is_one(self):
         amps = np.zeros((1, 64), dtype=complex)

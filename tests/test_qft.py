@@ -15,11 +15,13 @@ from gatelearn import (
     AqftInstance,
     average_success,
     average_success_map,
+    grid_points,
     standard_phases,
 )
 from gatelearn.errors import NumericsError
 from gatelearn.oracle import (
     PureState,
+    _fourier_input,
     apply_aqft,
     average_success_statevector,
     bit_conditionals,
@@ -27,13 +29,9 @@ from gatelearn.oracle import (
     trial_output_batch,
     trial_success_amplitude,
 )
+from gatelearn.parameter import phase_table
 from gatelearn.productform import ProductFormTrials
 from gatelearn.selftest import fourier_draw_deviation
-
-
-def product_grid(axes):
-    """The ``(cells, band)`` phase table of a product grid, cells in C order."""
-    return np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def random_state(n, seed):
@@ -109,10 +107,11 @@ class TestTrials:
 
     def test_batch_matches_single(self):
         inst = AqftInstance.standard(4, 1)
-        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)[:, None]
+        grid = grid_points(16)[:, None]
         batch = trial_output_batch(inst, 7, grid)
+        src = PureState(4, _fourier_input(4, 7))
         for g in (0, 5, 11):
-            single, _ = trial_success_amplitude(inst.with_phases((grid[g, 0],)), 7)
+            single = apply_aqft(inst.with_phases((grid[g, 0],)), src).amplitudes
             np.testing.assert_allclose(batch[g], single, atol=1e-12)
 
 
@@ -126,7 +125,7 @@ class TestProductFormDraw:
         inst = AqftInstance.standard(n, 2)
         rng = np.random.default_rng(5)
         axes = [rng.uniform(-np.pi, np.pi, 3), rng.uniform(-np.pi, np.pi, 2)]
-        grid = product_grid(axes)
+        grid = phase_table(axes)
         weights = rng.random(6) + 0.1
         weights /= weights.sum()
         trials = ProductFormTrials(inst, axes)
@@ -160,7 +159,7 @@ class TestProductFormDraw:
         axes = [rng.uniform(-np.pi, np.pi, size) for size in ((8,), (4, 2))[band - 1]]
         weights = rng.random(8) + 0.2
         weights /= weights.sum()
-        expected = weights @ np.abs(trial_output_batch(inst, k, product_grid(axes))) ** 2
+        expected = weights @ np.abs(trial_output_batch(inst, k, phase_table(axes))) ** 2
         trials = ProductFormTrials(inst, axes)
         counts = np.zeros(1 << n)
         draws, chunk = 200_000, 20_000
@@ -391,8 +390,9 @@ class TestAverageSuccess:
             "import hashlib\n"
             "import numpy as np\n"
             "from gatelearn import AqftInstance, average_success_map\n"
+            "from gatelearn.parameter import phase_table\n"
             "axis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)\n"
-            "grid = np.stack(np.meshgrid(*[axis] * 3, indexing='ij'), axis=-1).reshape(-1, 3)\n"
+            "grid = phase_table([axis] * 3)\n"
             "values = average_success_map(AqftInstance.standard(10, 3), grid)\n"
             "print(hashlib.sha256(values.tobytes()).hexdigest())\n"
         )
@@ -411,7 +411,7 @@ class TestAverageSuccess:
     def test_set_up_memory_at_sixteen_qubits(self):
         # the map builds no (cells, 2^n) table: a 256-cell map at n=16 stays
         # below 32 MB, a quarter of one (256, 2^16) float table
-        grid = np.linspace(0, 2 * np.pi, 256, endpoint=False)[:, None]
+        grid = grid_points(256)[:, None]
         tracemalloc.start()
         try:
             average_success_map(AqftInstance.standard(16, 1), grid)
