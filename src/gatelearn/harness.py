@@ -73,13 +73,7 @@ from .parameter import (
     grid_points,
 )
 from .productform import ProductFormTrials
-from .qft import (
-    AqftInstance,
-    average_success_map,
-    spectrum_on_grid,
-    spectrum_phases,
-    success_spectrum,
-)
+from .qft import AqftInstance, spectrum_on_grid, success_spectrum
 
 __all__ = [
     "ExperimentConfig",
@@ -180,10 +174,9 @@ class _FourierTrials:
 
     def __init__(self, instance: AqftInstance, grid_size: int):
         shape = (grid_size,) * instance.band
-        # the success is a trigonometric polynomial of the phases: a small
-        # exact sample fixes it, and its spectrum gives every grid cell
-        samples = average_success_map(instance, spectrum_phases(instance))
-        success = spectrum_on_grid(success_spectrum(instance, samples), shape)
+        # the success is a trigonometric polynomial of the phases, and its
+        # spectrum gives every grid cell
+        success = spectrum_on_grid(success_spectrum(instance), shape)
         self.success_map = checked_success_map(success, shape)
         self.success_map.flags.writeable = False  # checked once, shared by every run
         self._n, self._dim = instance.n_qubits, instance.dim

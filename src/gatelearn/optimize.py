@@ -6,14 +6,13 @@ Fourier circuit over its phase angles, the relative improvement over
 the standard angles, and the ideal-search reference curve.
 
 The k-averaged success is a trigonometric polynomial of degree at most
-n - d in phase d, so a uniform sample of 2(n - d) + 1 points per phase
-axis, the fewest that fix its coefficients, determines it exactly, and
-one FFT gives those coefficients (:func:`gatelearn.qft.success_spectrum`).
-The optimizer finds the basin on a fine grid of that polynomial, which
-costs no further success evaluations, and refines it by Newton steps on
-the polynomial's exact gradient and Hessian.  Everything is
-deterministic: no randomness enters, so repeated runs agree bit for
-bit.
+n - d in phase d, whose coefficients follow from the circuit's product
+form without evaluating the success anywhere
+(:func:`gatelearn.qft.success_spectrum`).  The optimizer finds the
+basin on a fine grid of that polynomial and refines it by Newton steps
+on the polynomial's exact gradient and Hessian; three exact success
+evaluations then pick the result.  Everything is deterministic: no
+randomness enters, so repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ from .qft import (
     AqftInstance,
     _SpectrumDerivatives,
     average_success,
-    average_success_map,
     spectrum_on_grid,
-    spectrum_phases,
     standard_phases,
     success_spectrum,
 )
@@ -83,16 +80,15 @@ def _newton(spectrum: np.ndarray, phases: np.ndarray) -> np.ndarray:
 def optimize_phases(instance: AqftInstance) -> OptimizationResult:
     """Maximize the k-averaged trial success over the instance's phases.
 
-    Supports 1 to 3 trained phases.  The success is sampled exactly on
-    P_d = 2(n - d) + 1 uniform points per phase axis d, the fewest that
-    fix it as a trigonometric polynomial; its coefficients locate the
-    basin on a grid of max(64, P_d + 1) points per axis (max(32, P_d + 1)
-    for three-phase cells) without new evaluations, and Newton steps on
-    the exact gradient and Hessian refine the best grid point.  The result is the
-    best of three exact evaluations: at the Newton point, the best
-    sample, and the standard phases, so the reported optimum never
-    falls below the baseline or the sample.  ``evaluations`` counts the
-    exact success evaluations.
+    Supports 1 to 3 trained phases.  The success is a trigonometric
+    polynomial with 2(n - d) + 1 coefficients along phase axis d; they
+    locate the basin on a grid of max(64, 2(n - d) + 2) points per axis
+    (max(32, ...) for three-phase cells), and Newton steps on the exact
+    gradient and Hessian refine the best grid point.  The result is the
+    best of three exact evaluations: at the Newton point, at that grid
+    point, and at the standard phases, so the reported optimum never
+    falls below the baseline or the scan.  ``evaluations`` counts the
+    exact success evaluations, always 3.
     """
     m = instance.band
     if not 1 <= m <= 3:
@@ -100,20 +96,17 @@ def optimize_phases(instance: AqftInstance) -> OptimizationResult:
     std = standard_phases(m)
     baseline = average_success(instance.with_phases(std))
 
-    sample_phases = spectrum_phases(instance)
-    samples = average_success_map(instance, sample_phases)
-    spectrum = success_spectrum(instance, samples)
+    spectrum = success_spectrum(instance)
     # the basin scan: 64 points per axis, 32 for three phases, and never
-    # coarser than the sample
+    # coarser than the spectrum
     shape = tuple(max(64 if m < 3 else 32, size + 1) for size in spectrum.shape)
-    start = np.unravel_index(np.argmax(spectrum_on_grid(spectrum, shape)), shape)
-    peak = _newton(spectrum, 2.0 * np.pi * np.array(start) / np.array(shape)) % (2.0 * np.pi)
-    best = int(np.argmax(samples))
-    candidates = (
-        (average_success(instance.with_phases(peak)), peak),
-        (float(samples[best]), sample_phases[best]),
-        (baseline, std),
-    )
+    cell = np.unravel_index(np.argmax(spectrum_on_grid(spectrum, shape)), shape)
+    start = 2.0 * np.pi * np.array(cell) / np.array(shape)
+    peak = _newton(spectrum, start) % (2.0 * np.pi)
+    # one row per call keeps each value bit-equal to average_success at
+    # the reported phases
+    candidates = [(average_success(instance.with_phases(p)), p) for p in (peak, start)]
+    candidates.append((baseline, std))
     best_value, best_phases = max(candidates, key=lambda c: c[0])
 
     improvement = 100.0 * (best_value - baseline) / baseline
@@ -122,7 +115,7 @@ def optimize_phases(instance: AqftInstance) -> OptimizationResult:
         best_value=best_value,
         baseline_value=baseline,
         improvement_percent=improvement,
-        evaluations=len(samples) + 2,
+        evaluations=len(candidates),
     )
 
 

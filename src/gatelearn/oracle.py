@@ -14,6 +14,8 @@ Every reference lives here, built once; the comparisons live in
   the exact same arithmetic as single states.
 * The banded Fourier circuit simulated gate by gate and the dense DFT
   matrix, the oracles of the product forms in :mod:`gatelearn.qft`.
+* The success's spectrum from an exact sample and an FFT, the oracle of
+  the spectrum recursion in :mod:`gatelearn.qft`.
 * The full N-element search statevector, the oracle of the 2x2
   recursion in :mod:`gatelearn.grover`.
 * The dense walk exponential and the walk's Bessel kernel, the oracles
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import NumericsError
 from .grover import GroverInstance
 from .parameter import grid_points, phase_table
-from .qft import AqftInstance, _checked_phase_grid
+from .qft import AqftInstance, _checked_phase_grid, average_success_map
 
 __all__ = [
     "PureState",
@@ -45,6 +47,8 @@ __all__ = [
     "trial_success_amplitude",
     "trial_output_batch",
     "average_success_statevector",
+    "spectrum_phases",
+    "sampled_spectrum",
     "bit_conditionals",
     "dft_matrix",
     "search_statevector",
@@ -266,6 +270,35 @@ def average_success_statevector(instance: AqftInstance) -> float:
     amps = dft_matrix(instance.n_qubits).conj()
     _run_circuit(amps, instance.n_qubits, instance.band, instance.phases)
     return float(np.mean(np.abs(np.diagonal(amps)) ** 2))
+
+
+def _sample_shape(instance: AqftInstance) -> tuple:
+    return tuple(2 * (instance.n_qubits - d) + 1 for d in range(1, instance.band + 1))
+
+
+def spectrum_phases(instance: AqftInstance) -> np.ndarray:
+    """The ``(cells, band)`` phase table whose success values fix the spectrum.
+
+    The k-averaged success is a trigonometric polynomial of degree at
+    most D_d = n - d in phase_d, and P_d = 2 D_d + 1 uniform points
+    2 pi j / P_d per axis, the fewest that fix its 2 D_d + 1
+    coefficients, sample it without aliasing.  Rows run over the
+    (P_1, ..., P_band) grid, last phase fastest.  Needs band >= 1.
+    """
+    return phase_table([np.arange(p) * (2.0 * np.pi / p) for p in _sample_shape(instance)])
+
+
+def sampled_spectrum(instance: AqftInstance) -> np.ndarray:
+    """The spectrum of :func:`gatelearn.qft.success_spectrum`, from an exact sample.
+
+    The success at the rows of :func:`spectrum_phases`, transformed by
+    one FFT.  Every axis of the sample has an odd number of points, so it
+    has no Nyquist bin and every coefficient is the polynomial's own.
+    """
+    samples = average_success_map(instance, spectrum_phases(instance))
+    # after the shift, frequency f of an axis of 2D + 1 points sits at D + f
+    shape = _sample_shape(instance)
+    return np.fft.fftshift(np.fft.fftn(np.reshape(samples, shape), norm="forward"))
 
 
 def bit_conditionals(probs, outcome: int) -> np.ndarray:

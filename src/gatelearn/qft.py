@@ -14,8 +14,12 @@ passes iff the measured outcome equals k.  The circuit maps basis
 states, and the trial input, to tensor products of single-qubit
 phases, so both the per-trial outcome amplitudes and the k-averaged
 pass probability have closed product forms.  This module holds the
-averaged one; the training loop draws each trial's outcome and
-amplitude column with :class:`gatelearn.productform.ProductFormTrials`.
+averaged one, and the averaged one's Fourier coefficients over the
+phases, which a recursion over the bits of k draws from the same
+product form without evaluating the success anywhere; the optimizer
+and the training loop's success map read the phases' landscape from
+them.  The training loop draws each trial's outcome and amplitude
+column with :class:`gatelearn.productform.ProductFormTrials`.
 The circuit itself is simulated gate by gate only in
 :mod:`gatelearn.oracle`, the independent oracle the tests check both
 product forms against.
@@ -23,20 +27,19 @@ product forms against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import check_integer
-from .parameter import phase_table
 
 __all__ = [
     "AqftInstance",
     "standard_phases",
     "average_success",
     "average_success_map",
-    "spectrum_phases",
     "success_spectrum",
     "spectrum_on_grid",
     "spectrum_derivatives",
@@ -263,8 +266,10 @@ def average_success_map(instance: AqftInstance, phase_grid: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 # the averaged success as a trigonometric polynomial of the phases
 
-def _sample_shape(instance: AqftInstance) -> tuple:
-    return tuple(2 * (instance.n_qubits - d) + 1 for d in range(1, instance.band + 1))
+#: complex entries a block of prefix sums may hold: a block that would be
+#: larger is computed as two residue classes of its prefixes, one after the
+#: other.  Unblocked, (16, 3) peaked at 92 MB; with this budget, at 2 MB.
+_BLOCK_ENTRIES = 1 << 14
 
 
 def _frequencies(points: int) -> np.ndarray:
@@ -272,34 +277,120 @@ def _frequencies(points: int) -> np.ndarray:
     return np.arange(points) - points // 2
 
 
-def spectrum_phases(instance: AqftInstance) -> np.ndarray:
-    """The ``(cells, band)`` phase table whose success values fix the spectrum.
+class _SuccessSpectrum:
+    """The k-averaged success's Fourier coefficients, by a recursion over the bits of k.
 
-    delta_L is linear in phase_d with coefficient b_{L-d} in {0, 1}, so
-    the factor cos^2(delta_L / 2) = (1 + cos delta_L) / 2 has degree at
-    most 1 in phase_d, and only the n - d layers L >= d hold phase_d.
-    The k-averaged success is therefore a trigonometric polynomial of
-    degree at most D_d = n - d in phase_d, and P_d = 2 D_d + 1 uniform
-    points 2 pi j / P_d per axis, the fewest that fix its 2 D_d + 1
-    coefficients, sample it without aliasing.  Rows run over the
-    (P_1, ..., P_band) grid, last phase fastest.  Needs band >= 1.
+    delta_L is linear in phase_d with coefficient w_d = b_{L-d} in {0, 1},
+    so each factor of the product form is a trigonometric polynomial
+    with three coefficients,
+
+        f_L(j) = 1/2 + 1/4 e^{i theta_L(j)} e^{i w . phase} + c.c.,
+        theta_L(j) = tau_L(t) - std . w,
+
+    where w is the window of j (w_d = b_{L-d}, and 0 for d > L) and
+    tau_L(t) the fixed angle of its tail (0 for L <= band).  Only the
+    n - d layers L >= d hold phase_d, so the mean has degree D_d = n - d
+    in phase_d.  For q < 2^M let R_M(q) be the sum, over the j < 2^(n-1)
+    whose low M bits are q, of prod_{L>M} f_L(j mod 2^L).  Then
+
+        R_{n-1} = 1,   R_M(q) = sum_{b=0,1} f_{M+1}(q + b 2^M) R_{M+1}(q + b 2^M),
+
+    each product a convolution of coefficient arrays, and the spectrum
+    is R_0 / 2^(n-1).  R_M has degree min(n-1-M, n-d) in phase_d, so the
+    levels with many prefixes hold small blocks.  Every R_M(q) is real,
+    so its coefficients are Hermitian: a level adds up the constant and
+    the +w terms only, then adds their reversed conjugate once, which
+    leaves every block exactly Hermitian.
+
+    Step M pairs q with q + 2^M, which share every lower bit, so a
+    residue class of the prefixes modulo 2^c is computed on its own with
+    the same arithmetic.  A block over ``_BLOCK_ENTRIES`` is computed as
+    the two classes of the next bit, one after the other, and their
+    results interleave one level down.
     """
-    return phase_table([np.arange(p) * (2.0 * np.pi / p) for p in _sample_shape(instance)])
+
+    def __init__(self, n: int, band: int):
+        self.model = _diagonal_model(n, band)
+        self.n, self.band = n, band
+        self.shapes = [
+            tuple(2 * min(n - 1 - M, n - d) + 1 for d in range(1, band + 1)) for M in range(n)
+        ]
+        # 1/4 e^{-i std . w} and the bits of every window w
+        self.quarter_turns = 0.25 * np.exp(-1j * (self.model.std @ self.model.window))
+        self.bits = self.model.window.astype(int).T.tolist()
+
+    def prefix_sums(self, M: int, r: int, c: int) -> np.ndarray:
+        """R_M(q) for every prefix q < 2^M with q = r mod 2^c, q ascending."""
+        count = 1 << (M - c)
+        if M == self.n - 1:
+            return np.ones((count,) + self.shapes[M], complex)
+        if c < M and 2 * count * math.prod(self.shapes[M + 1]) > _BLOCK_ENTRIES:
+            first = self.prefix_sums(M, r, c + 1)
+            second = self.prefix_sums(M, r + (1 << c), c + 1)
+            return np.stack((first, second), axis=1).reshape((count,) + self.shapes[M])
+        return self.step(M, r, c, self.prefix_sums(M + 1, r, c))
+
+    def step(self, M: int, r: int, c: int, inner: np.ndarray) -> np.ndarray:
+        """R_M on a residue class from R_{M+1} on the same class: layer L = M + 1.
+
+        Overwrites ``inner``, which no caller reads again.
+        """
+        band, L = self.band, M + 1
+        tail_bits = L - min(band, L)
+        half = len(inner) // 2
+        block = np.zeros((half,) + self.shapes[M], complex)
+        # layer L raises the degree in phase_d by one, d <= L: the constant
+        # term sits one in from each end of those axes, the +w term at 1 + w_d
+        grown = [int(d <= L) for d in range(1, band + 1)]
+        centre = block[(slice(None),) + tuple(slice(g, -g or None) for g in grown)]
+        np.add(inner[:half], inner[half:], out=centre)
+        centre *= 0.25
+        # the prefixes r + 2^c i in order run through the windows in order,
+        # each window over one run of tails (or one tail, once c passes them)
+        run = 1 << max(0, tail_bits - c)
+        windows = [
+            ((r + (i << c)) >> tail_bits) << (band - L + tail_bits)
+            for i in range(0, len(inner), run)
+        ]
+        weights = self.quarter_turns[windows]
+        if tail_bits:
+            basis = self.model.bases[L - band - 1]
+            tails = slice(r % (1 << tail_bits), None, 1 << c)
+            weights = np.multiply.outer(weights, basis[1, tails] + 1j * basis[2, tails])
+        inner *= weights.reshape((-1,) + (1,) * band)
+        sizes = inner.shape[1:]
+        for k, w in enumerate(windows):
+            start = (k * run) % half
+            shifted = tuple(
+                slice(g + b, g + b + size) for g, b, size in zip(grown, self.bits[w], sizes)
+            )
+            block[(slice(start, start + run),) + shifted] += inner[k * run : (k + 1) * run]
+        # add the reversed conjugate in place: reversing every phase axis
+        # reverses each prefix's flattened coefficients
+        flat = block.reshape(half, -1)
+        mid = flat.shape[1] // 2
+        low, high = flat[:, :mid], flat[:, : mid : -1]
+        low.real += high.real
+        low.imag -= high.imag
+        np.conjugate(low, out=high)
+        flat[:, mid].real *= 2.0
+        flat[:, mid].imag = 0.0
+        return block
 
 
-def success_spectrum(instance: AqftInstance, samples) -> np.ndarray:
+def success_spectrum(instance: AqftInstance) -> np.ndarray:
     """Fourier coefficients of the k-averaged success over the phases.
 
-    ``samples`` holds the success at the rows of
-    :func:`spectrum_phases`.  Entry ``[D_1 + f_1, ..., D_band + f_band]``
-    of the returned ``(2 D_1 + 1, ..., 2 D_band + 1)`` array is the
-    coefficient of e^{i f . phase}.  Every axis of the sample has an odd
-    number of points, so it has no Nyquist bin and every coefficient is
-    the polynomial's own.
+    Entry ``[D_1 + f_1, ..., D_band + f_band]`` of the returned
+    ``(2 D_1 + 1, ..., 2 D_band + 1)`` array, D_d = n - d, is the
+    coefficient of e^{i f . phase}.  The array is exactly Hermitian.
+    Computed without evaluating the success anywhere: see
+    :class:`_SuccessSpectrum`.  Needs band >= 1.
     """
-    shape = _sample_shape(instance)
-    # after the shift, frequency f of an axis of 2D + 1 points sits at D + f
-    return np.fft.fftshift(np.fft.fftn(np.reshape(samples, shape), norm="forward"))
+    if instance.band < 1:
+        raise ValueError("the spectrum needs at least one trained phase")
+    n = instance.n_qubits
+    return _SuccessSpectrum(n, instance.band).prefix_sums(0, 0, 0)[0] / (1 << (n - 1))
 
 
 def _fold(values: np.ndarray, axis: int, size: int, bins: int) -> np.ndarray:
@@ -329,13 +420,17 @@ def spectrum_on_grid(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
 
     At the G points of an axis, frequency f takes the same values as
     f mod G, so each axis folds its coefficients modulo G, which stays
-    exact whether G is above or below the sample size, and one inverse
-    FFT evaluates every cell.  ``shape`` needs one size per spectrum
-    axis.
+    exact whether G is above or below the number of coefficients, and
+    one inverse FFT evaluates every cell.  ``shape`` needs one positive
+    integer size per spectrum axis.
     """
     shape = tuple(shape)
     if len(shape) != spectrum.ndim:
         raise ValueError(f"grid shape {shape} needs {spectrum.ndim} axes, one per spectrum axis")
+    for size in shape:
+        check_integer("grid size", size)
+        if size < 1:
+            raise ValueError(f"grid sizes must be positive, got {size}")
     folded = spectrum
     for axis, size in enumerate(shape):
         # the polynomial is real, so the inverse FFT reads only the lower

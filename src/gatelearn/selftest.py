@@ -37,7 +37,6 @@ from .qft import (
     AqftInstance,
     average_success_map,
     spectrum_derivatives,
-    spectrum_phases,
     success_spectrum,
 )
 
@@ -242,14 +241,14 @@ def success_map_deviation(n: int, band: int, phases) -> float:
 def spectrum_deviation(n: int, band: int, phases) -> float:
     """Worst gap between the success's spectrum interpolant and the success map.
 
-    The spectrum comes from the exact sample at
-    :func:`gatelearn.qft.spectrum_phases`; ``phases`` is a ``(cells,
-    band)`` table of points off that sample, where the interpolant's
-    value is compared with :func:`average_success_map`.
+    The spectrum comes from :func:`gatelearn.qft.success_spectrum`'s
+    recursion, which evaluates the success nowhere; ``phases`` is a
+    ``(cells, band)`` table of any points, where the interpolant's value
+    is compared with :func:`average_success_map`.
     """
     instance = AqftInstance.standard(n, band)
     phases = np.atleast_2d(np.asarray(phases, dtype=float))
-    spectrum = success_spectrum(instance, average_success_map(instance, spectrum_phases(instance)))
+    spectrum = success_spectrum(instance)
     interpolant = [spectrum_derivatives(spectrum, row)[0] for row in phases]
     return float(np.abs(np.subtract(interpolant, average_success_map(instance, phases))).max())
 
@@ -333,7 +332,7 @@ def _check_spectrum() -> str:
         worst = spectrum_deviation(n, band, rng.uniform(-20, 20, (8, band)))
         if not worst <= 1e-12:
             raise AssertionError(f"spectrum interpolant off by {worst:.2e} at n={n}")
-    return "spectrum interpolant matches the success map at off-grid phases"
+    return "spectrum interpolant matches the success map at random phases"
 
 
 def _check_inversion() -> str:

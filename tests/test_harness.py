@@ -238,8 +238,8 @@ class TestProductFormEngine:
         assert fast.passed.any() and not fast.passed.all()
 
     # the map comes from the success's spectrum, folded to the grid: at
-    # n=17 the 33-point sample is finer than the 16-cell grid, at n=9,
-    # band 2 an odd 7-cell grid is coarser than both 17- and 15-point axes
+    # n=17 the 33 coefficients outnumber the 16-cell grid, at n=9, band 2
+    # an odd 7-cell grid is coarser than both 17- and 15-coefficient axes
     @pytest.mark.parametrize("n,band,grid_size", [(6, 1, 256), (17, 1, 16), (9, 2, 7),
                                                   (6, 2, 64)])
     def test_success_map_equals_the_map_of_every_cell(self, n, band, grid_size):

@@ -1,6 +1,7 @@
 """Phase optimization: baselines, improvements, table structure, curve."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,18 +18,13 @@ from gatelearn import (
     standard_phases,
 )
 from gatelearn.optimize import improvement_table_csv
+from gatelearn.oracle import sampled_spectrum, spectrum_phases
 from gatelearn.parameter import phase_table
-from gatelearn.qft import (
-    spectrum_derivatives,
-    spectrum_on_grid,
-    spectrum_phases,
-    success_spectrum,
-)
+from gatelearn.qft import spectrum_derivatives, spectrum_on_grid, success_spectrum
 
 
 def standard_spectrum(n, band):
-    inst = AqftInstance.standard(n, band)
-    return success_spectrum(inst, average_success_map(inst, spectrum_phases(inst)))
+    return success_spectrum(AqftInstance.standard(n, band))
 
 
 def direct_sum(spectrum, shape):
@@ -72,8 +68,8 @@ class TestOptimizePhases:
     @pytest.mark.parametrize("n,m,points", [(10, 1, 4096), (8, 2, 128)])
     def test_beats_dense_grid_best_sample_and_baseline(self, n, m, points):
         # brute force: the optimum is at least the best of a dense grid of the
-        # success itself, of the optimizer's own exact sample, and of the
-        # standard phases
+        # success itself, of the oracle's exact sample, and of the standard
+        # phases, from three exact evaluations
         inst = AqftInstance.standard(n, m)
         result = optimize_phases(inst)
         dense = phase_table([grid_points(points)] * m)
@@ -81,7 +77,7 @@ class TestOptimizePhases:
         assert result.best_value >= average_success_map(inst, dense).max()
         assert result.best_value >= samples.max()
         assert result.best_value >= result.baseline_value
-        assert result.evaluations == len(samples) + 2
+        assert result.evaluations == 3
 
     def test_band_out_of_range(self):
         with pytest.raises(ValueError):
@@ -89,6 +85,40 @@ class TestOptimizePhases:
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize("n,band", [
+        (n, band) for n in range(2, 13) for band in range(1, min(3, n - 1) + 1)
+    ])
+    def test_recursion_equals_the_sampled_spectrum(self, n, band):
+        inst = AqftInstance.standard(n, band)
+        spectrum = success_spectrum(inst)
+        np.testing.assert_allclose(spectrum, sampled_spectrum(inst), rtol=0, atol=1e-12)
+        mirrored = np.conj(spectrum[(slice(None, None, -1),) * band])
+        np.testing.assert_array_equal(spectrum, mirrored)
+
+    def test_needs_a_trained_phase(self):
+        with pytest.raises(ValueError, match="at least one trained phase"):
+            success_spectrum(AqftInstance.standard(6, 0))
+
+    @pytest.mark.parametrize("n,band", [(9, 1), (10, 2), (12, 3)])
+    def test_blocks_change_no_bit(self, monkeypatch, n, band):
+        # every residue class of the prefixes is computed with the same
+        # arithmetic, however finely the blocks are split
+        whole = standard_spectrum(n, band)
+        monkeypatch.setattr("gatelearn.qft._BLOCK_ENTRIES", 1)
+        np.testing.assert_array_equal(standard_spectrum(n, band), whole)
+
+    @pytest.mark.parametrize("n,limit_mb", [(10, 1.5), (16, 4.0)])
+    def test_memory_stays_bounded(self, n, limit_mb):
+        inst = AqftInstance.standard(n, 3)
+        success_spectrum(inst)  # the product form's cached tail bases are not counted
+        tracemalloc.start()
+        try:
+            success_spectrum(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
+
     # small axes fold many frequencies into each cell; the basin grids are
     # the optimizer's, finer than every axis of the spectrum
     @pytest.mark.parametrize("band", [1, 2, 3])
@@ -105,6 +135,16 @@ class TestSpectrum:
     def test_grid_needs_one_size_per_axis(self, shape):
         with pytest.raises(ValueError, match="one per spectrum axis"):
             spectrum_on_grid(standard_spectrum(6, 2), shape)
+
+    @pytest.mark.parametrize("size,message", [
+        (0, "must be positive"),
+        (-4, "must be positive"),
+        (64.0, "must be an integer"),
+        (True, "must be an integer"),
+    ])
+    def test_grid_sizes_are_positive_integers(self, size, message):
+        with pytest.raises(ValueError, match=message):
+            spectrum_on_grid(standard_spectrum(6, 2), (16, size))
 
     @pytest.mark.parametrize("phases", [[0.3], [0.3, 0.4, 0.5], [[0.3, 0.4]]])
     def test_derivatives_need_one_phase_per_axis(self, phases):

@@ -26,7 +26,6 @@ from gatelearn.oracle import (
     walk_matrix,
 )
 from gatelearn.parameter import invert_about_mean_batch, translate_batch
-from gatelearn.qft import _sample_shape
 from gatelearn.selftest import fourier_draw_deviation, spectrum_deviation, success_map_deviation
 
 RNG = np.random.default_rng(20260808)
@@ -241,22 +240,16 @@ def test_success_map_matches_statevector_average(data):
     assert success_map_deviation(n, band, rows) <= 1e-12
 
 
-def off_sample_grid(points):
-    """Angles in [-20, 20] away from the P-point sample grid 2 pi j / P."""
-    def off(x):
-        turns = x * points / (2.0 * np.pi)
-        return abs(turns - round(turns)) > 1e-6
-    return st.floats(-20.0, 20.0).filter(off)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_spectrum_interpolant_matches_success_map(data):
-    """Off its sample grid, the success's spectrum interpolant equals the success map."""
+    """At any phases, the success's spectrum interpolant equals the success map."""
     n = data.draw(st.integers(2, 12), label="n")
     band = data.draw(st.integers(1, min(3, n - 1)), label="band")
-    columns = [off_sample_grid(p) for p in _sample_shape(AqftInstance.standard(n, band))]
-    rows = data.draw(st.lists(st.tuples(*columns), min_size=1, max_size=4), label="phase rows")
+    angle = st.floats(-20.0, 20.0)
+    rows = data.draw(
+        st.lists(st.tuples(*[angle] * band), min_size=1, max_size=4), label="phase rows"
+    )
     assert spectrum_deviation(n, band, rows) <= 1e-12
 
 
