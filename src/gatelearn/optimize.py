@@ -10,9 +10,11 @@ n - d in phase d, whose coefficients follow from the circuit's product
 form without evaluating the success anywhere
 (:func:`gatelearn.qft.success_spectrum`).  The optimizer finds the
 basin on a fine grid of that polynomial and refines it by Newton steps
-on the polynomial's exact gradient and Hessian; three exact success
-evaluations then pick the result.  Everything is deterministic: no
-randomness enters, so repeated runs agree bit for bit.
+on the polynomial's exact gradient and Hessian; one exact evaluation
+of three candidate rows then picks the result.  The improvement table
+computes one spectrum per register size and reads each lower band's
+from it.  Everything is deterministic: no randomness enters, so
+repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .grover import reference_max_success
 from .qft import (
     AqftInstance,
     _SpectrumDerivatives,
-    average_success,
+    average_success_map,
     spectrum_on_grid,
     standard_phases,
     success_spectrum,
@@ -84,37 +86,38 @@ def optimize_phases(instance: AqftInstance) -> OptimizationResult:
     polynomial with 2(n - d) + 1 coefficients along phase axis d; they
     locate the basin on a grid of max(64, 2(n - d) + 2) points per axis
     (max(32, ...) for three-phase cells), and Newton steps on the exact
-    gradient and Hessian refine the best grid point.  The result is the
-    best of three exact evaluations: at the Newton point, at that grid
-    point, and at the standard phases, so the reported optimum never
+    gradient and Hessian refine the best grid point.  One exact
+    evaluation of three rows, the Newton point, that grid point and the
+    standard phases, picks the result, so the reported optimum never
     falls below the baseline or the scan.  ``evaluations`` counts the
-    exact success evaluations, always 3.
+    exactly evaluated points, always 3.
     """
-    m = instance.band
-    if not 1 <= m <= 3:
+    if not 1 <= instance.band <= 3:
         raise ValueError("phase optimization supports 1 to 3 trained phases")
-    std = standard_phases(m)
-    baseline = average_success(instance.with_phases(std))
+    return _optimize(instance, success_spectrum(instance))
 
-    spectrum = success_spectrum(instance)
+
+def _optimize(instance: AqftInstance, spectrum: np.ndarray) -> OptimizationResult:
+    """:func:`optimize_phases` with the instance's success spectrum given."""
+    m = instance.band
     # the basin scan: 64 points per axis, 32 for three phases, and never
     # coarser than the spectrum
     shape = tuple(max(64 if m < 3 else 32, size + 1) for size in spectrum.shape)
     cell = np.unravel_index(np.argmax(spectrum_on_grid(spectrum, shape)), shape)
     start = 2.0 * np.pi * np.array(cell) / np.array(shape)
     peak = _newton(spectrum, start) % (2.0 * np.pi)
-    # one row per call keeps each value bit-equal to average_success at
-    # the reported phases
-    candidates = [(average_success(instance.with_phases(p)), p) for p in (peak, start)]
-    candidates.append((baseline, std))
-    best_value, best_phases = max(candidates, key=lambda c: c[0])
-
-    improvement = 100.0 * (best_value - baseline) / baseline
+    # rows are evaluated independently, so each value is bit-equal to
+    # average_success at its phases
+    candidates = np.array([peak, start, standard_phases(m)])
+    values = average_success_map(instance, candidates)
+    best = int(np.argmax(values))
+    baseline = float(values[-1])
+    improvement = 100.0 * (values[best] - baseline) / baseline
     return OptimizationResult(
-        best_phases=tuple(float(p) % (2.0 * np.pi) for p in best_phases),
-        best_value=best_value,
+        best_phases=tuple(float(p) % (2.0 * np.pi) for p in candidates[best]),
+        best_value=float(values[best]),
         baseline_value=baseline,
-        improvement_percent=improvement,
+        improvement_percent=float(improvement),
         evaluations=len(candidates),
     )
 
@@ -130,6 +133,12 @@ def improvement_table(qubit_list, band_list):
     them blank.  Every cell is checked before the first one is
     optimized: a band outside 1 to 3, a register outside the supported
     sizes or an empty list raises ``ValueError``.
+
+    Each register size takes one spectrum, at its highest feasible
+    band.  The success at band b is the success at band b + 1 with
+    phase b + 1 at 0: the omitted gate's fixed angle -pi/2^(b+1) is
+    what the trained one then applies.  So the band-b spectrum is the
+    band-(b + 1) spectrum summed over its last axis.
     """
     qubit_list, band_list = list(qubit_list), list(band_list)
     if not (qubit_list and band_list):
@@ -142,24 +151,21 @@ def improvement_table(qubit_list, band_list):
         AqftInstance.standard(n, 1)  # rejects a register outside [2, 20] qubits
     rows = []
     for n in qubit_list:
+        feasible = [m for m in band_list if m <= n - 1]
+        spectra = {}
+        if feasible:
+            top = max(feasible)
+            spectra[top] = success_spectrum(AqftInstance.standard(n, top))
+            for m in range(top - 1, min(feasible) - 1, -1):
+                spectra[m] = spectra[m + 1].sum(axis=-1)
         for m in band_list:
             row = {"n_qubits": int(n), "band": int(m)}
-            if m > n - 1:
-                row.update(
-                    baseline=None, optimum=None, improvement_percent=None, best_phases=None
-                )
-            else:
-                result = optimize_phases(AqftInstance.standard(n, m))
-                if result.improvement_percent < BLANK_BELOW_PERCENT:
+            row.update(baseline=None, optimum=None, improvement_percent=None, best_phases=None)
+            if m in spectra:
+                result = _optimize(AqftInstance.standard(n, m), spectra[m])
+                row["baseline"] = result.baseline_value
+                if result.improvement_percent >= BLANK_BELOW_PERCENT:
                     row.update(
-                        baseline=result.baseline_value,
-                        optimum=None,
-                        improvement_percent=None,
-                        best_phases=None,
-                    )
-                else:
-                    row.update(
-                        baseline=result.baseline_value,
                         optimum=result.best_value,
                         improvement_percent=result.improvement_percent,
                         best_phases=result.best_phases,
@@ -173,8 +179,10 @@ def improvement_table_csv(rows) -> str:
 
     Improvements are ratios to the standard-phase baseline, in percent;
     blank cells stay empty.  The maximum band across rows fixes the
-    number of phase columns.
+    number of phase columns, so an empty row list raises ``ValueError``.
     """
+    if not rows:
+        raise ValueError("improvement_table_csv needs at least one row; the row list is empty")
     max_band = max(row["band"] for row in rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

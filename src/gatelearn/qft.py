@@ -129,7 +129,7 @@ class _DiagonalModel:
         delta_L(j) = sum_{d<=min(band,L)} (phase_d - pi/2^d) b_{L-d}
                      - sum_{band<d<=L} (pi/2^d) b_{L-d},
 
-    with b_j the j-th bit of k; f_0 = 1.  Three identities make the
+    with b_j the j-th bit of k; f_0 = 1.  Two identities make the
     average over all 2^n values of k cost O(2^n) per phase cell.
 
     Angle addition.  For L > band write j = w 2^(L-band) + t: the
@@ -137,49 +137,33 @@ class _DiagonalModel:
     is s_w, and the tail t carries only the fixed angle tau_L(t).  With
     cos^2(x/2) = (1 + cos x) / 2 and the cosine of a sum,
 
-        f_L(j) = 1/2 + 1/2 cos s_w cos tau_t - 1/2 sin s_w sin tau_t
-               = c_w . b_t,   c_w = [1/2, 1/2 cos s_w, -1/2 sin s_w],
-                              b_t = [1, cos tau_t, sin tau_t].
+        f_L(j) = 1/2 + 1/2 cos s_w cos tau_t - 1/2 sin s_w sin tau_t,
 
-    So the factor table of layer L, rows (cell, w) by columns t, is one
-    matrix product of the cell's (2^band, 3) coefficients with the
-    cached (3, 2^(L-band)) tail basis [1; cos tau_L; sin tau_L].  For
-    L <= band every bit is a window bit: f_L(j) = 1/2 + 1/2 cos s_w at
-    w = j 2^(band-L).
+    so the factor table of layer L, rows (cell, w) by columns t, is two
+    outer products of the cell's 2^band window terms with the cached
+    tail terms cos tau_L and sin tau_L.  For L <= band every bit is a
+    window bit: f_L(j) = 1/2 + 1/2 cos s_w at w = j 2^(band-L).
 
     Doubling product.  H_L(j) = prod_{l<=L} f_l(j mod 2^l) obeys
     H_L(j) = f_L(j) H_{L-1}(j mod 2^(L-1)), one multiply per entry of
     H_L.  The top bit of k enters no factor, so the mean of p over k is
     the mean of H_{n-1} over its 2^(n-1) entries, with no (cells, 2^n)
-    table.
-
-    Top-bit contraction.  H_{n-1} is half of that work, and only its
-    mean is needed.  When 0 < band < n-1, the top bit of j < 2^(n-1) is
-    the top window bit of f_{n-1}: write w = b 2^(band-1) + v and
-    j = b 2^(n-2) + i with i = v 2^(n-1-band) + t, so that
-    H_{n-1}(j) = (c_w . b_t) H_{n-2}(i).  Summing over b first,
-
-        sum_j H_{n-1}(j) = sum_v (c_v + c_{v + 2^(band-1)})
-                                 . sum_t H_{n-2}(v, t) b_t,
-
-    which is one matrix product of H_{n-2}, as a (2^(band-1), 2^(n-1-band))
-    table per cell, with the transposed tail basis of layer n-1.  That
-    reads H_{n-2} once and never builds H_{n-1}, so a cell builds about
-    2^(n-1) entries in all, each one matrix entry and one multiply.
+    table.  Every step is an elementwise product or a sum along one
+    row, so a row's value does not depend on the other rows of a call.
     """
 
     def __init__(self, n: int, band: int):
         self.n, self.band = n, band
         self.std = np.array(standard_phases(band))
         self.window = _window_bits(band)
-        # [1; cos tau_L; sin tau_L] for L = band+1..n-1
-        self.bases = []
+        # [cos tau_L; sin tau_L] for L = band+1..n-1
+        self.tails = []
         for L in range(band + 1, n):
             t = np.arange(1 << (L - band))
             tau = np.zeros(len(t))
             for d in range(band + 1, L + 1):
                 tau -= np.pi / 2**d * ((t >> (L - d)) & 1)
-            self.bases.append(np.stack([np.ones(len(t)), np.cos(tau), np.sin(tau)]))
+            self.tails.append(np.stack([np.cos(tau), np.sin(tau)]))
 
     def success(self, phases) -> float:
         return float(self.success_many(np.asarray([phases], dtype=float))[0])
@@ -188,52 +172,29 @@ class _DiagonalModel:
         """Vectorized over rows of a (cells, band) phase table."""
         n, band = self.n, self.band
         offsets = phase_grid - self.std
-        out = np.empty(phase_grid.shape[0])
-        # f_{n-1} is summed over its top bit instead of built when that bit is
-        # a window bit (band > 0) and f_{n-1} has a tail (band < n-1)
-        contract = 0 < band < n - 1
-        top = n - 2 if contract else n - 1
-        # chunk so 2^(n-1) entries per row hold about 2^16 floats: twice the
-        # rows scanned the phase table 2% faster but peaked 1.5 MB higher
+        out = np.empty(len(offsets))
+        # rows go in chunks of about 2^16 entries of H_{n-1}, to bound memory
         chunk = max(1, (1 << 16) >> (n - 1))
-        rows = min(chunk, len(out))
-        # every buffer is allocated once per call: fresh 512 KiB temporaries
-        # per chunk and layer cost up to twice the scan's time in page
-        # faults, depending on the allocator's state
-        layers = np.empty((2, rows << top))
-        sums = np.empty((rows, 1 << band))
-        coef = np.empty((rows << band, 3))
-        coef[:, 0] = 0.5
-        if contract:
-            pairs = np.empty((rows << (band - 1), 3))
-            moments = np.empty(pairs.shape)
         for start in range(0, len(out), chunk):
             block = offsets[start : start + chunk]
-            rows = block.shape[0]
-            s = np.matmul(block, self.window, out=sums[:rows])
-            c = coef[: rows << band]
-            np.cos(s.ravel(), out=c[:, 1])
-            np.sin(s.ravel(), out=c[:, 2])
-            c[:, 1:] *= (0.5, -0.5)
+            rows = len(block)
+            s = np.zeros((rows, 1 << band))
+            for d in range(band):
+                s += block[:, d, None] * self.window[d]
+            half_cos, half_sin = (0.5 * np.cos(s))[:, :, None], (-0.5 * np.sin(s))[:, :, None]
             prev = np.ones((rows, 1))
-            for L in range(1, top + 1):
-                factor = layers[L % 2, : rows << L].reshape(rows, 1 << L)
+            for L in range(1, n):
                 if L <= band:
-                    np.add(c[:, 1].reshape(rows, -1)[:, :: 1 << (band - L)], 0.5, out=factor)
+                    factor = half_cos[:, :: 1 << (band - L), 0] + 0.5
                 else:
-                    np.matmul(c, self.bases[L - band - 1], out=factor.reshape(rows << band, -1))
-                factor.reshape(rows, 2, -1)[...] *= prev[:, None, :]
-                prev = factor
-            if contract:
-                # sum over the window's top bit first, then one pass over H_{n-2}
-                p, m = pairs[: rows << (band - 1)], moments[: rows << (band - 1)]
-                halves = c.reshape(rows, 2, -1, 3)
-                np.add(halves[:, 0], halves[:, 1], out=p.reshape(rows, -1, 3))
-                np.matmul(prev.reshape(len(m), -1), self.bases[-1].T, out=m)
-                m *= p
-                out[start : start + rows] = m.reshape(rows, -1).sum(axis=1) / (1 << (n - 1))
-            else:
-                out[start : start + rows] = prev.mean(axis=1)
+                    cos_tau, sin_tau = self.tails[L - band - 1]
+                    factor = half_cos * cos_tau
+                    factor += half_sin * sin_tau
+                    factor += 0.5
+                factor = factor.reshape(rows, 2, -1)
+                factor *= prev[:, None, :]
+                prev = factor.reshape(rows, -1)
+            out[start : start + rows] = prev.mean(axis=1)
         return out
 
 
@@ -254,10 +215,8 @@ def average_success(instance: AqftInstance) -> float:
 def average_success_map(instance: AqftInstance, phase_grid: np.ndarray) -> np.ndarray:
     """Exact k-averaged success for every row of a (cells, band) phase table.
 
-    A row's last bit depends on how many rows share the call: the
-    evaluation is a matrix product, and BLAS picks its kernel by the
-    row count.  Callers whose figures must not move keep their row sets
-    fixed.
+    Each row's value is bit for bit the value of that row evaluated
+    alone, whatever other rows share the call.
     """
     phase_grid = _checked_phase_grid(instance, phase_grid)
     return _diagonal_model(instance.n_qubits, instance.band).success_many(phase_grid)
@@ -354,9 +313,9 @@ class _SuccessSpectrum:
         ]
         weights = self.quarter_turns[windows]
         if tail_bits:
-            basis = self.model.bases[L - band - 1]
+            cos_tau, sin_tau = self.model.tails[L - band - 1]
             tails = slice(r % (1 << tail_bits), None, 1 << c)
-            weights = np.multiply.outer(weights, basis[1, tails] + 1j * basis[2, tails])
+            weights = np.multiply.outer(weights, cos_tau[tails] + 1j * sin_tau[tails])
         inner *= weights.reshape((-1,) + (1,) * band)
         sizes = inner.shape[1:]
         for k, w in enumerate(windows):
@@ -463,13 +422,11 @@ class _SpectrumDerivatives:
 
     def __call__(self, phases) -> tuple:
         orders = self.powers * np.exp(self.i_freqs * np.repeat(phases, self.sizes))
-        table = self.spectrum
+        table, lead = self.spectrum, 1
         for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
-            # np.tensordot(table, orders of this axis, axes=(0, 1)), without
-            # its per-call set-up: the same reshape and the same np.dot
-            rest = table.shape[1:]
-            rows = np.moveaxis(table, 0, -1).reshape(-1, hi - lo)
-            table = np.dot(rows, orders[:, lo:hi].T).reshape(rest + (3,))
+            # contract the first spectrum axis left: (lead, size, rest) -> (lead, 3, rest)
+            table = np.matmul(orders[:, lo:hi], table.reshape(lead, hi - lo, -1))
+            lead *= 3
         table = table.real.ravel()
         return table[0], table[self.gradient_at], table[self.hessian_at]
 

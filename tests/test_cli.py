@@ -175,7 +175,8 @@ class TestTableCommand:
         def unexpected(*args):
             raise AssertionError("the table was computed before the cells were checked")
 
-        monkeypatch.setattr("gatelearn.optimize.optimize_phases", unexpected)
+        for name in ("_optimize", "success_spectrum"):
+            monkeypatch.setattr(f"gatelearn.optimize.{name}", unexpected)
         out = tmp_path / "t1.csv"
         status = run_cli(["table1", "--qubits", qubits, "--bands", bands, "--out", str(out)])
         assert status == 2

@@ -17,7 +17,7 @@ from gatelearn import (
     reference_max_success,
     standard_phases,
 )
-from gatelearn.optimize import improvement_table_csv
+from gatelearn.optimize import BLANK_BELOW_PERCENT, improvement_table_csv
 from gatelearn.oracle import sampled_spectrum, spectrum_phases
 from gatelearn.parameter import phase_table
 from gatelearn.qft import spectrum_derivatives, spectrum_on_grid, success_spectrum
@@ -163,7 +163,8 @@ def test_table_checks_every_cell_before_optimizing(monkeypatch, qubits, bands, m
     def unexpected(*args):
         raise AssertionError("a cell was optimized before every cell was checked")
 
-    monkeypatch.setattr("gatelearn.optimize.optimize_phases", unexpected)
+    for name in ("_optimize", "success_spectrum"):
+        monkeypatch.setattr(f"gatelearn.optimize.{name}", unexpected)
     with pytest.raises(ValueError, match=re.escape(message)):
         improvement_table(qubits, bands)
 
@@ -196,6 +197,23 @@ class TestImprovementTable:
         assert by_band[3]["baseline"] is None
         assert by_band[3]["improvement_percent"] is None
 
+    def test_cells_match_optimizing_each_alone(self, small_table):
+        # a table shares one spectrum per register size; every cell still
+        # gets optimize_phases' figures and the same blanks ((3, 3) is
+        # infeasible, and (7, 1) skips the band between it and band 3)
+        for row in small_table + improvement_table([3, 7], [3, 1]):
+            n, band = row["n_qubits"], row["band"]
+            if band > n - 1:
+                assert row["baseline"] is None
+                continue
+            alone = optimize_phases(AqftInstance.standard(n, band))
+            assert row["baseline"] == alone.baseline_value
+            if alone.improvement_percent < BLANK_BELOW_PERCENT:
+                assert row["optimum"] is None and row["best_phases"] is None
+                continue
+            assert abs(row["optimum"] - alone.best_value) <= 1e-15
+            np.testing.assert_allclose(row["best_phases"], alone.best_phases, rtol=0, atol=1e-12)
+
     def test_filled_cells_are_stationary(self, small_table):
         # the reported phases are the polynomial's stationary point, not a
         # grid point or the standard phases
@@ -212,6 +230,10 @@ class TestImprovementTable:
         assert len(lines) == 3 + 6
         blank = [ln for ln in lines if ln.startswith("6,3")]
         assert blank and blank[0].split(",")[3] == ""
+
+    def test_csv_of_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="row list is empty"):
+            improvement_table_csv([])
 
 
 class TestGroverReferenceCurve:

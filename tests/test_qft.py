@@ -31,6 +31,7 @@ from gatelearn.oracle import (
 )
 from gatelearn.parameter import phase_table
 from gatelearn.productform import ProductFormTrials
+from gatelearn.qft import success_spectrum
 from gatelearn.selftest import fourier_draw_deviation
 
 
@@ -356,17 +357,27 @@ class TestAverageSuccess:
         for i in range(12):
             assert abs(values[i] - average_success(inst.with_phases(grid[i]))) < 1e-12
 
-    # (3, 2) has no tail, so the widest layer is averaged as built; (4, 2)
-    # is the smallest cell whose widest layer is contracted; at n=12 a chunk
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_map_rows_do_not_depend_on_the_other_rows(self, n):
+        # a row of a random row set gets exactly the bits of that row
+        # evaluated alone, so a caller may batch rows without moving a figure
+        rng = np.random.default_rng(n)
+        for band in (1, 2, 3):
+            inst = AqftInstance.standard(n, band)
+            for _ in range(12):
+                grid = rng.uniform(0, 2 * np.pi, (rng.integers(2, 8), band))
+                alone = [average_success_map(inst, row[None, :])[0] for row in grid]
+                np.testing.assert_array_equal(average_success_map(inst, grid), alone)
+
+    # (3, 2) has no tail, so every layer is a window layer; at n=12 a chunk
     # holds 32 rows, so 40 rows span a full and a partial chunk, and at n=10
     # a chunk holds 128, so (10, 3) scans 200 rows
     @pytest.mark.parametrize("n,m", [(2, 1), (5, 0), (6, 2), (9, 3), (12, 1),
                                      (3, 2), (4, 2), (10, 3)])
     def test_map_equals_full_k_table(self, n, m):
         # the closed product form spelled out on all (n, 2^n) entries of
-        # delta_i(k), built from the bits of k; the map's angle addition,
-        # doubling product and top-bit contraction round differently, so
-        # agreement is to 1e-14
+        # delta_i(k), built from the bits of k; the map's angle addition
+        # and doubling product round differently, so agreement is to 1e-14
         k = np.arange(1 << n)
         bits = (k[None, :] >> np.arange(n)[:, None]) & 1
         grid = np.random.default_rng(n + m).uniform(-7, 7, (200 if n == 10 else 40, m))
@@ -383,9 +394,8 @@ class TestAverageSuccess:
                                    expected, rtol=0, atol=1e-14)
 
     def test_map_bytes_do_not_depend_on_blas_threads(self):
-        # the tail factors and the contraction are BLAS matrix products; a
-        # thread split of either must not change a bit of an n=10, band 3
-        # map over a 32^3 grid
+        # a BLAS thread split must not change a bit of an n=10, band 3 map
+        # over a 32^3 grid
         script = (
             "import hashlib\n"
             "import numpy as np\n"
@@ -419,6 +429,20 @@ class TestAverageSuccess:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("n,band", [
+    (n, band) for n in range(3, 13) for band in range(1, min(2, n - 2) + 1)
+])
+def test_lower_band_spectrum_is_the_marginal_at_zero_phase(n, band):
+    # the omitted-gate identity: band b leaves out the gate at separation
+    # b + 1, whose fixed angle -pi/2^(b+1) is exactly what band b + 1
+    # applies at phase b + 1 = 0; so band b's success is band b + 1's at
+    # that phase, and its coefficients are band b + 1's summed over the
+    # last axis
+    lower = success_spectrum(AqftInstance.standard(n, band))
+    upper = success_spectrum(AqftInstance.standard(n, band + 1))
+    np.testing.assert_allclose(lower, upper.sum(axis=-1), rtol=0, atol=1e-15)
 
 
 class TestInstanceValidation:
