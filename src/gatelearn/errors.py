@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its integer-setting check.
+"""Exception types shared across the package, and its integer- and real-setting checks.
 
 Configuration mistakes (bad indices, non-unitary gates, inconsistent
 shapes, non-integral sizes) raise the built-in ``ValueError``.  ``NumericsError`` is reserved
@@ -16,6 +16,12 @@ def check_integer(name: str, value) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Reject a setting that is not a real number; ints and numpy reals pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 class NumericsError(RuntimeError):

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericsError, check_integer
+from .errors import NumericsError, check_integer, check_real
 from .parameter import dephase_batch, invert_about_mean_batch, translate_batch
 
 __all__ = [
@@ -71,9 +71,9 @@ class FeedbackConfig:
     a slow net drift that scans the parameter circle.
 
     The walk is applied exactly in Fourier space, so any finite strength
-    is reachable.  Non-finite strengths, floors, escalation rates and
-    asymmetries, a non-integer push and a non-bool kickstart switch fail
-    here rather than minutes into an ensemble.
+    is reachable.  Non-real or non-finite strengths, floors, escalation
+    rates and asymmetries, a non-integer push and a non-bool kickstart
+    switch fail here rather than minutes into an ensemble.
     """
 
     strategy: str = "double_push"
@@ -93,6 +93,7 @@ class FeedbackConfig:
         if self.initial_push_cells < 1:
             raise ValueError("initial_push_cells must be >= 1")
         for name in ("walk_strength", "walk_floor", "walk_escalation", "push_asymmetry"):
+            check_real(name, getattr(self, name))
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.walk_strength < 0:

@@ -112,6 +112,10 @@ class ExperimentConfig:
             check_integer(name, value)
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
+        if not isinstance(self.feedback, FeedbackConfig):
+            raise ValueError(f"feedback must be a FeedbackConfig, got {self.feedback!r}")
+        if not isinstance(self.snapshot_chi, bool):
+            raise ValueError(f"snapshot_chi must be a bool, got {self.snapshot_chi!r}")
         if isinstance(self.problem, AqftInstance) and not 1 <= self.problem.band <= 2:
             raise ValueError("trainable Fourier experiments support band 1 or 2")
 

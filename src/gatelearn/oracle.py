@@ -39,7 +39,7 @@ from .parameter import grid_points, phase_table
 from .qft import AqftInstance, _checked_phase_grid, average_success_map
 
 __all__ = [
-    "PureState",
+    "basis_state",
     "HADAMARD",
     "apply_single_qubit_gate",
     "apply_controlled_phase",
@@ -58,67 +58,26 @@ __all__ = [
 ]
 
 _UNITARY_TOL = 1e-10
-_MEASURE_NORM_TOL = 1e-6
 _JOINT_LIMIT = 1 << 16
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-class PureState:
-    """Normalized pure state of ``n_qubits`` qubits.
+def basis_state(n_qubits: int, index: int) -> np.ndarray:
+    """Computational basis state |index> of ``n_qubits`` qubits, as 2^n amplitudes."""
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    if not 0 <= index < amps.size:
+        raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
+    amps[index] = 1.0
+    return amps
 
-    Parameters
-    ----------
-    n_qubits : int
-        Number of qubits (at least 1).
-    amplitudes : array_like of complex, optional
-        Length ``2**n_qubits`` amplitude vector.  Defaults to |0...0>.
-        The vector must be normalized to within 1e-6.
-    """
 
-    __slots__ = ("n_qubits", "amplitudes")
-
-    def __init__(self, n_qubits: int, amplitudes=None):
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-        dim = 1 << n_qubits
-        if amplitudes is None:
-            amps = np.zeros(dim, dtype=np.complex128)
-            amps[0] = 1.0
-        else:
-            amps = np.asarray(amplitudes, dtype=np.complex128).copy()
-            if amps.shape != (dim,):
-                raise ValueError(
-                    f"expected {dim} amplitudes for {n_qubits} qubits, got shape {amps.shape}"
-                )
-            norm = np.linalg.norm(amps)
-            # written so that a NaN norm fails too
-            if not abs(norm - 1.0) <= _MEASURE_NORM_TOL:
-                raise NumericsError(f"state norm {norm} deviates from 1 beyond 1e-6")
-        self.n_qubits = n_qubits
-        self.amplitudes = amps
-
-    @classmethod
-    def basis(cls, n_qubits: int, index: int) -> "PureState":
-        """Computational basis state |index>."""
-        dim = 1 << n_qubits
-        if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(n_qubits, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "PureState":
-        dup = PureState.__new__(PureState)
-        dup.n_qubits = self.n_qubits
-        dup.amplitudes = self.amplitudes.copy()
-        return dup
-
-    def __repr__(self) -> str:
-        return f"PureState(n_qubits={self.n_qubits})"
+def _qubit_count(amps: np.ndarray) -> int:
+    """The register size n of a 1-D vector of 2^n amplitudes (n >= 1)."""
+    n = amps.size.bit_length() - 1
+    if amps.ndim != 1 or n < 1 or amps.size != 1 << n:
+        raise ValueError(f"expected 2^n amplitudes with n >= 1, got shape {amps.shape}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -163,33 +122,33 @@ def _apply_swap(amps: np.ndarray, qa: int, qb: int) -> None:
 # ---------------------------------------------------------------------------
 # public operations
 
-def apply_single_qubit_gate(state: PureState, qubit: int, gate) -> PureState:
-    """Apply a unitary 2x2 gate to one qubit, returning a new state.
+def apply_single_qubit_gate(state, qubit: int, gate) -> np.ndarray:
+    """Apply a unitary 2x2 gate to one qubit of 2^n amplitudes, returning new amplitudes.
 
     The gate is rejected if it deviates from unitarity by more than 1e-10.
     """
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
+    out = np.array(state, dtype=np.complex128)
+    n = _qubit_count(out)
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     gate = np.asarray(gate, dtype=np.complex128)
     if gate.shape != (2, 2):
         raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
     if not np.abs(gate.conj().T @ gate - np.eye(2)).max() <= _UNITARY_TOL:
         raise ValueError("gate is not unitary within 1e-10")
-    out = state.copy()
-    _apply_single_qubit(out.amplitudes[None, :], qubit, gate)
+    _apply_single_qubit(out[None, :], qubit, gate)
     return out
 
 
-def apply_controlled_phase(state: PureState, control: int, target: int, angle: float) -> PureState:
+def apply_controlled_phase(state, control: int, target: int, angle: float) -> np.ndarray:
     """Multiply amplitudes with both ``control`` and ``target`` bits set by e^{i angle}."""
-    n = state.n_qubits
+    out = np.array(state, dtype=np.complex128)
+    n = _qubit_count(out)
     if control == target:
         raise ValueError("control and target must differ")
-    for q in (control, target):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    out = state.copy()
-    _apply_cphase(out.amplitudes[None, :], control, target, np.exp(1j * angle))
+    if not (0 <= control < n and 0 <= target < n):
+        raise ValueError(f"qubits {control}, {target} out of range for {n} qubits")
+    _apply_cphase(out[None, :], control, target, np.exp(1j * angle))
     return out
 
 
@@ -210,14 +169,12 @@ def _run_circuit(amps: np.ndarray, n: int, band: int, phases) -> None:
         _apply_swap(amps, i, n - 1 - i)
 
 
-def apply_aqft(instance: AqftInstance, state: PureState) -> PureState:
-    """Run the banded Fourier circuit on a processor state."""
-    if state.n_qubits != instance.n_qubits:
-        raise ValueError(
-            f"state has {state.n_qubits} qubits, circuit expects {instance.n_qubits}"
-        )
-    out = state.copy()
-    _run_circuit(out.amplitudes[None, :], instance.n_qubits, instance.band, instance.phases)
+def apply_aqft(instance: AqftInstance, state) -> np.ndarray:
+    """Run the banded Fourier circuit on 2^n processor amplitudes."""
+    out = np.array(state, dtype=np.complex128)
+    if _qubit_count(out) != instance.n_qubits:
+        raise ValueError(f"state has {out.size} amplitudes, circuit expects {instance.dim}")
+    _run_circuit(out[None, :], instance.n_qubits, instance.band, instance.phases)
     return out
 
 
@@ -378,7 +335,7 @@ def walk_bessel_kernel(cells: int, x: float) -> np.ndarray:
 # the explicit joint state
 
 def brute_force_joint_step(
-    chi: np.ndarray, circuit, input_state: PureState, rng: np.random.Generator
+    chi: np.ndarray, circuit, input_state: np.ndarray, rng: np.random.Generator
 ):
     """Reference implementation via the explicit joint state.
 
@@ -393,13 +350,13 @@ def brute_force_joint_step(
     deliberately written from the joint-state definition rather than the
     cell-wise filter.
 
-    ``circuit`` is a callable ``circuit(phi, input_state) -> PureState``
-    giving the processor output at parameter value phi (a row of phases
+    ``circuit`` is a callable ``circuit(phi, input_state)`` returning the
+    processor's 2^n output amplitudes at parameter value phi (a row of phases
     on a grid of several axes).  Only meant for test scales: refuses to
     run when cells * 2**n exceeds 2**16.
     """
     chi = np.asarray(chi, dtype=np.complex128)
-    dim = input_state.amplitudes.size
+    dim = 1 << _qubit_count(np.asarray(input_state))
     if chi.size * dim > _JOINT_LIMIT:
         raise ValueError(
             f"joint dimension {chi.size * dim} exceeds the test-scale limit {_JOINT_LIMIT}"
@@ -408,7 +365,7 @@ def brute_force_joint_step(
     joint = np.empty((chi.size, dim), dtype=np.complex128)
     for g, phi in enumerate(phase_table([grid_points(cells) for cells in chi.shape])):
         arg = phi[0] if len(phi) == 1 else phi
-        joint[g] = chi_flat[g] * circuit(arg, input_state).amplitudes
+        joint[g] = chi_flat[g] * circuit(arg, input_state)
     cdf = np.cumsum(np.sum(np.abs(joint) ** 2, axis=0))
     r = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), dim - 1)
     conditional = joint[:, r]

@@ -19,10 +19,10 @@ from .backaction import distribution_batch, filter_batch, outcome_table, sample_
 from .feedback import apply_quantum_walk_batch
 from .grover import GroverInstance, pass_fail_amplitudes
 from .oracle import (
-    PureState,
     apply_aqft,
     apply_single_qubit_gate,
     average_success_statevector,
+    basis_state,
     bit_conditionals,
     brute_force_joint_step,
     dft_matrix,
@@ -132,9 +132,9 @@ def joint_oracle_deviation(theta, seed: int, steps: int = 20, shape=(8,)):
             out = apply_single_qubit_gate(out, q, gate)
         return out
 
-    src = PureState.basis(len(theta), 0)
+    src = basis_state(len(theta), 0)
     axes = [grid_points(cells) for cells in shape]
-    outputs = [circuit(phi, src).amplitudes for phi in product(*axes)]
+    outputs = [circuit(phi, src) for phi in product(*axes)]
     table, columns = outcome_table(np.stack(outputs, 1).reshape((-1,) + tuple(shape)))
     chi_joint = np.full(shape, 1.0 / np.sqrt(np.prod(shape)), dtype=complex)
     chi_block = chi_joint[None]
@@ -278,8 +278,8 @@ def _check_qft_circuit() -> str:
     rng = np.random.default_rng(3)
     amps = rng.normal(size=inst.dim) + 1j * rng.normal(size=inst.dim)
     amps /= np.linalg.norm(amps)
-    out = apply_aqft(inst, PureState(n, amps))
-    if np.abs(out.amplitudes - dft_matrix(n) @ amps).max() > 1e-10:
+    out = apply_aqft(inst, amps)
+    if np.abs(out - dft_matrix(n) @ amps).max() > 1e-10:
         raise AssertionError("full-band circuit deviates from the DFT matrix")
     return "full-band Fourier circuit matches the dense DFT matrix"
 

@@ -6,6 +6,8 @@ reproductions (criteria 4 and 6) and the improvement table (criterion
 5) dominate the runtime; the structural criteria finish in seconds.
 
 All ensembles are seeded, so every number below is bit-reproducible.
+``--master-seed`` (tests/conftest.py) reruns criterion 1 and the
+training sweeps of criteria 4 and 6 at another master seed.
 """
 
 import time
@@ -35,8 +37,6 @@ from gatelearn.selftest import (
     walk_kernel_deviation,
 )
 
-MASTER_SEED = 20260808
-
 
 def report(criterion, passed, detail):
     print(f"{'PASS' if passed else 'FAIL'} {criterion}: {detail}")
@@ -46,10 +46,10 @@ def report(criterion, passed, detail):
 # ---------------------------------------------------------------------------
 # criterion 1: block-wise filter vs explicit joint-state measurement
 
-def test_criterion_1_filter_matches_joint_state_oracle():
+def test_criterion_1_filter_matches_joint_state_oracle(acceptance_seed):
     start = time.time()
     theta = np.random.default_rng(5).uniform(0.2, np.pi - 0.2, 2)
-    mismatches, worst = joint_oracle_deviation(theta, seed=MASTER_SEED)
+    mismatches, worst = joint_oracle_deviation(theta, seed=acceptance_seed)
     assert mismatches == 0
     elapsed = time.time() - start
     ok = worst < 1e-12 and elapsed < 1.0
@@ -129,11 +129,11 @@ def _grover_summary(feedback, n_el, master_seed):
 
 
 @pytest.fixture(scope="module")
-def grover_sweep():
+def grover_sweep(acceptance_seed):
     results = {}
     for strategy, feedback in (("double_push", DOUBLE_PUSH), ("single_push", SINGLE_PUSH)):
         for n_el in GROVER_SIZES:
-            results[strategy, n_el] = _grover_summary(feedback, n_el, MASTER_SEED)
+            results[strategy, n_el] = _grover_summary(feedback, n_el, acceptance_seed)
     return results
 
 
@@ -157,7 +157,8 @@ def test_criterion_4a_double_push_mean_levels(grover_sweep):
 
 @pytest.mark.parametrize("master_seed", [1, 2])
 def test_criterion_4a_held_out_seeds(master_seed):
-    # the feedback schedule was chosen from MASTER_SEED runs; other seeds check it holds
+    # the feedback schedule was chosen from runs at the default master seed
+    # (tests/conftest.py); other seeds check it holds
     ok, detail = _mean_levels(
         {n_el: _grover_summary(DOUBLE_PUSH, n_el, master_seed) for n_el in GROVER_SIZES}
     )
@@ -287,7 +288,7 @@ AQFT_FEEDBACK = FeedbackConfig(
 
 
 @pytest.fixture(scope="module")
-def aqft_sweep():
+def aqft_sweep(acceptance_seed):
     results = {}
     for n in (6, 8, 10):
         instance = AqftInstance.standard(n, 1)
@@ -297,7 +298,7 @@ def aqft_sweep():
             runs=100,
             grid_size=256,
             feedback=AQFT_FEEDBACK,
-            master_seed=MASTER_SEED,
+            master_seed=acceptance_seed,
         )
         summary, _ = run_ensemble(config)
         results[n] = (summary, optimize_phases(instance))

@@ -380,9 +380,20 @@ class TestController:
         ("walk_floor", -0.5),
         ("walk_escalation", -1.0),
         ("push_asymmetry", 0.0),
+        ("walk_strength", "24"),
+        ("walk_strength", None),
+        ("walk_floor", True),
+        ("walk_escalation", 1 + 0j),
+        ("push_asymmetry", [2.0]),
     ])
     def test_wrong_types_rejected_at_config(self, field, value):
         # "no" is truthy and would turn the kickstart on; 2.5 cells would be
-        # rounded inside the push; the rest are out of range
+        # rounded inside the push; a string, None, a bool, a complex number
+        # and a list are not real strengths; the rest are out of range
         with pytest.raises(ValueError, match=f"{field} must be"):
             FeedbackConfig(**{field: value})
+
+    def test_integer_and_numpy_reals_accepted(self):
+        config = FeedbackConfig(walk_strength=np.float32(3.0), walk_floor=2,
+                                walk_escalation=np.int64(1))
+        assert config.walk_strength == 3.0 and config.walk_floor == 2

@@ -91,6 +91,10 @@ class TestRunLearning:
         ("master_seed", -1, "master_seed must be >= 0"),
         ("master_seed", 1.5, "master_seed must be an integer"),
         ("problem", "grover", "problem must be a GroverInstance or an AqftInstance"),
+        ("feedback", None, "feedback must be a FeedbackConfig"),
+        ("feedback", "double_push", "feedback must be a FeedbackConfig"),
+        ("snapshot_chi", "no", "snapshot_chi must be a bool"),
+        ("snapshot_chi", None, "snapshot_chi must be a bool"),
     ])
     def test_bad_config_rejected_when_built(self, field, value, message):
         with pytest.raises(ValueError, match=message):
