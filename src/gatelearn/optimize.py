@@ -9,7 +9,8 @@ The k-averaged success is a trigonometric polynomial of degree at most
 n - d in phase d, whose coefficients follow from the circuit's product
 form without evaluating the success anywhere
 (:func:`gatelearn.qft.success_spectrum`).  The optimizer finds the
-basin on a fine grid of that polynomial and refines it by Newton steps
+basin on a fine grid of that polynomial, evaluated a block of rows at a
+time with only the running best cell kept, and refines it by Newton steps
 on the polynomial's exact gradient and Hessian; one exact evaluation
 of three candidate rows then picks the result.  The improvement table
 computes one spectrum per register size and reads each lower band's
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +31,9 @@ from .errors import check_integer
 from .grover import reference_max_success
 from .qft import (
     AqftInstance,
+    _grid_blocks,
     _SpectrumDerivatives,
     average_success_map,
-    spectrum_on_grid,
     standard_phases,
     success_spectrum,
 )
@@ -79,14 +81,30 @@ def _newton(spectrum: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return phases
 
 
+def _basin_cell(spectrum: np.ndarray, shape: tuple) -> tuple:
+    """The grid cell of ``shape`` where the polynomial is largest, first in C order.
+
+    The grid is evaluated a block of rows at a time and only the running
+    best cell is kept, so no grid-sized array is built; the cell is
+    ``np.argmax`` of :func:`gatelearn.qft.spectrum_on_grid`.
+    """
+    best, cell, row = -np.inf, 0, math.prod(shape[1:])
+    for start, values in _grid_blocks(spectrum, shape):
+        index = int(np.argmax(values))
+        if values.flat[index] > best:  # ties keep the earlier block's cell
+            best, cell = values.flat[index], start * row + index
+    return np.unravel_index(cell, shape)
+
+
 def optimize_phases(instance: AqftInstance) -> OptimizationResult:
     """Maximize the k-averaged trial success over the instance's phases.
 
     Supports 1 to 3 trained phases.  The success is a trigonometric
     polynomial with 2(n - d) + 1 coefficients along phase axis d; they
     locate the basin on a grid of max(64, 2(n - d) + 2) points per axis
-    (max(32, ...) for three-phase cells), and Newton steps on the exact
-    gradient and Hessian refine the best grid point.  One exact
+    (max(32, ...) for three-phase cells), evaluated a block of rows at a
+    time so that no grid-sized array is built, and Newton steps on the
+    exact gradient and Hessian refine the best grid point.  One exact
     evaluation of three rows, the Newton point, that grid point and the
     standard phases, picks the result, so the reported optimum never
     falls below the baseline or the scan.  ``evaluations`` counts the
@@ -98,13 +116,16 @@ def optimize_phases(instance: AqftInstance) -> OptimizationResult:
 
 
 def _optimize(instance: AqftInstance, spectrum: np.ndarray) -> OptimizationResult:
-    """:func:`optimize_phases` with the instance's success spectrum given."""
+    """:func:`optimize_phases` with the instance's success spectrum given.
+
+    The basin scan is :func:`_basin_cell`, the first largest cell of
+    :func:`gatelearn.qft.spectrum_on_grid` without the grid.
+    """
     m = instance.band
     # the basin scan: 64 points per axis, 32 for three phases, and never
     # coarser than the spectrum
     shape = tuple(max(64 if m < 3 else 32, size + 1) for size in spectrum.shape)
-    cell = np.unravel_index(np.argmax(spectrum_on_grid(spectrum, shape)), shape)
-    start = 2.0 * np.pi * np.array(cell) / np.array(shape)
+    start = 2.0 * np.pi * np.array(_basin_cell(spectrum, shape)) / np.array(shape)
     peak = _newton(spectrum, start) % (2.0 * np.pi)
     # rows are evaluated independently, so each value is bit-equal to
     # average_success at its phases

@@ -227,8 +227,16 @@ def average_success_map(instance: AqftInstance, phase_grid: np.ndarray) -> np.nd
 
 #: complex entries a block of prefix sums may hold: a block that would be
 #: larger is computed as two residue classes of its prefixes, one after the
-#: other.  Unblocked, (16, 3) peaked at 92 MB; with this budget, at 2 MB.
-_BLOCK_ENTRIES = 1 << 14
+#: other.  Unblocked, (16, 3) peaked at 92 MB; with this budget, at 1.9 MB,
+#: and (10, 3) at 0.41 MB (0.67 MB at 2^14), small enough that a phase table
+#: does not grow and trim the heap on every call.
+_BLOCK_ENTRIES = 1 << 13
+
+
+#: grid cells a block of :func:`_grid_blocks` may hold, so that no
+#: temporary grows with the grid: 2^13 cells hold the basin scan's 32^3
+#: grid in four blocks, and the 64^2 grids in one.
+_GRID_BLOCK_CELLS = 1 << 13
 
 
 def _frequencies(points: int) -> np.ndarray:
@@ -255,11 +263,15 @@ class _SuccessSpectrum:
         R_{n-1} = 1,   R_M(q) = sum_{b=0,1} f_{M+1}(q + b 2^M) R_{M+1}(q + b 2^M),
 
     each product a convolution of coefficient arrays, and the spectrum
-    is R_0 / 2^(n-1).  R_M has degree min(n-1-M, n-d) in phase_d, so the
-    levels with many prefixes hold small blocks.  Every R_M(q) is real,
-    so its coefficients are Hermitian: a level adds up the constant and
-    the +w terms only, then adds their reversed conjugate once, which
-    leaves every block exactly Hermitian.
+    is R_0 / 2^(n-1).  The recursion multiplies by 4 f_L, whose
+    coefficients 2 and e^{+-i theta_L(j)} need no scaling, and scales
+    the spectrum by 4^-(n-1) once: scaling by a power of two is exact,
+    so this is bit for bit the recursion on f_L.  R_M has degree
+    min(n-1-M, n-d) in phase_d, so the levels with many prefixes hold
+    small blocks.  Every R_M(q) is real, so its coefficients are
+    Hermitian: a level adds up the constant and the +w terms only, then
+    adds their reversed conjugate once, which leaves every block exactly
+    Hermitian.
 
     Step M pairs q with q + 2^M, which share every lower bit, so a
     residue class of the prefixes modulo 2^c is computed on its own with
@@ -274,8 +286,8 @@ class _SuccessSpectrum:
         self.shapes = [
             tuple(2 * min(n - 1 - M, n - d) + 1 for d in range(1, band + 1)) for M in range(n)
         ]
-        # 1/4 e^{-i std . w} and the bits of every window w
-        self.quarter_turns = 0.25 * np.exp(-1j * (self.model.std @ self.model.window))
+        # e^{-i std . w} and the bits of every window w
+        self.turns = np.exp(-1j * (self.model.std @ self.model.window))
         self.bits = self.model.window.astype(int).T.tolist()
 
     def prefix_sums(self, M: int, r: int, c: int) -> np.ndarray:
@@ -303,7 +315,6 @@ class _SuccessSpectrum:
         grown = [int(d <= L) for d in range(1, band + 1)]
         centre = block[(slice(None),) + tuple(slice(g, -g or None) for g in grown)]
         np.add(inner[:half], inner[half:], out=centre)
-        centre *= 0.25
         # the prefixes r + 2^c i in order run through the windows in order,
         # each window over one run of tails (or one tail, once c passes them)
         run = 1 << max(0, tail_bits - c)
@@ -311,7 +322,7 @@ class _SuccessSpectrum:
             ((r + (i << c)) >> tail_bits) << (band - L + tail_bits)
             for i in range(0, len(inner), run)
         ]
-        weights = self.quarter_turns[windows]
+        weights = self.turns[windows]
         if tail_bits:
             cos_tau, sin_tau = self.model.tails[L - band - 1]
             tails = slice(r % (1 << tail_bits), None, 1 << c)
@@ -349,38 +360,67 @@ def success_spectrum(instance: AqftInstance) -> np.ndarray:
     if instance.band < 1:
         raise ValueError("the spectrum needs at least one trained phase")
     n = instance.n_qubits
-    return _SuccessSpectrum(n, instance.band).prefix_sums(0, 0, 0)[0] / (1 << (n - 1))
+    # the mean over 2^(n-1) values of j, and 4^-(n-1) for the n - 1 factors 4 f_L
+    return _SuccessSpectrum(n, instance.band).prefix_sums(0, 0, 0)[0] / 8.0 ** (n - 1)
 
 
-def _fold(values: np.ndarray, axis: int, size: int, bins: int) -> np.ndarray:
-    """Sum a spectrum axis modulo ``size``, keeping bins 0..bins-1 of the result.
+def _phasors(points: int, size: int) -> np.ndarray:
+    """(size, points) matrix e^{2 pi i g f / size}, cells g by frequencies f = -D..D.
 
-    Entry m of the axis holds frequency m - D, which lands in bin
-    (m - D) mod size.  Consecutive entries fill consecutive bins up to
-    the wrap, so each such run is one slice addition; the runs are added
-    in entry order, the order ``np.add.at`` adds in.
+    The angle is reduced as the integer (g f) mod size before the
+    exponential, so a large grid or a high frequency loses no accuracy.
     """
-    points = values.shape[axis]
-    folded = np.zeros(values.shape[:axis] + (bins,) + values.shape[axis + 1 :], complex)
-    source, target = np.moveaxis(values, axis, 0), np.moveaxis(folded, axis, 0)
-    start = 0
-    while start < points:
-        cell = (start - points // 2) % size
-        run = min(points - start, size - cell)
-        kept = min(run, bins - cell)
-        if kept > 0:
-            target[cell : cell + kept] += source[start : start + kept]
-        start += run
-    return folded
+    roots = np.exp(2j * np.pi / size * np.arange(size))
+    return roots[np.multiply.outer(np.arange(size), _frequencies(points)) % size]
+
+
+def _grid_blocks(spectrum: np.ndarray, shape: tuple):
+    """Evaluate the polynomial on the grid of ``shape``, a block of first-axis rows at a time.
+
+    Yields ``(start, values)`` in row order: ``values`` holds the grid
+    rows from ``start`` on, as many as fit in ``_GRID_BLOCK_CELLS``
+    cells (at least one); a one-axis grid comes as one block.  The
+    phases factorize over the axes, so each spectrum axis in turn is
+    contracted with its (cells x frequencies) phasor matrix.  The
+    spectrum is Hermitian, so, as an inverse real FFT does, the last
+    axis keeps f >= 0: the value is Re of the f = 0 terms plus twice the
+    f > 0 terms, and Re(c e) is the dot product of (Re c, Im c) with
+    (Re e, -Im e), one product over the float view of the coefficients.
+
+    Each matrix product is that of one row, or one grid line of a row,
+    whatever the block holds, so the block size changes no bit.  Unless
+    a grid axis has one cell, no product runs a vector against a matrix
+    whose reduction axis is strided, the form whose bits follow the
+    BLAS thread count.
+    """
+    *lead, points = spectrum.shape
+    top = points // 2
+    weights = np.conj(_phasors(points, shape[-1])[:, top:])
+    weights[:, 1:] *= 2.0
+    last = weights.view(float).T  # (2 (D + 1), cells): Re(c e) over (Re c, Im c)
+    if not lead:
+        yield 0, np.ascontiguousarray(spectrum[top:]).view(float) @ last
+        return
+    # the first axis moved last: a row's first product is this matrix times its phasors
+    half = np.ascontiguousarray(np.moveaxis(spectrum[..., top:], 0, -1)).reshape(-1, lead[0])
+    first = _phasors(lead[0], shape[0])[:, :, None]
+    axes = [_phasors(p, size) for p, size in zip(lead[1:], shape[1:-1])]
+    rows = max(1, _GRID_BLOCK_CELLS // math.prod(shape[1:]))
+    for start in range(0, shape[0], rows):
+        inner = np.matmul(half, first[start : start + rows]).reshape(-1, 1, len(half))
+        for p, matrix in zip(lead[1:], axes):
+            inner = np.matmul(matrix, inner.reshape(-1, p, inner.shape[-1] // p))
+        yield start, np.matmul(inner.view(float), last).reshape((-1,) + shape[1:])
 
 
 def spectrum_on_grid(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
     """The polynomial on the uniform grid of ``shape``: cell j at phases 2 pi j / shape.
 
-    At the G points of an axis, frequency f takes the same values as
-    f mod G, so each axis folds its coefficients modulo G, which stays
-    exact whether G is above or below the number of coefficients, and
-    one inverse FFT evaluates every cell.  ``shape`` needs one positive
+    Each spectrum axis is contracted in turn with the phasors of its
+    grid axis, a block of rows of the first grid axis at a time (see
+    :func:`_grid_blocks`); at the G points of an axis, frequency f
+    takes the value of f mod G, so any positive size is exact, above or
+    below the number of coefficients.  ``shape`` needs one positive
     integer size per spectrum axis.
     """
     shape = tuple(shape)
@@ -390,13 +430,10 @@ def spectrum_on_grid(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
         check_integer("grid size", size)
         if size < 1:
             raise ValueError(f"grid sizes must be positive, got {size}")
-    folded = spectrum
-    for axis, size in enumerate(shape):
-        # the polynomial is real, so the inverse FFT reads only the lower
-        # half of the last axis: the upper half repeats its conjugate
-        bins = size // 2 + 1 if axis == len(shape) - 1 else size
-        folded = _fold(folded, axis, size, bins)
-    return np.fft.irfftn(folded, shape, axes=range(len(shape)), norm="forward")
+    grid = np.empty(shape)
+    for start, values in _grid_blocks(spectrum, shape):
+        grid[start : start + len(values)] = values
+    return grid
 
 
 class _SpectrumDerivatives:

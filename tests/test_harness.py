@@ -241,7 +241,8 @@ class TestProductFormEngine:
                                    rtol=0, atol=1e-12)
         assert fast.passed.any() and not fast.passed.all()
 
-    # the map comes from the success's spectrum, folded to the grid: at
+    # the map comes from the success's spectrum, evaluated on the grid,
+    # where frequency f takes the value of f mod grid_size: at
     # n=17 the 33 coefficients outnumber the 16-cell grid, at n=9, band 2
     # an odd 7-cell grid is coarser than both 17- and 15-coefficient axes
     @pytest.mark.parametrize("n,band,grid_size", [(6, 1, 256), (17, 1, 16), (9, 2, 7),

@@ -17,7 +17,7 @@ from gatelearn import (
     reference_max_success,
     standard_phases,
 )
-from gatelearn.optimize import BLANK_BELOW_PERCENT, improvement_table_csv
+from gatelearn.optimize import BLANK_BELOW_PERCENT, _basin_cell, _optimize, improvement_table_csv
 from gatelearn.oracle import sampled_spectrum, spectrum_phases
 from gatelearn.parameter import phase_table
 from gatelearn.qft import spectrum_derivatives, spectrum_on_grid, success_spectrum
@@ -118,6 +118,50 @@ class TestSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < limit_mb * 1e6
+
+    @pytest.mark.parametrize("n,band", [
+        (n, band) for n in range(2, 15) for band in range(1, min(3, n - 1) + 1)
+    ])
+    def test_scan_cell_is_the_grid_argmax(self, n, band):
+        spectrum = standard_spectrum(n, band)
+        # the optimizer's basin grid: 64 points per axis, 32 for three phases
+        shape = tuple(max(64 if band < 3 else 32, size + 1) for size in spectrum.shape)
+        expected = np.unravel_index(np.argmax(spectrum_on_grid(spectrum, shape)), shape)
+        assert _basin_cell(spectrum, shape) == expected
+
+    def test_scan_ties_keep_the_first_cell(self):
+        # cos(2 pi 8 j / 32) on the first axis: exactly 1 at every fourth row,
+        # in every block of rows, and at every cell of such a row
+        spectrum = np.zeros((17, 3, 3), complex)
+        spectrum[0, 1, 1] = spectrum[-1, 1, 1] = 0.5
+        assert _basin_cell(spectrum, (32, 32, 32)) == (0, 0, 0)
+
+    @pytest.mark.parametrize("n,band,shape", [
+        (10, 1, (256,)), (6, 2, (64, 64)), (10, 2, (64, 64)), (7, 2, (33, 5)),
+        (10, 3, (32, 32, 32)), (14, 3, (32, 32, 32)), (6, 3, (9, 40, 7)),
+    ])
+    def test_grid_blocks_change_no_bit(self, monkeypatch, n, band, shape):
+        # every row's products are the same whatever the block holds
+        spectrum = standard_spectrum(n, band)
+        whole = spectrum_on_grid(spectrum, shape)
+        cell = _basin_cell(spectrum, shape)
+        monkeypatch.setattr("gatelearn.qft._GRID_BLOCK_CELLS", 1)
+        np.testing.assert_array_equal(spectrum_on_grid(spectrum, shape), whole)
+        assert _basin_cell(spectrum, shape) == cell
+
+    @pytest.mark.parametrize("n,limit_kib", [(10, 512), (14, 768)])
+    def test_band_three_optimizer_memory(self, n, limit_kib):
+        # the basin scan keeps one block of its 32^3 grid at a time
+        inst = AqftInstance.standard(n, 3)
+        spectrum = success_spectrum(inst)
+        _optimize(inst, spectrum)  # the product form's cached tail bases are not counted
+        tracemalloc.start()
+        try:
+            _optimize(inst, spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_kib * 1024
 
     # small axes fold many frequencies into each cell; the basin grids are
     # the optimizer's, finer than every axis of the spectrum

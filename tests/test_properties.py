@@ -168,12 +168,18 @@ def test_search_amplitude_closure_100_cases():
 @given(data=st.data())
 def test_product_form_draw_matches_statevector_oracle(data):
     """Each bit of the draw falls where the statevector's conditional at the latent cell puts it."""
-    n = data.draw(st.integers(2, 9), label="n")
-    band = data.draw(st.sampled_from([1, 2, 3][: min(n - 1, 3)]), label="band")
+    band = data.draw(st.integers(1, 3), label="band")
+    n = data.draw(st.integers(band + 1, 9), label="n")
     runs = data.draw(st.integers(1, 4), label="runs")
+    # the axis lengths come first, so that two- and three-phase examples
+    # often vary two or more phases at once: the windows in which the
+    # conditional mixes the cells of several axes
+    lengths = data.draw(st.lists(st.integers(1, 8 // band + 1), min_size=band, max_size=band),
+                        label="cells per axis")
     angle = st.floats(-2 * np.pi, 2 * np.pi)
-    axes = [data.draw(st.lists(angle, min_size=1, max_size=8 // band), label=f"phase axis {d}")
-            for d in range(band)]
+    axes = [data.draw(st.lists(angle, min_size=size, max_size=size, unique=True),
+                      label=f"phase axis {d}")
+            for d, size in enumerate(lengths)]
     cells = int(np.prod([len(axis) for axis in axes]))
     ks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=runs, max_size=runs),
                    label="k")

@@ -35,6 +35,24 @@ from gatelearn.qft import success_spectrum
 from gatelearn.selftest import fourier_draw_deviation
 
 
+def digests_at_blas_threads(script):
+    """sha256 digests of ``values`` after ``script``, run at 1 and at 2 BLAS threads."""
+    script = "import hashlib\nimport numpy as np\n" + script + (
+        "print(hashlib.sha256(values.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(gatelearn.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path,
+               "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    return digests
+
+
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -396,27 +414,25 @@ class TestAverageSuccess:
     def test_map_bytes_do_not_depend_on_blas_threads(self):
         # a BLAS thread split must not change a bit of an n=10, band 3 map
         # over a 32^3 grid
-        script = (
-            "import hashlib\n"
-            "import numpy as np\n"
+        assert len(digests_at_blas_threads(
             "from gatelearn import AqftInstance, average_success_map\n"
             "from gatelearn.parameter import phase_table\n"
             "axis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)\n"
             "grid = phase_table([axis] * 3)\n"
             "values = average_success_map(AqftInstance.standard(10, 3), grid)\n"
-            "print(hashlib.sha256(values.tobytes()).hexdigest())\n"
-        )
-        src = str(Path(gatelearn.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        digests = set()
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path,
-                   "OPENBLAS_NUM_THREADS": threads}
-            done = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, done.stderr
-            digests.add(done.stdout.strip())
-        assert len(digests) == 1
+        )) == 1
+
+    def test_grid_bytes_do_not_depend_on_blas_threads(self):
+        # nor of the polynomial on that grid, the optimizer's basin scan, at
+        # n=10 and at n=14, whose first-axis product is large enough to thread
+        assert len(digests_at_blas_threads(
+            "from gatelearn import AqftInstance\n"
+            "from gatelearn.qft import spectrum_on_grid, success_spectrum\n"
+            "values = np.concatenate([\n"
+            "    spectrum_on_grid(success_spectrum(AqftInstance.standard(n, 3)), (32, 32, 32))\n"
+            "    for n in (10, 14)\n"
+            "])\n"
+        )) == 1
 
     def test_set_up_memory_at_sixteen_qubits(self):
         # the map builds no (cells, 2^n) table: a 256-cell map at n=16 stays
