@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, check_per_run
 
 __all__ = [
     "outcome_table",
@@ -101,6 +101,7 @@ def sample_batch(dist: np.ndarray, rngs) -> np.ndarray:
     # the ufuncs' own accumulate and reduce, which np.cumsum, np.max, np.sum
     # and np.min call, without their wrappers' cost
     dist = np.asarray(dist, dtype=float)
+    check_per_run("rngs", rngs, len(dist))
     cdf = np.add.accumulate(dist, axis=1)
     totals = cdf[:, -1].tolist()
     # written so that a NaN total fails too
@@ -121,6 +122,8 @@ def filter_batch(amps: np.ndarray, columns: np.ndarray, masses: np.ndarray) -> n
     ``masses`` holds each run's P(r) = sum_g |chi_g|^2 |A_r(phi_g)|^2,
     which the draw has already summed, so the filter computes no norm.
     """
+    check_per_run("columns", columns, len(amps))
+    check_per_run("masses", masses, len(amps))
     # an explicit ufunc keeps the operand order: a * b and b * a may differ
     # in the last bit for complex operands
     filtered = np.multiply(amps, columns)

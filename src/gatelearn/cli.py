@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .feedback import FeedbackConfig
+from .feedback import STRATEGIES, FeedbackConfig
 from .grover import GroverInstance
 from .harness import (
     ExperimentConfig,
@@ -44,8 +44,6 @@ from .qft import AqftInstance
 
 __all__ = ["parse_and_dispatch", "main"]
 
-_STRATEGY_FLAGS = {"single-push": "single_push", "double-push": "double_push"}
-
 #: thread-pool variables of the BLAS and OpenMP runtimes numpy may load
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -55,11 +53,14 @@ def _int_list(text: str):
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--iterations", type=int, default=120, help="training iterations per run")
+    parser.add_argument("--iterations", type=int, default=ExperimentConfig.iterations,
+                        help="training iterations per run")
     parser.add_argument("--runs", type=int, default=200, help="ensemble size")
     parser.add_argument("--grid-size", type=int, default=None,
-                        help="parameter grid cells per axis (default 256; 64 for two-phase training)")
-    parser.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS), default="double-push")
+                        help=f"parameter grid cells per axis (default {ExperimentConfig.grid_size};"
+                             " 64 for two-phase training)")
+    parser.add_argument("--strategy", choices=[s.replace("_", "-") for s in STRATEGIES],
+                        default=FeedbackConfig.strategy.replace("_", "-"))
     parser.add_argument("--push-initial", type=int, default=None,
                         help="initial push magnitude in cells (default grid/32)")
     parser.add_argument("--push-asymmetry", type=float, default=FeedbackConfig.push_asymmetry,
@@ -75,7 +76,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-kickstart", action="store_true",
                         help="disable the inversion about the mean (on the first failure, "
                              "and for double-push search on every failure before the first pass)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.master_seed, help="master seed")
     parser.add_argument("--snapshot-chi", action="store_true",
                         help="record per-iteration |chi|^2 snapshots (large)")
     parser.add_argument("--out", type=Path, required=True, help="output directory")
@@ -92,31 +93,37 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("grover", help="train the search oracle phase")
     g.add_argument("--n-elements", type=int, required=True, help="search-space size")
     _add_experiment_flags(g)
+    g.set_defaults(handler=_cmd_grover)
 
     a = sub.add_parser("aqft", help="train banded Fourier-transform phases")
     a.add_argument("--qubits", type=int, required=True)
     a.add_argument("--band", type=int, default=1, help="trained phase count (1 or 2)")
     _add_experiment_flags(a)
+    a.set_defaults(handler=_cmd_aqft)
 
     t = sub.add_parser("table1", help="optimized-phase improvement table")
     t.add_argument("--qubits", type=_int_list, default=[6, 8, 10, 12, 14])
     t.add_argument("--bands", type=_int_list, default=[1, 2, 3])
     t.add_argument("--out", type=Path, required=True, help="output CSV file")
+    t.set_defaults(handler=_cmd_table1)
 
     c = sub.add_parser("grover-curve", help="ideal-search reference curve")
     c.add_argument("--n-elements", type=_int_list,
                    default=[16, 64, 200, 1024, 4096, 10000])
     c.add_argument("--out", type=Path, required=True, help="output CSV file")
+    c.set_defaults(handler=_cmd_grover_curve)
 
-    sub.add_parser("selftest", help="run quick internal consistency checks")
+    sub.add_parser("selftest", help="run quick internal consistency checks").set_defaults(
+        handler=_cmd_selftest)
     return parser
 
 
 def _experiment_config(args: argparse.Namespace, problem) -> ExperimentConfig:
     two_axis = isinstance(problem, AqftInstance) and problem.band == 2
-    grid_size = args.grid_size if args.grid_size is not None else (64 if two_axis else 256)
+    default_grid = 64 if two_axis else ExperimentConfig.grid_size
+    grid_size = default_grid if args.grid_size is None else args.grid_size
     feedback = FeedbackConfig(
-        strategy=_STRATEGY_FLAGS[args.strategy],
+        strategy=args.strategy.replace("-", "_"),
         initial_push_cells=(
             args.push_initial if args.push_initial is not None else max(1, grid_size // 32)
         ),
@@ -149,16 +156,11 @@ def _environment() -> dict:
 
 
 def _manifest(args: argparse.Namespace, config: ExperimentConfig, problem_desc: dict) -> dict:
-    return {
+    """Every config field, with the problem as the command describes it."""
+    return dataclasses.asdict(config) | {
         "version": __version__,
         "command": args.command,
         "problem": problem_desc,
-        "iterations": config.iterations,
-        "runs": config.runs,
-        "grid_size": config.grid_size,
-        "master_seed": config.master_seed,
-        "snapshot_chi": config.snapshot_chi,
-        "feedback": dataclasses.asdict(config.feedback),
         "environment": _environment(),
     }
 
@@ -231,15 +233,6 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
     return run_selftest()
 
 
-_DISPATCH = {
-    "grover": _cmd_grover,
-    "aqft": _cmd_aqft,
-    "table1": _cmd_table1,
-    "grover-curve": _cmd_grover_curve,
-    "selftest": _cmd_selftest,
-}
-
-
 def parse_and_dispatch(argv=None) -> int:
     """Parse arguments, run the requested command, return the exit status.
 
@@ -249,7 +242,7 @@ def parse_and_dispatch(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"gatelearn {args.command}: {exc}", file=sys.stderr)
         return 2

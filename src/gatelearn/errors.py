@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its integer- and real-setting checks.
+"""Exception types shared across the package, and its setting and per-run argument checks.
 
 Configuration mistakes (bad indices, non-unitary gates, inconsistent
 shapes, non-integral sizes) raise the built-in ``ValueError``.  ``NumericsError`` is reserved
@@ -16,6 +16,12 @@ def check_integer(name: str, value) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_per_run(name: str, values, runs: int) -> None:
+    """Reject a per-run argument without one entry per run, which zip or broadcasting would hide."""
+    if len(values) != runs:
+        raise ValueError(f"{name} needs one entry per run: got {len(values)} for {runs} runs")
 
 
 def check_real(name: str, value) -> None:

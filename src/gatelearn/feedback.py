@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericsError, check_integer, check_real
+from .errors import NumericsError, check_integer, check_per_run, check_real
 from .parameter import dephase_batch, invert_about_mean_batch, translate_batch
 
 __all__ = [
@@ -141,6 +141,7 @@ def apply_quantum_walk_batch(amps: np.ndarray, strengths) -> np.ndarray:
     p_l = (-i)^l J_l(2x).  Raises ``NumericsError`` if a run's norm
     moves by more than 1e-9.
     """
+    check_per_run("strengths", strengths, len(amps))
     spectra = [_walk_spectrum(float(x), amps.shape[1:]) for x in strengths]
     # one shared strength (always so for a single run) broadcasts its spectrum
     spectra = spectra[0] if len(set(strengths)) == 1 else np.stack(spectra)
@@ -231,6 +232,9 @@ def on_failure_batch(
     structured, and under the single push repeating it lowers the search
     ensemble mean (N=1024: 0.72 to 0.57 of the ideal success).
     """
+    for name, values in (("successes", successes), ("failures", failures),
+                         ("consecutive_failures", consecutive_failures), ("rngs", rngs)):
+        check_per_run(name, values, len(amps))
     kick = [f == 0 for f in failures]
     if binary_readout and config.strategy == "double_push":
         kick = [k or s == 0 for k, s in zip(kick, successes)]  # still searching: no pass yet

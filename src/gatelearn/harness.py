@@ -51,7 +51,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -301,28 +301,19 @@ class EnsembleSummary:
     health: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "iterations": self.iterations,
-            "target_success": self.target_success,
-            "mean_curve": self.mean_curve.tolist(),
-            "median_curve": self.median_curve.tolist(),
-            "variance_curve": self.variance_curve.tolist(),
-            "final_values": self.final_values.tolist(),
-            "histogram": self.histogram.tolist(),
-            "histogram_edges": self.histogram_edges.tolist(),
-            "quantiles": {str(k): v for k, v in self.quantiles.items()},
-            "iterations_to_95": [
-                None if math.isinf(v) else int(v) for v in self.iterations_to_95
-            ],
-            "pass_counts": self.pass_counts.tolist(),
-            "mean_final": self.mean_final,
-            # NaN when no run ever passed; JSON has no NaN
-            "mean_final_trained": (
-                None if math.isnan(self.mean_final_trained) else self.mean_final_trained
-            ),
-            "health": self.health,
-        }
+        """Every field, arrays as lists, in the three forms that strict JSON needs."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in payload.items():
+            if isinstance(value, np.ndarray):
+                payload[name] = value.tolist()
+        payload["quantiles"] = {str(k): v for k, v in self.quantiles.items()}
+        payload["iterations_to_95"] = [
+            None if math.isinf(v) else int(v) for v in self.iterations_to_95
+        ]
+        # NaN when no run ever passed; JSON has no NaN
+        if math.isnan(self.mean_final_trained):
+            payload["mean_final_trained"] = None
+        return payload
 
 
 def run_ensemble(config: ExperimentConfig, threads: int = 1) -> tuple:

@@ -15,7 +15,8 @@ non-negotiable: translations would otherwise leak probability.
 Each operator and diagnostic is an array kernel over a batch of runs,
 an array of shape ``(runs, *grid_shape)``, named ``*_batch``; one run
 is a batch of one.  Every kernel computes each run's row exactly as it
-would alone, so results never depend on how many runs share a batch.
+would alone, so results never depend on how many runs share a batch,
+and rejects a per-run argument that does not hold one entry per run.
 This module owns the grid convention: :func:`grid_points` places one
 axis's cells and :func:`phase_table` lists a product grid's cells.
 """
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, check_per_run
 
 __all__ = [
     "ParameterState",
@@ -121,6 +122,8 @@ def translate_batch(amps: np.ndarray, shifts, axes) -> np.ndarray:
 
     A positive shift moves the distribution toward larger parameter values.
     """
+    check_per_run("shifts", shifts, len(amps))
+    check_per_run("axes", axes, len(amps))
     shifts, axes = np.asarray(shifts), np.asarray(axes)
     out = amps.copy()
     for axis in np.unique(axes):
@@ -180,6 +183,7 @@ def dephase_batch(amps: np.ndarray, rngs) -> np.ndarray:
     and a short series (:func:`_unit_phasors`), within 1e-15 of cos and
     sin of 2 pi u in each part.
     """
+    check_per_run("rngs", rngs, len(amps))
     uniforms = np.empty(amps.shape)
     for rng, row in zip(rngs, uniforms):
         rng.random(out=row)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, check_per_run
 from .qft import AqftInstance, _window_bits
 
 __all__ = ["ProductFormTrials"]
@@ -53,7 +53,9 @@ class ProductFormTrials:
     Factor q depends on the grid only through its window r_{q-1}..r_{q-band}:
     with no bit set it is one number, with r_{q-d} alone set a vector along
     axis d-1, and only a window of two or more set bits needs a table over
-    the whole grid (one for band 2).
+    the whole grid (one for band 2).  The column is built from these
+    tables; the draw's walk needs the window phasors at one cell only, and
+    multiplies them up from that cell's e^{i phi_d}.
     :func:`gatelearn.oracle.trial_output_batch` is the oracle.
     """
 
@@ -67,11 +69,11 @@ class ProductFormTrials:
         self.n_qubits, self.band = instance.n_qubits, band
         self.shape, window = tuple(map(len, axes)), _window_bits(band)
         windows, width, self._cells = 1 << band, max(self.shape), math.prod(self.shape)
-        gates, first = window.sum(axis=0), window.argmax(axis=0)
-        slot = np.cumsum(gates > 1) - 1
-        # one flat array holds every table: rows 0, +1, -1, +e^{i phi_d} and
-        # -e^{i phi_d} of axis d-1 from row 5(d-1) of a (5 band, width) block,
-        # then prod_d e^{i phi_d} over the grid per window of 2+ set bits
+        gates = window.sum(axis=0)
+        single, slot = gates == 1, np.cumsum(gates > 1) - 1
+        # rows 0, +1, -1, +e^{i phi_d} and -e^{i phi_d} of axis d-1 from row
+        # 5(d-1) of a (5 band, width) table, and prod_d e^{i phi_d} over the
+        # grid per window of 2+ set bits
         phasors = [np.exp(1j * a) for a in axes]
         table = np.zeros((band, 5, width), dtype=np.complex128)
         for rows, e in zip(table, phasors):
@@ -80,18 +82,11 @@ class ProductFormTrials:
         joint = [math.prod(g for g, fires in zip(grid, window[:, w]) if fires)
                  for w in np.flatnonzero(gates > 1)]
         joint = [np.broadcast_to(product, self.shape).ravel() for product in joint]
-        self._flat = np.concatenate([table.ravel()] + joint)
-        self._table = self._flat[: table.size].reshape(5 * band, width)
-        self._joint = self._flat[table.size :].reshape(len(joint), self._cells)
-        # window w's phasor at flat cell g is entry base + g // div % mod of
-        # the flat array: +1 with no set bit, e^{i phi_d} at g's index along
-        # axis d-1 with r_{q-d} alone set, and the window's grid table at g
-        strides = np.array([math.prod(self.shape[d + 1 :]) for d in range(band)])
-        single, sizes = gates == 1, np.array(self.shape)[first]
-        self._latent = (np.where(single, (5 * first + 3) * width, width)
-                        + (gates > 1) * (table.size + self._cells * slot - width),
-                        np.where(single, strides[first], 1),
-                        np.where(single, sizes, np.where(gates > 1, self._cells, 1)))
+        self._table = table.reshape(5 * band, width)
+        self._joint = np.reshape(joint, (len(joint), self._cells))
+        # each axis's phasors as Python complexes, last axis first: the walk
+        # splits a latent cell into its axis indices in that order
+        self._axes = [(e.tolist(), len(e)) for e in reversed(phasors)]
         # step s = window + 2^band r_q, the window below bit q and then bit
         # q, picks factor q's row in each axis's table (row 0, exactly 1,
         # where the factor is of another kind), its grid table and its sign
@@ -118,9 +113,9 @@ class ProductFormTrials:
         ``uniforms`` is a ``(runs, n)`` array or a sequence of rows (the
         loop passes lists of floats).  The bits are a per-run walk over
         Python scalars: the run's window phasors at its latent cell are
-        gathered once, and each bit's conditional, its snap and the step
-        that picks its factor (the window below it and the bit) are
-        scalar work.
+        multiplied up once from the cell's axis phasors, and each bit's
+        conditional, its snap and the step that picks its factor (the
+        window below it and the bit) are scalar work.
         The column is then the product over the bits of the doubled
         factors 1 + (-1)^{r_q} e^{i theta_q}, times 2^-n: one product per
         axis (a factor of another kind enters it as exactly 1), their
@@ -133,7 +128,8 @@ class ProductFormTrials:
         so a row does not depend on the batch around it.  Other
         conditionals are rounded like any float, so a uniform within
         about 1e-16 of one may fall either way.  Raises when an outcome
-        of vanishing probability is drawn.
+        of vanishing probability is drawn, and when a per-run argument or
+        a row of ``uniforms`` does not match the batch.
         """
         n, band, dim = self.n_qubits, self.band, 1 << self.n_qubits
         ks = np.asarray(ks, dtype=np.int64)
@@ -145,16 +141,26 @@ class ProductFormTrials:
             raise ValueError("latent cell out of range")
         weights = np.asarray(weights, dtype=float)
         runs = len(ks)
+        for name, values in (("weights", weights), ("cells", cells), ("uniforms", uniforms)):
+            check_per_run(name, values, runs)
         # e^{i alpha_q(k)} of every run and outcome bit
         turns = (ks[:, None] << self._shifts) % dim
         rotation = np.exp(-2j * np.pi * turns / dim)
-        # each run's window phasors at its latent cell; its bits are then a
-        # walk over Python scalars, the conditional of bit 0 being
-        # 1/2 + Re(e^{i theta_q}) / 2 at that cell
-        base, div, mod = self._latent
-        latent = self._flat[base + cells[:, None] // div % mod].tolist()
+        # the bits of a run are a walk over Python scalars at its latent cell,
+        # the conditional of bit 0 being 1/2 + Re(e^{i theta_q}) / 2 there
+        (last_axis, last_size), *others = self._axes
         top, outcomes, steps = band - 1, [], []
-        for phasors, turn, u in zip(latent, rotation.tolist(), uniforms):
+        for cell, turn, u in zip(cells.tolist(), rotation.tolist(), uniforms):
+            if len(u) != n:
+                raise ValueError(f"uniforms need {n} per run, got a row of {len(u)}")
+            # window w's phasor: the product of e^{i phi_d} over the gates it
+            # fires, 1 if none; the last axis is window bit 0
+            cell, index = divmod(cell, last_size)
+            phasors = [1, last_axis[index]]
+            for axis, size in others:
+                cell, index = divmod(cell, size)
+                phasor = axis[index]
+                phasors += [p * phasor for p in phasors]
             r = window = 0
             for q in range(n):
                 zero = 0.5 + 0.5 * (phasors[window] * turn[q]).real

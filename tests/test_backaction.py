@@ -48,6 +48,10 @@ def sample_and_update(chi, trial, rng):
 
 
 class TestOutcomeAmplitudes:
+    def test_columns_need_an_outcome_axis(self):
+        with pytest.raises(ValueError, match="outcome axis"):
+            outcome_table(np.ones(4, dtype=complex))
+
     def test_binary_closure_enforced(self):
         with pytest.raises(NumericsError):
             outcome_table([np.array([0.9 + 0j]), np.array([0.9 + 0j])])

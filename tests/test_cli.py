@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,15 @@ class TestGroverCommand:
         for name in ("runs.csv", "summary.json", "histogram.csv", "manifest.json"):
             assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
+        # every ExperimentConfig field plus four: a new field is a schema change
+        assert set(manifest) == {
+            "problem", "iterations", "runs", "grid_size", "feedback", "master_seed",
+            "snapshot_chi", "version", "command", "environment",
+        }
+        assert set(manifest["feedback"]) == {
+            "strategy", "initial_push_cells", "walk_strength", "kickstart_enabled",
+            "push_asymmetry", "walk_floor", "walk_escalation",
+        }
         assert manifest["master_seed"] == 42
         assert manifest["problem"]["n_elements"] == 16
         assert manifest["feedback"]["strategy"] == "double_push"
@@ -228,6 +238,17 @@ class TestSelftestCommand:
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert "all 10 checks passed" in done.stdout
+
+    def test_output_digests_lists_every_output_file(self):
+        # the byte-identity listing of this checkout: one sha256 per output file
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, str(root / "tools" / "output_digests.py")],
+                              capture_output=True, text=True, timeout=300, check=True)
+        rows = [line.split("  ", 1) for line in done.stdout.splitlines()]
+        assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in rows)
+        files = [entry.rsplit(" -> ", 1)[1] for _, entry in rows]
+        assert files == ["histogram.csv", "manifest.json", "runs.csv", "summary.json"] * 5 + [
+            "table1.csv"] * 2
 
 
 class TestUsageErrors:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gatelearn import (
+    AqftInstance,
     FeedbackConfig,
     GroverInstance,
     NumericsError,
@@ -15,7 +16,8 @@ from gatelearn.backaction import distribution_batch, filter_batch, outcome_table
 from gatelearn.feedback import apply_quantum_walk_batch, on_failure_batch
 from gatelearn.grover import _amplitudes_for_phases
 from gatelearn.oracle import walk_bessel_kernel, walk_matrix
-from gatelearn.parameter import invert_about_mean_batch
+from gatelearn.parameter import dephase_batch, invert_about_mean_batch, translate_batch
+from gatelearn.productform import ProductFormTrials
 from test_parameter import flat_chi, random_chi
 
 # every operator runs on a batch of one run: an array of shape (1, *grid_shape)
@@ -397,3 +399,43 @@ class TestController:
         config = FeedbackConfig(walk_strength=np.float32(3.0), walk_floor=2,
                                 walk_escalation=np.int64(1))
         assert config.walk_strength == 3.0 and config.walk_floor == 2
+
+
+
+def _per_run_calls():
+    """One call per kernel and per-run argument: three rows, one value of that argument."""
+    chi = np.full((3, 4), 0.5, dtype=complex)
+    weights, rng = np.full((3, 4), 0.25), np.random.default_rng(0)
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    draw = ProductFormTrials(AqftInstance.standard(3, 1), [grid_points(4)]).draw
+    u = [[0.5] * 3] * 3
+
+    def failure(successes=(0,) * 3, failures=(1,) * 3, consecutive=(1,) * 3, streams=rngs):
+        return on_failure_batch(chi, successes, failures, consecutive, FeedbackConfig(), streams)
+
+    calls = [
+        ("dephase_batch", "rngs", lambda: dephase_batch(chi, [rng])),
+        ("sample_batch", "rngs", lambda: sample_batch(weights, [rng])),
+        ("filter_batch", "columns", lambda: filter_batch(chi, chi[:1], [1.0] * 3)),
+        ("filter_batch", "masses", lambda: filter_batch(chi, chi, [1.0])),
+        ("translate_batch", "shifts", lambda: translate_batch(chi, [1], [0] * 3)),
+        ("translate_batch", "axes", lambda: translate_batch(chi, [1] * 3, [0])),
+        ("apply_quantum_walk_batch", "strengths", lambda: apply_quantum_walk_batch(chi, [0.5])),
+        ("draw", "weights", lambda: draw([0] * 3, weights[:1], [0] * 3, u)),
+        ("draw", "cells", lambda: draw([0] * 3, weights, [0], u)),
+        ("draw", "uniforms", lambda: draw([0] * 3, weights, [0] * 3, u[:1])),
+        # and each run's row of uniforms holds one per outcome bit
+        ("draw", "uniforms need 3", lambda: draw([0] * 3, weights, [0] * 3, [[0.5] * 2] * 3)),
+        ("on_failure_batch", "successes", lambda: failure(successes=[0])),
+        ("on_failure_batch", "failures", lambda: failure(failures=[1])),
+        ("on_failure_batch", "consecutive_failures", lambda: failure(consecutive=[1])),
+        ("on_failure_batch", "rngs", lambda: failure(streams=[rng])),
+    ]
+    return [pytest.param(name, call, id=f"{kernel}-{name}") for kernel, name, call in calls]
+
+
+@pytest.mark.parametrize("name,call", _per_run_calls())
+def test_per_run_arguments_must_match_the_batch(name, call):
+    # zip or broadcasting would silently drop or repeat the one value
+    with pytest.raises(ValueError, match=name):
+        call()

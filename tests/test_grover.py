@@ -127,6 +127,8 @@ class TestInstanceValidation:
             GroverInstance(1, 1)
         with pytest.raises(ValueError):
             GroverInstance(8, 0)
+        with pytest.raises(ValueError, match="at least 2 elements"):
+            optimal_iterations(1)
 
     @pytest.mark.parametrize("helper", [
         optimal_iterations,

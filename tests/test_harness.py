@@ -486,6 +486,13 @@ class TestFileOutputs:
         path = tmp_path / "summary.json"
         write_summary_json(summary, path, extra={"note": "test"})
         payload = json.loads(path.read_text())
+        # every EnsembleSummary field plus the extra keys: a new field is a schema change
+        assert set(payload) == {
+            "runs", "iterations", "target_success", "mean_curve", "median_curve",
+            "variance_curve", "final_values", "histogram", "histogram_edges", "quantiles",
+            "iterations_to_95", "pass_counts", "mean_final", "mean_final_trained", "health",
+            "note",
+        }
         assert payload["runs"] == 3
         assert payload["note"] == "test"
         assert len(payload["mean_curve"]) == 5

@@ -17,7 +17,13 @@ from gatelearn import (
     reference_max_success,
     standard_phases,
 )
-from gatelearn.optimize import BLANK_BELOW_PERCENT, _basin_cell, _optimize, improvement_table_csv
+from gatelearn.optimize import (
+    BLANK_BELOW_PERCENT,
+    _basin_cell,
+    _newton,
+    _optimize,
+    improvement_table_csv,
+)
 from gatelearn.oracle import sampled_spectrum, spectrum_phases
 from gatelearn.parameter import phase_table
 from gatelearn.qft import spectrum_derivatives, spectrum_on_grid, success_spectrum
@@ -128,6 +134,13 @@ class TestSpectrum:
         shape = tuple(max(64 if band < 3 else 32, size + 1) for size in spectrum.shape)
         expected = np.unravel_index(np.argmax(spectrum_on_grid(spectrum, shape)), shape)
         assert _basin_cell(spectrum, shape) == expected
+
+    def test_newton_stops_where_the_polynomial_is_not_concave(self):
+        # at the grid minimum the Hessian is not negative definite: no step is taken
+        spectrum = standard_spectrum(6, 2)
+        values = spectrum_on_grid(spectrum, (64, 64))
+        start = grid_points(64)[list(np.unravel_index(np.argmin(values), values.shape))]
+        np.testing.assert_array_equal(_newton(spectrum, start), start)
 
     def test_scan_ties_keep_the_first_cell(self):
         # cos(2 pi 8 j / 32) on the first axis: exactly 1 at every fourth row,

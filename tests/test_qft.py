@@ -103,6 +103,9 @@ class TestTrials:
             out, expected = trial_success_amplitude(inst, k)
             assert expected == k
             assert abs(abs(out[k]) ** 2 - 1.0) < 1e-10
+        for k in (-1, 16):
+            with pytest.raises(ValueError, match="out of range"):
+                trial_success_amplitude(inst, k)
 
     def test_two_qubit_band_zero_case(self):
         # dense 4-dimensional product: |<0| U_approx F^dag |0>|^2
@@ -338,6 +341,8 @@ class TestProductFormDraw:
             average_success_map(inst, grid)
         with pytest.raises(ValueError):
             average_success_map(inst, [[0.1, np.inf]])
+        with pytest.raises(ValueError, match="2 columns"):
+            average_success_map(inst, [[0.1, 0.2, 0.3]])
 
 
 class TestAverageSuccess:

@@ -77,6 +77,8 @@ class TestSingleQubitGates:
     def test_non_unitary_gate_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             apply_single_qubit_gate(basis_state(1, 0), 0, np.array([[1, 0], [0, 2.0]]))
+        with pytest.raises(ValueError, match="2x2"):
+            apply_single_qubit_gate(basis_state(1, 0), 0, np.eye(3))
 
     def test_nan_gate_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -124,6 +126,8 @@ class TestControlledPhase:
     def test_control_equal_target_rejected(self):
         with pytest.raises(ValueError):
             apply_controlled_phase(basis_state(2, 0), 1, 1, 0.3)
+        with pytest.raises(ValueError, match="out of range"):
+            apply_controlled_phase(basis_state(2, 0), 0, 2, 0.3)
 
     def test_only_11_sector_touched(self):
         state = random_state(3, seed=6)
