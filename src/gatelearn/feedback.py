@@ -3,8 +3,8 @@
 A failed trial both signals a bad outcome and, through measurement
 back-action, erodes exactly the parameter region that performs well.
 The feedback operators here counteract that erosion using only
-information an experimenter has: the running counts of passed and
-failed verifications.
+information an experimenter has: each run's tally of passed and failed
+verifications, kept by :func:`next_tallies`.
 
 Three operators are provided, plus the controller that schedules them:
 
@@ -33,6 +33,7 @@ run; one run is a batch of one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,10 +45,13 @@ from .parameter import dephase_batch, invert_about_mean_batch, translate_batch
 __all__ = [
     "FeedbackConfig",
     "apply_quantum_walk_batch",
+    "next_tallies",
     "on_failure_batch",
 ]
 
 _NORM_TOL = 1e-9
+# above this the walk spectrum's 2 x cos(...) overflows a float
+_MAX_WALK_STRENGTH = sys.float_info.max / 2
 
 STRATEGIES = ("single_push", "double_push")
 
@@ -70,10 +74,12 @@ class FeedbackConfig:
     relative to the rightward one; values below 1 give the distribution
     a slow net drift that scans the parameter circle.
 
-    The walk is applied exactly in Fourier space, so any finite strength
-    is reachable.  Non-real or non-finite strengths, floors, escalation
-    rates and asymmetries, a non-integer push and a non-bool kickstart
-    switch fail here rather than minutes into an ensemble.
+    The walk is applied exactly in Fourier space, so any strength up to
+    half the largest float (about 9e307) is reachable.  A push shifts by
+    its size modulo the axis length, and its action tag records the size
+    asked for.  Non-real or non-finite constants, a larger strength or
+    push, a non-integer push and a non-bool kickstart switch fail here
+    rather than minutes into an ensemble.
     """
 
     strategy: str = "double_push"
@@ -96,21 +102,24 @@ class FeedbackConfig:
             check_real(name, getattr(self, name))
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.walk_strength < 0:
-            raise ValueError("walk_strength must be >= 0")
+        if not 0 <= float(self.walk_strength) <= _MAX_WALK_STRENGTH:
+            raise ValueError(f"walk_strength must be >= 0 and <= {_MAX_WALK_STRENGTH!r}")
         if self.push_asymmetry <= 0:
             raise ValueError("push_asymmetry must be > 0")
         if self.walk_floor < 0:
             raise ValueError("walk_floor must be >= 0")
         if self.walk_escalation < 0:
             raise ValueError("walk_escalation must be >= 0")
+        if not (self.initial_push_cells <= sys.float_info.max and math.isfinite(
+                self.initial_push_cells * float(self.push_asymmetry))):
+            raise ValueError("initial_push_cells must fit a float, also times push_asymmetry")
 
 
 @lru_cache(maxsize=256)
 def _walk_spectrum(strength: float, grid_shape: tuple) -> np.ndarray:
     """Eigenvalues of the walk on a grid, the outer product of the axis spectra."""
-    if not 0 <= strength < np.inf:
-        raise ValueError(f"walk strength must be finite and >= 0, got {strength}")
+    if not 0 <= strength <= _MAX_WALK_STRENGTH:
+        raise ValueError(f"walk strength must be finite and >= 0, <= max float / 2, got {strength}")
     spectrum = np.ones(())
     for cells in grid_shape:
         phase = np.exp(-2j * strength * np.cos(2.0 * np.pi / cells * np.arange(cells)))
@@ -193,26 +202,27 @@ def _effective_walk_strength(config: FeedbackConfig, consecutive_failures: int) 
     return min(config.walk_strength, escalated)
 
 
-def on_failure_batch(
-    amps: np.ndarray,
-    successes,
-    failures,
-    consecutive_failures,
-    config: FeedbackConfig,
-    rngs,
-    binary_readout: bool = False,
-):
+def next_tallies(tallies, passed) -> list:
+    """Each run's ``(passes, failures, consecutive failures)`` after one more verification.
+
+    ``passed`` holds one bool per run; a pass ends the run of failures.
+    """
+    check_per_run("passed", passed, len(tallies))
+    return [(n + 1, f, 0) if ok else (n, f + 1, c + 1) for (n, f, c), ok in zip(tallies, passed)]
+
+
+def on_failure_batch(amps: np.ndarray, tallies, config: FeedbackConfig, rngs,
+                     binary_readout: bool = False):
     """Feedback for a batch of runs that each just failed a verification.
 
-    ``amps`` is ``(runs, *grid_shape)``, one row per failed run.  The
-    counts are per run: total passes, total failures and the current run
-    of consecutive failures, all read off the pass/fail record and all
-    excluding the failure being handled, each a sequence of integers
-    (the training loop keeps them as Python ints).  ``rngs`` are the
-    runs' own streams; ``binary_readout`` says the trial was read out as
-    pass/fail only (search) rather than as a full outcome index
-    (Fourier).  Each row gets what it would get alone.  Returns the new
-    rows and a list of short action tags (``str``) for the run record.
+    ``amps`` is ``(runs, *grid_shape)``, one row per failed run.
+    ``tallies`` holds each run's ``(passes, failures, consecutive
+    failures)`` as :func:`next_tallies` keeps it, excluding the failure
+    being handled; any integer types do.  ``rngs`` are the runs' own
+    streams; ``binary_readout`` says the trial was read out as pass/fail
+    only (search) rather than as a full outcome index (Fourier).  Each
+    row gets what it would get alone.  Returns the new rows and a list of
+    short action tags (``str``) for the run record.
 
     When the kickstart (the inversion about the mean) is enabled, the
     first failure of a run triggers it, and under the double push on a
@@ -232,44 +242,36 @@ def on_failure_batch(
     structured, and under the single push repeating it lowers the search
     ensemble mean (N=1024: 0.72 to 0.57 of the ideal success).
     """
-    for name, values in (("successes", successes), ("failures", failures),
-                         ("consecutive_failures", consecutive_failures), ("rngs", rngs)):
-        check_per_run(name, values, len(amps))
-    kick = [f == 0 for f in failures]
-    if binary_readout and config.strategy == "double_push":
-        kick = [k or s == 0 for k, s in zip(kick, successes)]  # still searching: no pass yet
+    check_per_run("tallies", tallies, len(amps))
+    check_per_run("rngs", rngs, len(amps))
+    searching = binary_readout and config.strategy == "double_push"  # kick until a pass
+    kick = [f == 0 or (searching and n == 0) for n, f, _c in tallies]
     if not (config.kickstart_enabled and any(kick)):
-        return _push_or_walk(amps, successes, failures, consecutive_failures, config, rngs)
+        return _push_or_walk(amps, tallies, config, rngs)
     rest = [i for i, kicked in enumerate(kick) if not kicked]
     # the reflection is row-wise, so reflecting every row and overwriting
     # the others leaves each kickstarted row as it would be alone
     out = invert_about_mean_batch(amps)
     tags = ["kickstart"] * len(amps)
     if rest:
-        out[rest], moved = _push_or_walk(
-            amps[rest],
-            [successes[i] for i in rest],
-            [failures[i] for i in rest],
-            [consecutive_failures[i] for i in rest],
-            config,
-            [rngs[i] for i in rest],
-        )
+        out[rest], moved = _push_or_walk(amps[rest], [tallies[i] for i in rest], config,
+                                         [rngs[i] for i in rest])
         for i, tag in zip(rest, moved):
             tags[i] = tag
     return out, tags
 
 
-def _push_or_walk(amps, successes, failures, consecutive_failures, config, rngs):
+def _push_or_walk(amps, tallies, config, rngs):
     """The configured strategy's step on failed runs that take no kickstart."""
     if config.strategy == "single_push":
         ndim = amps.ndim - 1
-        moves = [_push_move(int(f), int(n), config, ndim) for f, n in zip(failures, successes)]
+        moves = [_push_move(int(f), int(n), config, ndim) for n, f, _c in tallies]
         axes, shifts = zip(*moves)
         tags = [
             f"push{shift:+d}" if ndim == 1 else f"push[ax{axis}]{shift:+d}"
             for axis, shift in moves
         ]
         return translate_batch(amps, shifts, axes), tags
-    strengths = [_effective_walk_strength(config, int(c)) for c in consecutive_failures]
+    strengths = [_effective_walk_strength(config, int(c)) for _n, _f, c in tallies]
     walked = apply_quantum_walk_batch(amps, strengths)
     return dephase_batch(walked, rngs), ["walk+dephase"] * len(amps)

@@ -13,13 +13,13 @@ All runs of an ensemble are stepped together: the wavefunctions form
 one ``(runs, *grid_shape)`` array, the feedback acts on the rows of the
 runs that failed, and the records are ``(runs, iterations)`` columns of
 a :class:`RunBatch`.  Work with one value per grid cell is one numpy
-operation over the batch; bookkeeping with one value per run (the pass,
-failure and consecutive-failure counts, which runs failed, their action
-tags) stays in Python scalars, so a batch of one pays no numpy call for
-it.  Each run still makes its own draws in the same
-order: for a Fourier trial its input k, the uniform of its latent cell
-and one call for its n bit uniforms; for a search trial the uniform of
-its outcome; then the dephasing phases after a walk.  Every kernel
+operation over the batch; bookkeeping with one value per run (its tally
+of passes, failures and consecutive failures, which runs failed, their
+action tags) stays in Python scalars, so a batch of one pays no numpy
+call for it.  Each run still makes its own draws in the same order:
+for a Fourier trial its input k, the uniform of its latent cell and one
+call for its n bit uniforms; for a search trial the uniform of its
+outcome; then the dephasing phases after a walk.  Every kernel
 computes a run's row exactly as it would alone, so no output depends on
 how many runs share a batch.
 
@@ -64,7 +64,7 @@ from .backaction import (
     sample_batch,
 )
 from .errors import check_integer
-from .feedback import FeedbackConfig, on_failure_batch
+from .feedback import FeedbackConfig, next_tallies, on_failure_batch
 from .grover import GroverInstance, _amplitudes_for_phases
 from .parameter import (
     checked_success_map,
@@ -231,7 +231,7 @@ def _run_batch(config: ExperimentConfig, seeds) -> RunBatch:
     actions = np.full((runs, iterations), "none", dtype=object)
     snapshots = np.empty((runs, iterations) + shape) if config.snapshot_chi else None
     smallest = np.full(runs, np.inf)
-    successes, failures, consecutive = [0] * runs, [0] * runs, [0] * runs
+    tallies = [(0, 0, 0)] * runs
     for it in range(iterations):
         ok, measured[:, it], columns, masses = trials.trial(probs.reshape(runs, -1), rngs)
         np.minimum(smallest, masses, out=smallest)
@@ -242,18 +242,10 @@ def _run_batch(config: ExperimentConfig, seeds) -> RunBatch:
             # a slice when every run failed: views instead of gathered copies
             rows = slice(None) if len(failed) == runs else failed
             chi[rows], actions[rows, it] = on_failure_batch(
-                chi[rows],
-                [successes[i] for i in failed],
-                [failures[i] for i in failed],
-                [consecutive[i] for i in failed],
-                config.feedback,
-                [rngs[i] for i in failed],
-                binary_readout=trials.binary_readout,
+                chi[rows], [tallies[i] for i in failed], config.feedback,
+                [rngs[i] for i in failed], binary_readout=trials.binary_readout,
             )
-        for i, passed_now in enumerate(flags):
-            successes[i] += passed_now
-            failures[i] += not passed_now
-            consecutive[i] = 0 if passed_now else consecutive[i] + 1
+        tallies = next_tallies(tallies, flags)
 
         probs = np.abs(chi) ** 2
         passed[:, it] = ok

@@ -23,6 +23,7 @@ axis's cells and :func:`phase_table` lists a product grid's cells.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -121,10 +122,14 @@ def translate_batch(amps: np.ndarray, shifts, axes) -> np.ndarray:
     """Cyclic shift of each run by ``shifts[i]`` cells along grid axis ``axes[i]``.
 
     A positive shift moves the distribution toward larger parameter values.
+    A shift by s is a shift by s mod N, so a shift of any integer size
+    is reduced as a Python int before it meets an index array.
     """
     check_per_run("shifts", shifts, len(amps))
     check_per_run("axes", axes, len(amps))
-    shifts, axes = np.asarray(shifts), np.asarray(axes)
+    axes = np.asarray(axes)
+    shifts = np.array([operator.index(s) % amps.shape[1 + a]
+                       for s, a in zip(shifts, axes.tolist())], dtype=np.intp)
     out = amps.copy()
     for axis in np.unique(axes):
         rows = np.flatnonzero(axes == axis)

@@ -247,7 +247,7 @@ class TestSelftestCommand:
         rows = [line.split("  ", 1) for line in done.stdout.splitlines()]
         assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in rows)
         files = [entry.rsplit(" -> ", 1)[1] for _, entry in rows]
-        assert files == ["histogram.csv", "manifest.json", "runs.csv", "summary.json"] * 5 + [
+        assert files == ["histogram.csv", "manifest.json", "runs.csv", "summary.json"] * 7 + [
             "table1.csv"] * 2
 
 
@@ -274,6 +274,21 @@ class TestUsageErrors:
         status = run_cli(["grover", "--n-elements", "8", "--seed", "-1", "--out", str(out)])
         assert status == 2
         assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_walk_strength_past_the_spectrum_bound_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 1e308 passes as finite, but the walk spectrum overflows above max / 2
+        def no_run(*args, **kwargs):
+            raise AssertionError("an ensemble started")
+
+        monkeypatch.setattr("gatelearn.cli.run_ensemble", no_run)
+        out = tmp_path / "x"
+        status = run_cli(["aqft", "--qubits", "6", "--runs", "2", "--walk-x", "1e308",
+                          "--walk-escalation", "0", "--out", str(out)])
+        assert status == 2
+        assert "walk_strength must be" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [

@@ -13,7 +13,7 @@ from gatelearn import (
     grid_points,
 )
 from gatelearn.backaction import distribution_batch, filter_batch, outcome_table, sample_batch
-from gatelearn.feedback import apply_quantum_walk_batch, on_failure_batch
+from gatelearn.feedback import apply_quantum_walk_batch, next_tallies, on_failure_batch
 from gatelearn.grover import _amplitudes_for_phases
 from gatelearn.oracle import walk_bessel_kernel, walk_matrix
 from gatelearn.parameter import dephase_batch, invert_about_mean_batch, translate_batch
@@ -31,11 +31,11 @@ def on_failure(chi, config, rng, successes=0, failures=0, consecutive=0,
                binary_readout=False):
     """The feedback for one failed run and its action tag.
 
-    The counts are the run's passes, failures and consecutive failures
-    before this failure.
+    The counts are the run's tally of passes, failures and consecutive
+    failures before this failure.
     """
-    out, tags = on_failure_batch(chi, [successes], [failures], [consecutive], config,
-                                 [rng], binary_readout)
+    out, tags = on_failure_batch(chi, [(successes, failures, consecutive)], config, [rng],
+                                 binary_readout)
     return out, tags[0]
 
 
@@ -312,17 +312,18 @@ class TestController:
     ])
     def test_counts_of_any_integer_type_give_the_same_step(self, strategy, binary_readout,
                                                            shape):
-        # the loop passes lists of Python ints; numpy arrays and lists of
-        # numpy integers must give the same rows, byte for byte, and tags
+        # the loop passes a list of tuples of Python ints; a (runs, 3) array
+        # and tuples of numpy integers must give the same rows, byte for
+        # byte, and tags
         amps = np.concatenate([random_chi(int(np.prod(shape)), seed) for seed in range(5)])
         amps = amps.reshape((5,) + shape)
-        successes, failures, consecutive = [0, 0, 3, 1, 2], [0, 4, 5, 1, 6], [0, 4, 2, 1, 3]
+        tallies = [(0, 0, 0), (0, 4, 4), (3, 5, 2), (1, 1, 1), (2, 6, 3)]
         config = FeedbackConfig(strategy=strategy, initial_push_cells=3)
         results = []
-        for cast in (list, np.array, lambda counts: [np.int64(c) for c in counts]):
+        for cast in (list, np.array,
+                     lambda rows: [tuple(np.int64(c) for c in row) for row in rows]):
             rngs = [np.random.default_rng(seed) for seed in range(5)]
-            results.append(on_failure_batch(amps, cast(successes), cast(failures),
-                                            cast(consecutive), config, rngs, binary_readout))
+            results.append(on_failure_batch(amps, cast(tallies), config, rngs, binary_readout))
         for out, tags in results:
             assert out.tobytes() == results[0][0].tobytes()
             assert tags == results[0][1]
@@ -395,6 +396,40 @@ class TestController:
         with pytest.raises(ValueError, match=f"{field} must be"):
             FeedbackConfig(**{field: value})
 
+    def test_walk_strength_bound_is_where_the_spectrum_overflows(self):
+        # 2 x cos(...) overflows a float just above x = max / 2
+        bound = np.finfo(float).max / 2
+        config = FeedbackConfig(walk_strength=bound, walk_escalation=0.0)
+        out, action = on_failure(random_chi(16, 14), config, np.random.default_rng(0),
+                                 successes=1, failures=1, consecutive=1)
+        assert action == "walk+dephase"
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        above = float(np.nextafter(bound, np.inf))
+        with pytest.raises(ValueError, match="walk_strength must be"):
+            FeedbackConfig(walk_strength=above)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            walk(random_chi(16, 14), above)
+
+    @pytest.mark.parametrize("cells,asymmetry", [(10**400, 1.0), (10**30, 1e300)],
+                             ids=["cells", "cells-times-asymmetry"])
+    def test_push_beyond_a_float_rejected_at_config(self, cells, asymmetry):
+        # _push_move sizes each push as a float; inf has no cyclic shift
+        with pytest.raises(ValueError, match="initial_push_cells must fit a float"):
+            FeedbackConfig(strategy="single_push", initial_push_cells=cells,
+                           push_asymmetry=asymmetry)
+
+    def test_push_of_any_size_shifts_modulo_the_axis(self):
+        # a shift by s is a shift by s mod N; the tag records the size asked for
+        config = FeedbackConfig(strategy="single_push", initial_push_cells=10**30,
+                                push_asymmetry=1e270, kickstart_enabled=False)
+        chi = random_chi(32, 15)
+        for failures in (0, 1):
+            out, action = on_failure(chi, config, np.random.default_rng(0), 0, failures,
+                                     failures)
+            shift = int(action[len("push"):])
+            assert abs(shift) >= 10**30
+            np.testing.assert_array_equal(out, np.roll(chi, shift % 32, axis=1))
+
     def test_integer_and_numpy_reals_accepted(self):
         config = FeedbackConfig(walk_strength=np.float32(3.0), walk_floor=2,
                                 walk_escalation=np.int64(1))
@@ -410,8 +445,8 @@ def _per_run_calls():
     draw = ProductFormTrials(AqftInstance.standard(3, 1), [grid_points(4)]).draw
     u = [[0.5] * 3] * 3
 
-    def failure(successes=(0,) * 3, failures=(1,) * 3, consecutive=(1,) * 3, streams=rngs):
-        return on_failure_batch(chi, successes, failures, consecutive, FeedbackConfig(), streams)
+    def failure(tallies=((0, 1, 1),) * 3, streams=rngs):
+        return on_failure_batch(chi, tallies, FeedbackConfig(), streams)
 
     calls = [
         ("dephase_batch", "rngs", lambda: dephase_batch(chi, [rng])),
@@ -426,10 +461,9 @@ def _per_run_calls():
         ("draw", "uniforms", lambda: draw([0] * 3, weights, [0] * 3, u[:1])),
         # and each run's row of uniforms holds one per outcome bit
         ("draw", "uniforms need 3", lambda: draw([0] * 3, weights, [0] * 3, [[0.5] * 2] * 3)),
-        ("on_failure_batch", "successes", lambda: failure(successes=[0])),
-        ("on_failure_batch", "failures", lambda: failure(failures=[1])),
-        ("on_failure_batch", "consecutive_failures", lambda: failure(consecutive=[1])),
+        ("on_failure_batch", "tallies", lambda: failure(tallies=[(0, 1, 1)])),
         ("on_failure_batch", "rngs", lambda: failure(streams=[rng])),
+        ("next_tallies", "passed", lambda: next_tallies([(0, 1, 1)] * 3, [True])),
     ]
     return [pytest.param(name, call, id=f"{kernel}-{name}") for kernel, name, call in calls]
 
@@ -439,3 +473,21 @@ def test_per_run_arguments_must_match_the_batch(name, call):
     # zip or broadcasting would silently drop or repeat the one value
     with pytest.raises(ValueError, match=name):
         call()
+
+
+@pytest.mark.parametrize("cast", [list, np.array], ids=["python-bools", "numpy-bools"])
+def test_next_tallies_follow_a_pass_fail_record(cast):
+    # run 0 reads fail, fail, pass, fail; run 1 reads pass, pass, fail, fail
+    record = [[False, True], [False, True], [True, False], [False, False]]
+    tallies = [(0, 0, 0)] * 2
+    steps = []
+    for passed in record:
+        tallies = next_tallies(tallies, cast(passed))
+        steps.append(tallies)
+    assert steps == [
+        [(0, 1, 1), (1, 0, 0)],
+        [(0, 2, 2), (2, 0, 0)],
+        [(1, 2, 0), (2, 1, 1)],
+        [(1, 3, 1), (2, 2, 2)],
+    ]
+    assert all(type(count) is int for tally in tallies for count in tally)

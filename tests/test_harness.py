@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,20 @@ class TestRunEnsemble:
         from gatelearn import reference_max_success
 
         assert abs(target_success(config) - reference_max_success(16)) < 1e-12
+
+
+    @pytest.mark.parametrize("band", [1, 2])
+    def test_single_push_beyond_int64_completes(self, band):
+        # each push shifts by its size mod N; the tags keep the size asked for
+        feedback = FeedbackConfig(strategy="single_push", initial_push_cells=10**30)
+        config = aqft_config(problem=AqftInstance.standard(5, band), runs=3, grid_size=16,
+                             feedback=feedback)
+        _, batch = run_ensemble(config)
+        pushes = [tag for tag in batch.feedback_action.ravel().tolist()
+                  if tag.startswith("push")]
+        shifts = [int(re.fullmatch(r"push(\[ax[01]\])?([+-]\d+)", tag)[2]) for tag in pushes]
+        assert shifts and all(abs(shift) > 2**63 for shift in shifts)
+        assert np.isfinite(batch.expected_success).all()
 
 
 class TestBatchSizeIndependence:

@@ -105,6 +105,15 @@ class TestTranslate:
         b = translate(chi, 7)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("shift", [2**62, 10**30, -(10**30)])
+    def test_shift_beyond_int64_is_its_residue(self, shift):
+        # a cyclic shift by s is a shift by s mod N, whatever the size of s
+        chi = random_chi(8, seed=2)
+        np.testing.assert_array_equal(translate(chi, shift), translate(chi, shift % 8))
+        amps = random_chi(24, seed=3).reshape(1, 4, 6)
+        np.testing.assert_array_equal(translate(amps, shift, axis=1),
+                                      translate(amps, shift % 6, axis=1))
+
     def test_axis_selection(self):
         amps = np.zeros((1, 4, 4), dtype=complex)
         amps[0, 1, 2] = 1.0

@@ -113,7 +113,7 @@ def test_feedback_operations_preserve_norm_150_cases():
         failures = int(RNG.integers(0, 20))
         consecutive_failures = int(RNG.integers(0, 12))
         out, _action = on_failure_batch(
-            chi, [successes], [failures], [consecutive_failures], config, [rng]
+            chi, [(successes, failures, consecutive_failures)], config, [rng]
         )
         assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 

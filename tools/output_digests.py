@@ -31,6 +31,8 @@ EXPERIMENTS = [
     "aqft --qubits 10 --band 1 --runs 4 --seed 3",
     "aqft --qubits 6 --band 2 --grid-size 64 --runs 3 --seed 5",
     "aqft --qubits 7 --band 2 --grid-size 32 --runs 5 --seed 8 --strategy single-push",
+    "grover --n-elements 1024 --runs 6 --seed 5 --no-kickstart",
+    "aqft --qubits 8 --band 1 --runs 3 --seed 6 --no-kickstart",
 ]
 #: commands writing one CSV file
 TABLES = [
