@@ -54,6 +54,8 @@ _NORM_TOL = 1e-9
 _MAX_WALK_STRENGTH = sys.float_info.max / 2
 
 STRATEGIES = ("single_push", "double_push")
+# the counts of one run's tally, in order
+_TALLY_COUNTS = ("successes", "failures", "consecutive_failures")
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,9 @@ def on_failure_batch(amps: np.ndarray, tallies, config: FeedbackConfig, rngs,
     ensemble mean (N=1024: 0.72 to 0.57 of the ideal success).
     """
     check_per_run("tallies", tallies, len(amps))
+    for run, tally in enumerate(tallies):
+        for name, count in zip(_TALLY_COUNTS, tally):
+            check_integer(f"{name} of run {run}", count)
     check_per_run("rngs", rngs, len(amps))
     searching = binary_readout and config.strategy == "double_push"  # kick until a pass
     kick = [f == 0 or (searching and n == 0) for n, f, _c in tallies]

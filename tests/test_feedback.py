@@ -462,6 +462,11 @@ def _per_run_calls():
         # and each run's row of uniforms holds one per outcome bit
         ("draw", "uniforms need 3", lambda: draw([0] * 3, weights, [0] * 3, [[0.5] * 2] * 3)),
         ("on_failure_batch", "tallies", lambda: failure(tallies=[(0, 1, 1)])),
+        # and each run's tally holds one count of each kind, not a list of the runs' counts
+        ("on_failure_batch", "successes", lambda: failure(tallies=[([0] * 3, 1, 1)] * 3)),
+        ("on_failure_batch", "failures", lambda: failure(tallies=[(0, [1] * 3, 1)] * 3)),
+        ("on_failure_batch", "consecutive_failures",
+         lambda: failure(tallies=[(0, 1, [1] * 3)] * 3)),
         ("on_failure_batch", "rngs", lambda: failure(streams=[rng])),
         ("next_tallies", "passed", lambda: next_tallies([(0, 1, 1)] * 3, [True])),
     ]
