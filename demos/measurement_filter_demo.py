@@ -11,9 +11,8 @@ own kernels.
 
 import numpy as np
 
-from gatelearn import GroverInstance, grid_points
+from gatelearn import GroverInstance, grid_points, pass_fail_amplitudes
 from gatelearn.backaction import distribution_batch, filter_batch, outcome_table, sample_batch
-from gatelearn.grover import _amplitudes_for_phases
 from gatelearn.parameter import invert_about_mean_batch
 
 CELLS = 64
@@ -32,15 +31,15 @@ def probabilities(chi):
 
 def main():
     instance = GroverInstance.standard(16)
-    t, u = _amplitudes_for_phases(instance, grid_points(CELLS))
+    t, u = pass_fail_amplitudes(instance, grid_points(CELLS))
     pmap = np.abs(t) ** 2  # the success probability at each grid point
     table, columns = outcome_table([t, u])  # outcome 0 passes, 1 fails
 
     def measure(chi, rng):
         """One projective readout and its back-action on the run."""
         dist = distribution_batch(np.abs(chi) ** 2, table)
-        outcome = sample_batch(dist, [rng])
-        return outcome[0], filter_batch(chi, columns[outcome], dist[0, outcome])
+        outcome, mass = sample_batch(dist, [rng])
+        return outcome[0], filter_batch(chi, columns[outcome], mass)
 
     chi = np.full((1, CELLS), 1 / np.sqrt(CELLS), dtype=complex)  # a flat batch of one run
 

@@ -19,9 +19,9 @@ with a fixed amplitude table (search, read out as pass/fail) is held as
 :func:`outcome_table` builds it: a checked ``(cells, outcomes)``
 probability table and its per-outcome amplitude columns.
 :func:`distribution_batch`, :func:`sample_batch` and :func:`filter_batch`
-then give each run's distribution, draw its outcome and filter its
-wavefunction, one row of a ``(runs, ...)`` array per run, with P(r) read
-off the run's distribution row.  The Fourier trials of the training loop
+then give each run's distribution, draw its outcome with its
+probability P(r) and filter its wavefunction, one row of a
+``(runs, ...)`` array per run.  The Fourier trials of the training loop
 need no outcome table: :func:`sample_batch` draws each run's latent
 parameter cell from its |chi|^2 row, and the circuit's product form
 draws the outcome at that cell and builds its column over every cell,
@@ -84,18 +84,19 @@ def distribution_batch(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.matmul(weights[:, None, :], table)[:, 0, :]
 
 
-def sample_batch(dist: np.ndarray, rngs) -> np.ndarray:
+def sample_batch(dist: np.ndarray, rngs) -> tuple:
     """One index per run, drawn from its ``(runs, entries)`` probability row.
 
-    Each run's target is one uniform from its own stream times its row
-    total, and its index is the inverse CDF at that target, accumulated
-    in fixed ascending order, so a run's index depends only on its row
-    and its stream.  An entry of zero probability is never drawn for a
-    uniform in [0, 1).  Raises when a row does not sum to 1 within 1e-9,
-    before any stream is read, or when an entry of vanishing probability
-    is drawn.  The training loop draws a search trial's outcome here from
-    its distribution row, and a Fourier trial's latent cell from its
-    |chi|^2 row (:meth:`gatelearn.productform.ProductFormTrials.draw`
+    Returns ``(indices, probabilities)``, the drawn entries
+    ``dist[i, indices[i]]`` bit for bit.  Each run's target is one uniform
+    from its own stream times its row total, and its index is the inverse
+    CDF at that target, accumulated in fixed ascending order, so a run's
+    index depends only on its row and its stream.  An entry of zero
+    probability is never drawn for a uniform in [0, 1).  Raises when a row
+    does not sum to 1 within 1e-9, before any stream is read, or when an
+    entry of vanishing probability is drawn.  The training loop draws here
+    a search trial's outcome and its P(r), and a Fourier trial's latent
+    cell from its |chi|^2 row (:meth:`gatelearn.productform.ProductFormTrials.draw`
     then draws the outcome).
     """
     # the ufuncs' own accumulate and reduce, which np.cumsum, np.max, np.sum
@@ -111,9 +112,10 @@ def sample_batch(dist: np.ndarray, rngs) -> np.ndarray:
     # the count of CDF entries <= u * total is searchsorted(..., side="right")
     outcomes = np.add.reduce(cdf <= targets[:, None], axis=1)
     np.minimum(outcomes, dist.shape[1] - 1, out=outcomes)
-    if not all(dist.item(i, r) >= 1e-300 for i, r in enumerate(outcomes.tolist())):
+    probabilities = [dist.item(i, r) for i, r in enumerate(outcomes.tolist())]
+    if not all(p >= 1e-300 for p in probabilities):
         raise NumericsError("sampled an outcome of vanishing probability")
-    return outcomes
+    return outcomes, np.array(probabilities)
 
 
 def filter_batch(amps: np.ndarray, columns: np.ndarray, masses: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ def check_integer(name: str, value) -> None:
 
     A bool is an int to Python, but runs=True is a slip, not one run.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

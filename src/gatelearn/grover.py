@@ -78,29 +78,26 @@ class GroverInstance:
         return float(np.arcsin(self.target_overlap))
 
 
-def _amplitudes_for_phases(instance: GroverInstance, phis: np.ndarray):
-    """Vectorized 2x2 recursion over an array of oracle phases."""
-    theta = instance.theta
-    cos2, sin2 = np.cos(2 * theta), np.sin(2 * theta)
-    t = np.full(phis.shape, np.sin(theta), dtype=np.complex128)
-    u = np.full(phis.shape, np.cos(theta), dtype=np.complex128)
-    oracle = np.exp(1j * phis)
-    for _ in range(instance.iterations):
-        t = t * oracle
-        t, u = -cos2 * t + sin2 * u, sin2 * t + cos2 * u
-    return t, u
-
-
-def pass_fail_amplitudes(instance: GroverInstance, phi: float):
-    """Final (target, non-target) amplitudes at oracle phase ``phi``.
+def pass_fail_amplitudes(instance: GroverInstance, phis):
+    """Final (target, non-target) amplitudes at every oracle phase of ``phis``.
 
     Starting from the uniform superposition sin(theta)|t> + cos(theta)|u>,
     each round multiplies the target amplitude by e^{i phi} and then
     reflects about the start state (a real 2x2 matrix in the (t, u)
-    basis).  Returns the exact complex pair (s, b); |s|^2 + |b|^2 = 1.
+    basis).  Returns the exact complex arrays (s, b), each shaped like
+    ``phis`` (0-d for one phase); |s|^2 + |b|^2 = 1.
     """
-    t, u = _amplitudes_for_phases(instance, np.asarray(float(phi)))
-    return complex(t), complex(u)
+    phis = np.asarray(phis, dtype=float)
+    theta = instance.theta
+    cos2, sin2 = np.cos(2 * theta), np.sin(2 * theta)
+    # 1-D even for one phase: numpy's scalar complex product may round differently
+    t = np.full(phis.size, np.sin(theta), dtype=np.complex128)
+    u = np.full(phis.size, np.cos(theta), dtype=np.complex128)
+    oracle = np.exp(1j * phis.reshape(-1))
+    for _ in range(instance.iterations):
+        t = t * oracle
+        t, u = -cos2 * t + sin2 * u, sin2 * t + cos2 * u
+    return t.reshape(phis.shape), u.reshape(phis.shape)
 
 
 def reference_max_success(n_elements: int) -> float:
@@ -114,5 +111,5 @@ def success_probability_map(instance: GroverInstance, grid: ParameterState) -> n
     """|s(phi_g)|^2 evaluated at every grid point of a one-axis grid."""
     if grid.ndim != 1:
         raise ValueError("the oracle phase is a single parameter; expected a 1-axis grid")
-    t, _ = _amplitudes_for_phases(instance, grid.axis_values(0))
+    t, _ = pass_fail_amplitudes(instance, grid.axis_values(0))
     return np.abs(t) ** 2

@@ -36,14 +36,13 @@ P(r); :func:`backaction.filter_batch` multiplies the wavefunction by the
 column and divides it by sqrt(P(r)).  Search trials reuse the fixed
 uniform input every iteration and draw from one shared pass/fail table
 (:func:`backaction.outcome_table`) with :func:`backaction.sample_batch`,
-and read P(r) off the same distribution row.  Fourier trials draw a
-fresh target index k per run and iteration, a latent cell from the
-run's |chi|^2 row with :func:`backaction.sample_batch`, and the
-outcome's bits at that cell from the circuit's closed product form,
-built on the grid's axes (:meth:`productform.ProductFormTrials.draw`),
-which also sums P(r); the gate-by-gate simulation in
-:mod:`gatelearn.oracle` is not run in the loop and serves as the tests'
-oracle.
+which also returns P(r).  Fourier trials draw a fresh target index k per
+run and iteration, a latent cell from the run's |chi|^2 row with
+:func:`backaction.sample_batch`, and the outcome's bits at that cell
+from the circuit's closed product form, built on the grid's axes
+(:meth:`productform.ProductFormTrials.draw`), which also sums P(r); the
+gate-by-gate simulation in :mod:`gatelearn.oracle` is not run in the
+loop and serves as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from .backaction import (
 )
 from .errors import check_integer
 from .feedback import FeedbackConfig, next_tallies, on_failure_batch
-from .grover import GroverInstance, _amplitudes_for_phases
+from .grover import GroverInstance, pass_fail_amplitudes
 from .parameter import (
     checked_success_map,
     distribution_variance_batch,
@@ -159,15 +158,14 @@ class _SearchTrials:
     binary_readout = True
 
     def __init__(self, instance: GroverInstance, grid_size: int):
-        t, u = _amplitudes_for_phases(instance, grid_points(grid_size))
+        t, u = pass_fail_amplitudes(instance, grid_points(grid_size))
         self.success_map = checked_success_map(np.abs(t) ** 2, (grid_size,))
         self.success_map.flags.writeable = False  # checked once, shared by every run
         self._table, self._columns = outcome_table([t, u])  # outcome PASS, then fail
 
     def trial(self, weights: np.ndarray, rngs) -> tuple:
         dist = distribution_batch(weights, self._table)
-        outcomes = sample_batch(dist, rngs)
-        masses = np.take_along_axis(dist, outcomes[:, None], axis=1)[:, 0]
+        outcomes, masses = sample_batch(dist, rngs)
         return outcomes == PASS, -1, self._columns[outcomes], masses
 
 
@@ -191,7 +189,7 @@ class _FourierTrials:
         # each run's stream gives its k, its latent cell's uniform, its n bit
         # uniforms, then any dephasing
         ks = np.array([int(rng.integers(self._dim)) for rng in rngs])
-        cells = sample_batch(weights, rngs)
+        cells, _ = sample_batch(weights, rngs)
         uniforms = [rng.random(self._n).tolist() for rng in rngs]
         outcomes, masses, columns = self._trials.draw(ks, weights, cells, uniforms)
         columns = columns.reshape((len(ks),) + self.success_map.shape)

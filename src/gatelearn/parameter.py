@@ -122,22 +122,16 @@ def translate_batch(amps: np.ndarray, shifts, axes) -> np.ndarray:
     """Cyclic shift of each run by ``shifts[i]`` cells along grid axis ``axes[i]``.
 
     A positive shift moves the distribution toward larger parameter values.
-    A shift by s is a shift by s mod N, so a shift of any integer size
-    is reduced as a Python int before it meets an index array.
+    A shift by s is a shift by s mod N, reduced as a Python int, so it
+    may have any integer size.  Raises unless 0 <= axis < grid ndim.
     """
     check_per_run("shifts", shifts, len(amps))
     check_per_run("axes", axes, len(amps))
-    axes = np.asarray(axes)
-    shifts = np.array([operator.index(s) % amps.shape[1 + a]
-                       for s, a in zip(shifts, axes.tolist())], dtype=np.intp)
-    out = amps.copy()
-    for axis in np.unique(axes):
-        rows = np.flatnonzero(axes == axis)
-        cells = amps.shape[1 + axis]
-        # new cell g holds old cell (g - shift) mod N, as np.roll
-        source = (np.arange(cells) - shifts[rows, None]) % cells
-        layout = [len(rows)] + [cells if a == axis else 1 for a in range(amps.ndim - 1)]
-        out[rows] = np.take_along_axis(amps[rows], source.reshape(layout), axis=1 + axis)
+    out = np.empty_like(amps)
+    for i, (shift, axis) in enumerate(zip(shifts, axes)):
+        if not 0 <= axis < amps.ndim - 1:
+            raise ValueError(f"axis {axis} is not a grid axis of a {amps.ndim - 1}-axis grid")
+        out[i] = np.roll(amps[i], operator.index(shift) % amps.shape[1 + axis], axis=axis)
     return out
 
 

@@ -142,8 +142,8 @@ def joint_oracle_deviation(theta, seed: int, steps: int = 20, shape=(8,)):
     mismatches, worst = 0, 0.0
     for _ in range(steps):
         dist = distribution_batch(np.abs(chi_block.reshape(1, -1)) ** 2, table)
-        r_block = sample_batch(dist, [rng_block])
-        chi_block = filter_batch(chi_block, columns[r_block], dist[0, r_block])
+        r_block, mass = sample_batch(dist, [rng_block])
+        chi_block = filter_batch(chi_block, columns[r_block], mass)
         r_joint, chi_joint = brute_force_joint_step(chi_joint, circuit, src, rng_joint)
         mismatches += r_block[0] != r_joint
         worst = max(worst, np.abs(chi_block[0] - chi_joint).max())
@@ -159,10 +159,9 @@ def search_closed_form_deviation(sizes):
     worst_pi = worst_zero = 0.0
     for n_el in sizes:
         inst = GroverInstance.standard(n_el)
-        s, _ = pass_fail_amplitudes(inst, np.pi)
+        (s, s0), _ = pass_fail_amplitudes(inst, [np.pi, 0.0])
         closed = np.sin((2 * inst.iterations + 1) * inst.theta) ** 2
         worst_pi = max(worst_pi, abs(abs(s) ** 2 - closed))
-        s0, _ = pass_fail_amplitudes(inst, 0.0)
         worst_zero = max(worst_zero, abs(abs(s0) ** 2 - 1.0 / n_el))
     return worst_pi, worst_zero
 

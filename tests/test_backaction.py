@@ -43,8 +43,8 @@ def sample_and_update(chi, trial, rng):
     """One run's draw and filter through the training loop's kernels."""
     _, columns = trial
     dist = outcome_distribution(chi, trial)[None]
-    r = sample_batch(dist, [rng])
-    return int(r[0]), filter_batch(chi[None], columns[r], dist[0, r])[0]
+    r, mass = sample_batch(dist, [rng])
+    return int(r[0]), filter_batch(chi[None], columns[r], mass)[0]
 
 
 class TestOutcomeAmplitudes:
@@ -120,7 +120,10 @@ class TestSampleAndUpdate:
         dist = [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]
         from_list = sample_batch(dist, [np.random.default_rng(s) for s in (4, 5)])
         from_array = sample_batch(np.array(dist), [np.random.default_rng(s) for s in (4, 5)])
-        np.testing.assert_array_equal(from_list, from_array)
+        np.testing.assert_array_equal(from_list[0], from_array[0])
+        # the returned probability is the drawn entry of each row, bit for bit
+        for indices, probabilities in (from_list, from_array):
+            assert probabilities.tolist() == [dist[i][r] for i, r in enumerate(indices)]
 
     def test_pass_annihilates_zero_amplitude_cells(self):
         table = outcome_table(

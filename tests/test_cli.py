@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, reproducibility, exit codes."""
 
+import importlib
 import json
 import os
 import platform
@@ -249,6 +250,19 @@ class TestSelftestCommand:
         files = [entry.rsplit(" -> ", 1)[1] for _, entry in rows]
         assert files == ["histogram.csv", "manifest.json", "runs.csv", "summary.json"] * 7 + [
             "table1.csv"] * 2
+
+    def test_paired_timing_of_a_checkout_against_itself(self, monkeypatch):
+        # a toy A/A comparison through the tool's own copy-and-import path
+        root = Path(__file__).resolve().parent.parent
+        monkeypatch.syspath_prepend(str(root / "tools"))
+        tool = importlib.import_module("paired_timing")
+        toy = tool.Shape(("grover", 64), grid_size=32, runs=2, ops_per_round=1, iterations=20)
+        pairs = tool.paired_rounds(root, root, toy, rounds=2)
+        assert len(pairs) == 2 and all(a > 0 and b > 0 for a, b in pairs)
+        lines = tool.report(pairs)
+        assert lines[0].startswith("A median ") and lines[1].startswith("B median ")
+        assert re.fullmatch(r"B/A median paired ratio \d+\.\d{3}; B faster in [012] of 2 rounds",
+                            lines[2])
 
 
 class TestUsageErrors:

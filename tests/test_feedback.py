@@ -14,7 +14,7 @@ from gatelearn import (
 )
 from gatelearn.backaction import distribution_batch, filter_batch, outcome_table, sample_batch
 from gatelearn.feedback import apply_quantum_walk_batch, next_tallies, on_failure_batch
-from gatelearn.grover import _amplitudes_for_phases
+from gatelearn.grover import pass_fail_amplitudes
 from gatelearn.oracle import walk_bessel_kernel, walk_matrix
 from gatelearn.parameter import dephase_batch, invert_about_mean_batch, translate_batch
 from gatelearn.productform import ProductFormTrials
@@ -195,14 +195,14 @@ class TestKickstart:
         # uniform chi filtered by one failed verification carries a dip at
         # the good phase; the kickstart must relocate the maximum there
         inst = GroverInstance.standard(16)
-        t, u = _amplitudes_for_phases(inst, grid_points(256))
+        t, u = pass_fail_amplitudes(inst, grid_points(256))
         table, columns = outcome_table([t, u])
         chi = flat_chi(256)
         rng = np.random.default_rng(4)
         while True:  # condition on a failed first trial
             dist = distribution_batch(np.abs(chi) ** 2, table)
-            r = sample_batch(dist, [rng])
-            filtered = filter_batch(chi, columns[r], dist[0, r])
+            r, mass = sample_batch(dist, [rng])
+            filtered = filter_batch(chi, columns[r], mass)
             if r[0] == 1:
                 break
         pmap = np.abs(t) ** 2

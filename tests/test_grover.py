@@ -62,6 +62,16 @@ class TestPassFailAmplitudes:
                 s, b = pass_fail_amplitudes(inst, phi)
                 assert abs(abs(s) ** 2 + abs(b) ** 2 - 1.0) < 1e-12
 
+    def test_phase_array_gives_each_phase_amplitudes(self):
+        inst = GroverInstance.standard(200)
+        phis = np.random.default_rng(3).uniform(0, 2 * np.pi, (3, 5))
+        s, b = pass_fail_amplitudes(inst, phis)
+        assert s.shape == b.shape == phis.shape
+        for index, phi in np.ndenumerate(phis):
+            one = pass_fail_amplitudes(inst, float(phi))
+            assert [a.shape for a in one] == [(), ()]
+            assert (s[index], b[index]) == one
+
     @pytest.mark.parametrize("n_elements", [4, 8, 16, 32])
     def test_matches_full_statevector(self, n_elements):
         rng = np.random.default_rng(n_elements)

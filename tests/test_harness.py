@@ -212,7 +212,7 @@ class StatevectorTrials:
         ks = np.array([int(rng.integers(self.instance.dim)) for rng in rngs])
         # the same latent cell, then each bit from the conditional of that
         # cell's dense outcome distribution
-        cells = sample_batch(weights, rngs)
+        cells, _ = sample_batch(weights, rngs)
         readouts = [self.readout(k) for k in ks]
         outcomes = np.empty(len(ks), dtype=int)
         for i, ((table, _), cell, rng) in enumerate(zip(readouts, cells, rngs)):

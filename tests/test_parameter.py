@@ -120,6 +120,15 @@ class TestTranslate:
         out = translate(amps, 1, axis=1)
         assert abs(out[0, 1, 3] - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("runs", [1, 2])
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_axis_outside_the_grid_rejected(self, axis, runs):
+        # a negative axis does not count from the end: axis -1 would read
+        # the batch size as that axis's length
+        amps = np.repeat(random_chi(24, seed=4).reshape(1, 4, 6), runs, axis=0)
+        with pytest.raises(ValueError, match=f"axis {axis} is not a grid axis of a 2-axis grid"):
+            translate_batch(amps, [1] * runs, [axis] * runs)
+
 
 class TestDephase:
     def test_magnitudes_unchanged(self):
