@@ -124,14 +124,21 @@ def translate_batch(amps: np.ndarray, shifts, axes) -> np.ndarray:
     A positive shift moves the distribution toward larger parameter values.
     A shift by s is a shift by s mod N, reduced as a Python int, so it
     may have any integer size.  Raises unless 0 <= axis < grid ndim.
+    The runs on one axis share one gather.
     """
     check_per_run("shifts", shifts, len(amps))
     check_per_run("axes", axes, len(amps))
-    out = np.empty_like(amps)
-    for i, (shift, axis) in enumerate(zip(shifts, axes)):
+    axes = np.asarray(axes)
+    out = amps.copy()
+    for axis in np.unique(axes).tolist():
         if not 0 <= axis < amps.ndim - 1:
             raise ValueError(f"axis {axis} is not a grid axis of a {amps.ndim - 1}-axis grid")
-        out[i] = np.roll(amps[i], operator.index(shift) % amps.shape[1 + axis], axis=axis)
+        rows = np.flatnonzero(axes == axis)
+        cells = amps.shape[1 + axis]
+        steps = np.array([operator.index(shifts[i]) % cells for i in rows], dtype=np.intp)
+        # with the axis moved next to the runs, new cell g holds old cell (g - shift) mod N
+        source = (np.arange(cells) - steps[:, None]) % cells
+        np.moveaxis(out, 1 + axis, 1)[rows] = np.moveaxis(amps, 1 + axis, 1)[rows[:, None], source]
     return out
 
 

@@ -251,18 +251,31 @@ class TestSelftestCommand:
         assert files == ["histogram.csv", "manifest.json", "runs.csv", "summary.json"] * 7 + [
             "table1.csv"] * 2
 
-    def test_paired_timing_of_a_checkout_against_itself(self, monkeypatch):
+
+class TestPairedTiming:
+    @pytest.fixture
+    def tool(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+        return importlib.import_module("paired_timing")
+
+    def test_a_checkout_against_itself(self, tool):
         # a toy A/A comparison through the tool's own copy-and-import path
-        root = Path(__file__).resolve().parent.parent
-        monkeypatch.syspath_prepend(str(root / "tools"))
-        tool = importlib.import_module("paired_timing")
-        toy = tool.Shape(("grover", 64), grid_size=32, runs=2, ops_per_round=1, iterations=20)
-        pairs = tool.paired_rounds(root, root, toy, rounds=2)
+        from benchmarks.workloads import TINY
+
+        pairs = tool.paired_rounds(tool.ROOT, tool.ROOT,
+                                   tool.Shape(TINY["search-walk"], ops_per_round=1), rounds=2)
         assert len(pairs) == 2 and all(a > 0 and b > 0 for a, b in pairs)
+        assert not [m for m in sys.modules if m.split(".")[0] in ("gatelearn_a", "gatelearn_b")]
         lines = tool.report(pairs)
         assert lines[0].startswith("A median ") and lines[1].startswith("B median ")
         assert re.fullmatch(r"B/A median paired ratio \d+\.\d{3}; B faster in [012] of 2 rounds",
                             lines[2])
+
+    def test_shapes_are_the_benchmark_configs_built_by_a_package(self, tool):
+        assert tool.SHAPES["search-walk"].config(gatelearn, 7) == \
+            tool.WORKLOADS["search-walk"].config(7)
+        config = tool.SHAPES["single-push"].config(gatelearn, 0)
+        assert config.feedback.strategy == "single_push" and config.runs == 200
 
 
 class TestUsageErrors:

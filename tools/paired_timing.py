@@ -4,9 +4,11 @@
 
 Each tree's ``src/gatelearn`` is copied into a temporary directory under
 its own package name (the package's imports are relative), so one
-interpreter imports both.  One operation is ``run_ensemble`` on the
-shape's config plus the three writers of the command line, as a
-benchmark training operation is.  Each round runs the shape's operations
+interpreter imports both.  A shape's config is a training workload's of
+``benchmarks/workloads.py`` in this checkout, made again from each
+tree's own classes.  One operation is ``run_ensemble`` on it plus the
+three writers of the command line, as a benchmark training operation
+is.  Each round runs the shape's operations
 on both trees, on the same seeds, and alternates which tree goes first;
 CPU time is read with ``time.process_time``.  The report gives each
 tree's median ms per operation, the median of the per-round ratios B/A
@@ -18,6 +20,7 @@ benchmark in separate processes; they do not replace those runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import shutil
@@ -28,36 +31,50 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+
+from benchmarks.workloads import WORKLOADS, Training  # noqa: E402
+from gatelearn import AqftInstance, FeedbackConfig, GroverInstance  # noqa: E402
+
+
 @dataclass(frozen=True)
 class Shape:
-    """A training ensemble: its problem, grid and size, and operations per round.
+    """A training workload, an optional feedback in place of its own, and operations per round."""
 
-    ``problem`` is ``("grover", n_elements)`` or ``("aqft", qubits, band)``.
-    """
-
-    problem: tuple
-    grid_size: int
-    runs: int
+    workload: Training
     ops_per_round: int
-    iterations: int = 120
+    feedback: FeedbackConfig | None = None
 
     def config(self, package, master_seed: int):
-        """The shape's config built from ``package``'s own classes."""
-        kind, *args = self.problem
-        cls = package.GroverInstance if kind == "grover" else package.AqftInstance
-        # the command line's defaults, which scale the push with the grid
-        feedback = package.FeedbackConfig(initial_push_cells=max(1, self.grid_size // 32))
-        return package.ExperimentConfig(problem=cls.standard(*args), iterations=self.iterations,
-                                        runs=self.runs, grid_size=self.grid_size,
-                                        feedback=feedback, master_seed=master_seed)
+        """The workload's config, rebuilt from ``package``'s own classes."""
+        config = self.workload.config(master_seed)
+        if self.feedback is not None:
+            config = dataclasses.replace(config, feedback=self.feedback)
+        return _rebuild(config, package)
 
 
-#: the training workloads of ``benchmarks/workloads.py``, and criterion 6's ensemble shape
+def _rebuild(value, package):
+    """``value``, with each dataclass in it made again by ``package``'s class of that name."""
+    if not dataclasses.is_dataclass(value):
+        return value
+    cls = getattr(package, type(value).__name__)
+    return cls(**{f.name: _rebuild(getattr(value, f.name), package)
+                  for f in dataclasses.fields(value) if f.init})
+
+
+#: the benchmark's training workloads; criterion 6's 100-run ensemble shape; and
+#: criterion 4's single push, the one shape whose failed runs take a single push
 SHAPES = {
-    "search-walk": Shape(("grover", 10000), grid_size=256, runs=10, ops_per_round=5),
-    "fourier-train": Shape(("aqft", 10, 1), grid_size=256, runs=1, ops_per_round=5),
-    "fourier-2axis": Shape(("aqft", 6, 2), grid_size=64, runs=1, ops_per_round=3),
-    "ensemble-100": Shape(("aqft", 8, 1), grid_size=256, runs=100, ops_per_round=1),
+    "search-walk": Shape(WORKLOADS["search-walk"], ops_per_round=5),
+    "fourier-train": Shape(WORKLOADS["fourier-train"], ops_per_round=5),
+    "fourier-2axis": Shape(WORKLOADS["fourier-2axis"], ops_per_round=3),
+    "ensemble-100": Shape(Training("ensemble-100", AqftInstance.standard(8, 1), grid_size=256,
+                                   runs_per_op=100), ops_per_round=1),
+    "single-push": Shape(Training("single-push", GroverInstance.standard(1024), grid_size=256,
+                                  runs_per_op=200), ops_per_round=1,
+                         feedback=FeedbackConfig(strategy="single_push", initial_push_cells=16,
+                                                 push_asymmetry=0.5)),
 }
 
 
@@ -65,13 +82,18 @@ def load_tree(tree: Path, name: str, workdir: Path):
     """Import ``tree/src/gatelearn`` as the package ``name``, copied into ``workdir``."""
     shutil.copytree(tree / "src" / "gatelearn", workdir / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
-        del sys.modules[module]  # a copy loaded by an earlier call
+    _unload([name])  # a copy loaded by an earlier call
     sys.path.insert(0, str(workdir))
     try:
         return importlib.import_module(name)
     finally:
         sys.path.remove(str(workdir))
+
+
+def _unload(names) -> None:
+    """Drop the packages ``names`` and their modules from ``sys.modules``."""
+    for module in [m for m in sys.modules if m.split(".")[0] in names]:
+        del sys.modules[module]
 
 
 def operation(package, shape: Shape, master_seed: int, out_dir: Path) -> None:
@@ -95,17 +117,21 @@ def _round_ms(package, shape: Shape, round_index: int, out_dir: Path) -> float:
 
 def paired_rounds(tree_a: Path, tree_b: Path, shape: Shape, rounds: int) -> list:
     """``(ms_a, ms_b)`` per operation for each round; tree A goes first in odd rounds."""
+    names = ("gatelearn_a", "gatelearn_b")
     with tempfile.TemporaryDirectory() as workdir:
         workdir = Path(workdir)
-        packages = [load_tree(tree, f"gatelearn_{label}", workdir)
-                    for tree, label in ((tree_a, "a"), (tree_b, "b"))]
-        for package in packages:  # unmeasured: builds each tree's cached trial tables
-            operation(package, shape, 0, workdir)
-        pairs = []
-        for r in range(1, rounds + 1):
-            order = (0, 1) if r % 2 else (1, 0)
-            ms = {side: _round_ms(packages[side], shape, r, workdir) for side in order}
-            pairs.append((ms[0], ms[1]))
+        try:
+            packages = [load_tree(tree, name, workdir)
+                        for tree, name in zip((tree_a, tree_b), names)]
+            for package in packages:  # unmeasured: builds each tree's cached trial tables
+                operation(package, shape, 0, workdir)
+            pairs = []
+            for r in range(1, rounds + 1):
+                order = (0, 1) if r % 2 else (1, 0)
+                ms = {side: _round_ms(packages[side], shape, r, workdir) for side in order}
+                pairs.append((ms[0], ms[1]))
+        finally:  # the copies' directory is about to go
+            _unload(names)
     return pairs
 
 
