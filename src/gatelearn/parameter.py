@@ -123,7 +123,7 @@ def translate_batch(amps: np.ndarray, shifts, axes) -> np.ndarray:
 
     A positive shift moves the distribution toward larger parameter values.
     A shift by s is a shift by s mod N, reduced as a Python int, so it
-    may have any integer size.  Raises unless 0 <= axis < grid ndim.
+    may have any integer size.  Raises unless each axis is an int, 0 <= axis < grid ndim.
     The runs on one axis share one gather.
     """
     check_per_run("shifts", shifts, len(amps))
@@ -131,7 +131,7 @@ def translate_batch(amps: np.ndarray, shifts, axes) -> np.ndarray:
     axes = np.asarray(axes)
     out = amps.copy()
     for axis in np.unique(axes).tolist():
-        if not 0 <= axis < amps.ndim - 1:
+        if type(axis) is not int or not 0 <= axis < amps.ndim - 1:
             raise ValueError(f"axis {axis} is not a grid axis of a {amps.ndim - 1}-axis grid")
         rows = np.flatnonzero(axes == axis)
         cells = amps.shape[1 + axis]

@@ -1,12 +1,16 @@
-"""Quick internal consistency checks behind ``gatelearn selftest``.
+"""The table of internal consistency checks behind ``gatelearn selftest``.
 
-Each check exercises one dual-route equivalence: the production code
-path against an independently constructed reference (dense matrix
-exponential, explicit joint state, full-dimensional search simulation).
-The references are all built in :mod:`gatelearn.oracle`; this module
-holds only the comparisons, which the tests reuse.  The suite is a fast
-subset of the package's test suite, runnable without pytest in deployed
-environments.
+Each row of :data:`CHECKS` is ``(claim, deviation, bounds)``: what the
+check shows, a no-argument callable returning a fast path's deviations
+from an independent reference built in :mod:`gatelearn.oracle` (dense
+matrix exponential, explicit joint state, full-dimensional search,
+gate-by-gate circuit), and one bound per deviation, 0 for a mismatch
+count.  The tests call the deviation functions with their own inputs
+and bounds.  Each reduces through ``np.max``, so a NaN gap stays NaN
+and fails its bound.  :func:`run_selftest` prints one line per row,
+``ok: <claim>: <gap> <= <bound>, ...`` or ``FAIL:`` with a failed gap
+written ``not <=`` its bound (or with the message of a ``NumericsError``
+the row raised).  The suite runs without pytest.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from itertools import product
 import numpy as np
 
 from .backaction import distribution_batch, filter_batch, outcome_table, sample_batch
+from .errors import NumericsError
 from .feedback import apply_quantum_walk_batch
 from .grover import GroverInstance, pass_fail_amplitudes
 from .oracle import (
@@ -33,16 +38,15 @@ from .oracle import (
 )
 from .parameter import _unit_phasors, grid_points, invert_about_mean_batch, phase_table
 from .productform import ProductFormTrials
-from .qft import (
-    AqftInstance,
-    average_success_map,
-    spectrum_derivatives,
-    success_spectrum,
-)
+from .qft import AqftInstance, average_success_map, spectrum_derivatives, success_spectrum
 
 __all__ = [
+    "CHECKS",
     "run_selftest",
+    "dft_deviation",
+    "inversion_deviation",
     "joint_oracle_deviation",
+    "phasor_deviation",
     "search_closed_form_deviation",
     "search_statevector_deviation",
     "fourier_draw_deviation",
@@ -59,6 +63,18 @@ WALK_BESSEL_TOL = 1e-10
 WALK_NORM_TOL = 1e-9
 
 
+def _worst(gaps) -> float:
+    """The largest gap; unlike a running ``max``, a NaN gap makes it NaN."""
+    return float(np.max(gaps))
+
+
+def _random_state(cells: int, seed: int) -> np.ndarray:
+    """A normalized state whose real, then imaginary, parts are normals seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=cells) + 1j * rng.normal(size=cells)
+    return amps / np.linalg.norm(amps)
+
+
 def walk_kernel_deviation():
     """(worst Bessel deviation, worst norm deviation) of the walk's kernel.
 
@@ -68,12 +84,12 @@ def walk_kernel_deviation():
     scipy, independently of the FFT.
     """
     cells = 256
-    worst_bessel = worst_norm = 0.0
+    bessel, norm = [], []
     for x in (0.3, 0.8, 1.5, 5.0, 24.0):
         kernel = apply_quantum_walk_batch(np.eye(1, cells, dtype=complex), [x])[0]
-        worst_bessel = max(worst_bessel, np.abs(kernel - walk_bessel_kernel(cells, x)).max())
-        worst_norm = max(worst_norm, abs(np.linalg.norm(kernel) - 1.0))
-    return worst_bessel, worst_norm
+        bessel.append(np.abs(kernel - walk_bessel_kernel(cells, x)).max())
+        norm.append(abs(np.linalg.norm(kernel) - 1.0))
+    return _worst(bessel), _worst(norm)
 
 
 def walk_dense_deviation():
@@ -82,33 +98,13 @@ def walk_dense_deviation():
     Each (cells, x) case walks a seeded random state one cell per step
     and compares with the dense exponential :func:`walk_matrix`.
     """
-    worst_op = worst_norm = 0.0
+    dense, norm = [], []
     for cells, x in ((32, 0.3), (32, 0.8), (32, 1.5), (64, 1.5), (64, 24.0)):
-        rng = np.random.default_rng(int(10 * x) + cells)
-        amps = rng.normal(size=cells) + 1j * rng.normal(size=cells)
-        chi = amps / np.linalg.norm(amps)
+        chi = _random_state(cells, int(10 * x) + cells)
         walked = apply_quantum_walk_batch(chi[None], [x])[0]
-        worst_op = max(worst_op, np.abs(walked - walk_matrix((cells,), x) @ chi).max())
-        worst_norm = max(worst_norm, abs(np.linalg.norm(walked) - 1.0))
-    return worst_op, worst_norm
-
-
-def _check_walk_kernel() -> str:
-    bessel, norm = walk_kernel_deviation()
-    if bessel > WALK_BESSEL_TOL:
-        raise AssertionError(f"walk kernel deviates from Bessel values by {bessel:.2e}")
-    if norm > WALK_NORM_TOL:
-        raise AssertionError(f"walk kernel norm deviates from 1 by {norm:.2e}")
-    return "walk kernel matches independent Bessel evaluation"
-
-
-def _check_walk_operator() -> str:
-    dense, norm = walk_dense_deviation()
-    if dense > WALK_DENSE_TOL:
-        raise AssertionError(f"walk disagrees with dense exponential by {dense:.2e}")
-    if norm > WALK_NORM_TOL:
-        raise AssertionError(f"walk changes the norm by {norm:.2e}")
-    return "quantum walk matches dense circulant exponential"
+        dense.append(np.abs(walked - walk_matrix((cells,), x) @ chi).max())
+        norm.append(abs(np.linalg.norm(walked) - 1.0))
+    return _worst(dense), _worst(norm)
 
 
 def joint_oracle_deviation(theta, seed: int, steps: int = 20, shape=(8,)):
@@ -139,15 +135,15 @@ def joint_oracle_deviation(theta, seed: int, steps: int = 20, shape=(8,)):
     chi_joint = np.full(shape, 1.0 / np.sqrt(np.prod(shape)), dtype=complex)
     chi_block = chi_joint[None]
     rng_block, rng_joint = np.random.default_rng(seed), np.random.default_rng(seed)
-    mismatches, worst = 0, 0.0
+    mismatches, gaps = 0, []
     for _ in range(steps):
         dist = distribution_batch(np.abs(chi_block.reshape(1, -1)) ** 2, table)
         r_block, mass = sample_batch(dist, [rng_block])
         chi_block = filter_batch(chi_block, columns[r_block], mass)
         r_joint, chi_joint = brute_force_joint_step(chi_joint, circuit, src, rng_joint)
         mismatches += r_block[0] != r_joint
-        worst = max(worst, np.abs(chi_block[0] - chi_joint).max())
-    return mismatches, worst
+        gaps.append(np.abs(chi_block[0] - chi_joint).max())
+    return mismatches, _worst(gaps)
 
 
 def search_closed_form_deviation(sizes):
@@ -156,14 +152,14 @@ def search_closed_form_deviation(sizes):
     At phi = pi the success is sin^2((2K+1) theta) after K rounds; at
     phi = 0 the oracle does nothing and the success stays 1/N.
     """
-    worst_pi = worst_zero = 0.0
+    at_pi, at_zero = [], []
     for n_el in sizes:
         inst = GroverInstance.standard(n_el)
         (s, s0), _ = pass_fail_amplitudes(inst, [np.pi, 0.0])
         closed = np.sin((2 * inst.iterations + 1) * inst.theta) ** 2
-        worst_pi = max(worst_pi, abs(abs(s) ** 2 - closed))
-        worst_zero = max(worst_zero, abs(abs(s0) ** 2 - 1.0 / n_el))
-    return worst_pi, worst_zero
+        at_pi.append(abs(abs(s) ** 2 - closed))
+        at_zero.append(abs(abs(s0) ** 2 - 1.0 / n_el))
+    return _worst(at_pi), _worst(at_zero)
 
 
 def search_statevector_deviation(sizes, phases_per_size: int, seed: int) -> float:
@@ -173,15 +169,14 @@ def search_statevector_deviation(sizes, phases_per_size: int, seed: int) -> floa
     stream seeded with ``seed``; the target and every wrong element's
     amplitude b / sqrt(N - 1) are compared.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+    rng, gaps = np.random.default_rng(seed), []
     for n_el in sizes:
         inst = GroverInstance.standard(n_el)
         for phi in rng.uniform(0, 2 * np.pi, phases_per_size):
             s, b = pass_fail_amplitudes(inst, phi)
             state = search_statevector(inst, phi)
-            worst = max(worst, abs(s - state[0]), np.abs(state[1:] - b / np.sqrt(n_el - 1)).max())
-    return worst
+            gaps += [abs(s - state[0]), np.abs(state[1:] - b / np.sqrt(n_el - 1)).max()]
+    return _worst(gaps)
 
 
 def fourier_draw_deviation(instance, axes, ks, weights, cells, uniforms):
@@ -207,7 +202,7 @@ def fourier_draw_deviation(instance, axes, ks, weights, cells, uniforms):
     trials = ProductFormTrials(instance, axes)
     outcomes, masses, columns = trials.draw(ks, weights, cells, uniforms)
     bits = np.arange(instance.n_qubits)
-    mismatches, worst_mass, worst_column = 0, 0.0, 0.0
+    mismatches, mass_gaps, column_gaps = 0, [], []
     for k, w, cell, u, drawn, mass, column in zip(
         ks, weights, cells, uniforms, outcomes, masses, columns
     ):
@@ -217,9 +212,9 @@ def fourier_draw_deviation(instance, axes, ks, weights, cells, uniforms):
         # that a NaN conditional (a drawn prefix of no mass) fails too
         ok = np.where((drawn >> bits) & 1, u >= zero - 1e-12, u < zero + 1e-12)
         mismatches += not ok.all()
-        worst_mass = max(worst_mass, abs(mass - w @ np.abs(amps[:, drawn]) ** 2))
-        worst_column = max(worst_column, np.abs(column - amps[:, drawn]).max())
-    return mismatches, worst_mass, worst_column
+        mass_gaps.append(abs(mass - w @ np.abs(amps[:, drawn]) ** 2))
+        column_gaps.append(np.abs(column - amps[:, drawn]).max())
+    return mismatches, _worst(mass_gaps), _worst(column_gaps)
 
 
 def success_map_deviation(n: int, band: int, phases) -> float:
@@ -234,7 +229,7 @@ def success_map_deviation(n: int, band: int, phases) -> float:
     phases = np.atleast_2d(np.asarray(phases, dtype=float))
     fast = average_success_map(instance, phases)
     exact = [average_success_statevector(instance.with_phases(row)) for row in phases]
-    return float(np.abs(fast - np.asarray(exact)).max())
+    return _worst(np.abs(fast - np.asarray(exact)))
 
 
 def spectrum_deviation(n: int, band: int, phases) -> float:
@@ -249,129 +244,114 @@ def spectrum_deviation(n: int, band: int, phases) -> float:
     phases = np.atleast_2d(np.asarray(phases, dtype=float))
     spectrum = success_spectrum(instance)
     interpolant = [spectrum_derivatives(spectrum, row)[0] for row in phases]
-    return float(np.abs(np.subtract(interpolant, average_success_map(instance, phases))).max())
+    return _worst(np.abs(np.subtract(interpolant, average_success_map(instance, phases))))
 
 
-def _check_joint_oracle() -> str:
-    theta = np.random.default_rng(5).uniform(0, np.pi, 3)[:2]
-    mismatches, worst = joint_oracle_deviation(theta, seed=123)
-    if mismatches:
-        raise AssertionError("block filter and joint-state oracle sampled differently")
-    if worst > 1e-12:
-        raise AssertionError("block filter and joint-state oracle states diverged")
-    return "block filter matches explicit joint-state measurement"
+def dft_deviation(n: int, seed: int) -> float:
+    """Worst gap between the full-band Fourier circuit and the dense DFT matrix.
+
+    Both act on an ``n``-qubit state of normals seeded with ``seed``.
+    """
+    state = _random_state(1 << n, seed)
+    return _worst(np.abs(apply_aqft(AqftInstance.standard(n, n - 1), state) - dft_matrix(n) @ state))
 
 
-def _check_grover_subspace() -> str:
-    worst_pi, worst_zero = search_closed_form_deviation((4, 16))
-    if worst_pi > 1e-12:
-        raise AssertionError("phase pi success deviates from the closed form")
-    if worst_zero > 1e-12:
-        raise AssertionError("zero-phase success is not 1/N")
-    return "search recursion reproduces closed-form success probabilities"
+def phasor_deviation(uniforms):
+    """(worst part deviation, worst modulus deviation) of the dephasing phasors.
+
+    Each part of :func:`gatelearn.parameter._unit_phasors` at u is
+    compared with cos or sin of 2 pi u, and its modulus with 1.
+    """
+    uniforms = np.asarray(uniforms, dtype=float)
+    phasors, angles = _unit_phasors(uniforms), 2.0 * np.pi * uniforms
+    parts = np.maximum(np.abs(phasors.real - np.cos(angles)), np.abs(phasors.imag - np.sin(angles)))
+    return _worst(parts), _worst(np.abs(np.abs(phasors) - 1.0))
 
 
-def _check_qft_circuit() -> str:
-    n = 5
-    inst = AqftInstance.standard(n, n - 1)
-    rng = np.random.default_rng(3)
-    amps = rng.normal(size=inst.dim) + 1j * rng.normal(size=inst.dim)
-    amps /= np.linalg.norm(amps)
-    out = apply_aqft(inst, amps)
-    if np.abs(out - dft_matrix(n) @ amps).max() > 1e-10:
-        raise AssertionError("full-band circuit deviates from the DFT matrix")
-    return "full-band Fourier circuit matches the dense DFT matrix"
+def inversion_deviation(chi):
+    """(worst involution deviation, worst norm deviation) of inversion about the mean.
+
+    ``chi`` is a batch of normalized runs.  Inverting twice must give
+    each run back, and inverting once must keep its norm 1.
+    """
+    once = invert_about_mean_batch(chi)
+    norms = np.linalg.norm(once.reshape(len(once), -1), axis=1)
+    return _worst(np.abs(invert_about_mean_batch(once) - chi)), _worst(np.abs(norms - 1.0))
 
 
-def _check_fourier_draw() -> str:
-    rng = np.random.default_rng(11)
+def _fourier_draw_cases():
+    rng, cases = np.random.default_rng(11), []
     # an unequal 5 x 3 grid, and 13 runs on 256 cells, whose factors span
     # three of the draw's blocks of runs
     for n, band, shape, runs in ((5, 1, (16,), 4), (7, 2, (4, 4), 4), (9, 2, (4, 4), 4),
                                  (6, 2, (5, 3), 6), (10, 1, (256,), 13)):
         cells = int(np.prod(shape))
         weights = rng.random((runs, cells)) ** 4 + 1e-3
-        mismatches, mass, column = fourier_draw_deviation(
+        cases.append(fourier_draw_deviation(
             AqftInstance.standard(n, band),
             [rng.uniform(-np.pi, np.pi, size) for size in shape],
             rng.integers(0, 1 << n, runs),
             weights / weights.sum(axis=1, keepdims=True),
             rng.integers(0, cells, runs),
             rng.random((runs, n)),
-        )
-        if mismatches:
-            raise AssertionError(f"Fourier draw and statevector oracle disagree at n={n}")
-        if max(mass, column) > 1e-12:
-            raise AssertionError(f"Fourier draw deviates from the oracle by {max(mass, column):.2e}")
-    return "product-form Fourier draw matches the statevector bit conditionals"
+        ))
+    mismatches, mass, column = zip(*cases)
+    return sum(mismatches), _worst(mass), _worst(column)
 
 
-def _check_phasors() -> str:
-    uniforms = np.concatenate([np.random.default_rng(19).random(1 << 16), [0.0, 1.0 - 2.0**-53]])
-    phasors, angles = _unit_phasors(uniforms), 2.0 * np.pi * uniforms
-    gap = max(np.abs(phasors.real - np.cos(angles)).max(),
-              np.abs(phasors.imag - np.sin(angles)).max())
-    if not (gap <= 2e-15 and np.abs(np.abs(phasors) - 1.0).max() <= 1e-15):
-        raise AssertionError(f"dephasing phasors deviate from cos and sin by {gap:.2e}")
-    return "dephasing phasors match cos and sin of 2 pi u"
+def _random_phase_cases(deviation, seed: int, cases, rows: int) -> float:
+    """Worst ``deviation(n, band, phases)`` over ``cases``, each on ``rows`` seeded phases in [-20, 20)."""
+    rng = np.random.default_rng(seed)
+    return _worst([deviation(n, band, rng.uniform(-20, 20, (rows, band))) for n, band in cases])
 
 
-def _check_success_map() -> str:
-    rng = np.random.default_rng(13)
-    for n, band in ((2, 0), (5, 1), (6, 3), (7, 2)):
-        worst = success_map_deviation(n, band, rng.uniform(-20, 20, (4, band)))
-        if not worst <= 1e-12:
-            raise AssertionError(f"success map deviates from the statevector by {worst:.2e} at n={n}")
-    return "k-averaged success map matches the statevector average"
-
-
-def _check_spectrum() -> str:
-    rng = np.random.default_rng(17)
-    for n, band in ((3, 1), (7, 2), (9, 3), (12, 1)):
-        worst = spectrum_deviation(n, band, rng.uniform(-20, 20, (8, band)))
-        if not worst <= 1e-12:
-            raise AssertionError(f"spectrum interpolant off by {worst:.2e} at n={n}")
-    return "spectrum interpolant matches the success map at random phases"
-
-
-def _check_inversion() -> str:
-    rng = np.random.default_rng(7)
-    amps = rng.normal(size=64) + 1j * rng.normal(size=64)
-    chi = (amps / np.linalg.norm(amps))[None]
-    twice = invert_about_mean_batch(invert_about_mean_batch(chi))
-    if np.abs(twice - chi).max() > 1e-12:
-        raise AssertionError("inversion about the mean is not an involution")
-    if abs(np.linalg.norm(invert_about_mean_batch(chi)) - 1.0) > 1e-12:
-        raise AssertionError("inversion about the mean does not preserve norm")
-    return "inversion about the mean is a norm-preserving involution"
-
-
-_CHECKS = (
-    _check_walk_kernel,
-    _check_walk_operator,
-    _check_joint_oracle,
-    _check_grover_subspace,
-    _check_qft_circuit,
-    _check_fourier_draw,
-    _check_phasors,
-    _check_success_map,
-    _check_spectrum,
-    _check_inversion,
+#: (claim, deviation, bounds): a tuple of one bound per deviation, 0 for a mismatch count
+CHECKS = (
+    ("walk kernel matches independent Bessel evaluation",
+     walk_kernel_deviation, (WALK_BESSEL_TOL, WALK_NORM_TOL)),
+    ("quantum walk matches dense circulant exponential",
+     walk_dense_deviation, (WALK_DENSE_TOL, WALK_NORM_TOL)),
+    ("block filter matches explicit joint-state measurement",
+     lambda: joint_oracle_deviation(np.random.default_rng(5).uniform(0, np.pi, 3)[:2], seed=123),
+     (0, 1e-12)),
+    ("search recursion reproduces closed-form success probabilities",
+     lambda: search_closed_form_deviation((4, 16)), (1e-12, 1e-12)),
+    ("full-band Fourier circuit matches the dense DFT matrix",
+     lambda: dft_deviation(5, seed=3), (1e-10,)),
+    ("product-form Fourier draw matches the statevector bit conditionals",
+     _fourier_draw_cases, (0, 1e-12, 1e-12)),
+    ("dephasing phasors match cos and sin of 2 pi u",
+     lambda: phasor_deviation(
+         np.concatenate([np.random.default_rng(19).random(1 << 16), [0.0, 1.0 - 2.0**-53]])),
+     (2e-15, 1e-15)),
+    ("k-averaged success map matches the statevector average",
+     lambda: _random_phase_cases(success_map_deviation, 13, ((2, 0), (5, 1), (6, 3), (7, 2)), 4),
+     (1e-12,)),
+    ("spectrum interpolant matches the success map at random phases",
+     lambda: _random_phase_cases(spectrum_deviation, 17, ((3, 1), (7, 2), (9, 3), (12, 1)), 8),
+     (1e-12,)),
+    ("inversion about the mean is a norm-preserving involution",
+     lambda: inversion_deviation(_random_state(64, 7)[None]), (1e-12, 1e-12)),
 )
 
 
 def run_selftest() -> int:
-    """Run all checks; print one line each; exit status 0 iff all pass."""
+    """Run every row of :data:`CHECKS`; print one line each; exit status 0 iff all pass."""
     failures = 0
-    for check in _CHECKS:
+    for claim, deviation, bounds in CHECKS:
         try:
-            message = check()
-            print(f"ok: {message}")
-        except AssertionError as exc:
+            gaps = np.atleast_1d(deviation())
+        except NumericsError as exc:
             failures += 1
-            print(f"FAIL: {exc}")
+            print(f"FAIL: {claim}: {exc}")
+            continue
+        passed = gaps <= bounds
+        failures += not passed.all()
+        print(f"{'ok' if passed.all() else 'FAIL'}: {claim}: " + ", ".join(
+            f"{gap:.2g} {'<=' if ok else 'not <='} {bound:.2g}"
+            for gap, bound, ok in zip(gaps, bounds, passed, strict=True)))
     if failures:
-        print(f"selftest: {failures}/{len(_CHECKS)} checks failed")
+        print(f"selftest: {failures}/{len(CHECKS)} checks failed")
         return 1
-    print(f"selftest: all {len(_CHECKS)} checks passed")
+    print(f"selftest: all {len(CHECKS)} checks passed")
     return 0

@@ -21,7 +21,7 @@ from gatelearn import (
     GroverInstance,
     run_ensemble,
 )
-from gatelearn import selftest
+from gatelearn import feedback, selftest
 from gatelearn.cli import parse_and_dispatch
 from gatelearn.harness import write_histogram_csv, write_runs_csv, write_summary_json
 
@@ -218,16 +218,65 @@ class TestSelftestCommand:
         assert "all 10 checks passed" in capsys.readouterr().out
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
-        def broken():
-            raise AssertionError("walk kernel drifted")
-
-        monkeypatch.setattr(selftest, "_CHECKS", (broken,) + selftest._CHECKS[1:])
+        row = ("walk kernel drifted", lambda: (3e-10, 0), (1e-10, 1e-9))
+        monkeypatch.setattr(selftest, "CHECKS", (row,) + selftest.CHECKS[1:])
         assert run_cli(["selftest"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("FAIL:")] == [
-            "FAIL: walk kernel drifted"
+            "FAIL: walk kernel drifted: 3e-10 not <= 1e-10, 0 <= 1e-09"
         ]
         assert lines[-1] == "selftest: 1/10 checks failed"
+
+    @pytest.mark.parametrize("gap", ["nan", "twice the bound"])
+    @pytest.mark.parametrize("broken", range(len(selftest.CHECKS)))
+    def test_every_row_can_fail(self, broken, gap, capsys, monkeypatch):
+        # every row reads half its bounds, except that one deviation of the
+        # broken row reads NaN or twice its bound (one mismatch for a bound of 0)
+        rows = [(claim, lambda b=bounds: tuple(0.5 * x for x in b), bounds)
+                for claim, _, bounds in selftest.CHECKS]
+        claim, _, bounds = rows[broken]
+        for slot in range(len(bounds)):
+            gaps = [0.5 * x for x in bounds]
+            gaps[slot] = np.nan if gap == "nan" else 2 * bounds[slot] or 1
+            rows[broken] = (claim, lambda g=tuple(gaps): g, bounds)
+            monkeypatch.setattr(selftest, "CHECKS", tuple(rows))
+            assert run_cli(["selftest"]) == 1
+            lines = capsys.readouterr().out.splitlines()
+            failed = [line for line in lines if line.startswith("FAIL:")]
+            assert len(failed) == 1 and failed[0].startswith(f"FAIL: {claim}: ")
+            verdicts = failed[0].removeprefix(f"FAIL: {claim}: ").split(", ")
+            assert ["not <=" in verdict for verdict in verdicts] == [
+                i == slot for i in range(len(bounds))]
+            assert sum(line.startswith("ok:") for line in lines) == len(rows) - 1
+            assert lines[-1] == f"selftest: 1/{len(rows)} checks failed"
+
+    def test_nan_search_amplitudes_fail(self, capsys, monkeypatch):
+        # a NaN deviation is no agreement: every deviation reduces through np.max
+        exact = selftest.pass_fail_amplitudes
+
+        def nan_target(instance, phases):
+            s, b = exact(instance, phases)
+            return s * np.nan, b
+
+        monkeypatch.setattr(selftest, "pass_fail_amplitudes", nan_target)
+        assert np.isnan(selftest.search_closed_form_deviation((4, 16))).all()
+        assert np.isnan(selftest.search_statevector_deviation((4, 16), phases_per_size=6, seed=3))
+        assert selftest.run_selftest() == 1
+        assert ("FAIL: search recursion reproduces closed-form success probabilities: "
+                "nan not <= 1e-12, nan not <= 1e-12") in capsys.readouterr().out.splitlines()
+
+    def test_a_row_that_raises_fails_and_the_rest_run(self, capsys, monkeypatch):
+        # a walk spectrum off the unit circle trips the walk's norm guard
+        exact = feedback._walk_spectrum
+        monkeypatch.setattr(feedback, "_walk_spectrum",
+                            lambda strength, shape: 1.001 * exact(strength, shape))
+        assert run_cli(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        walks = [claim for claim, _, _ in selftest.CHECKS[:2]]
+        assert [line.split(": ")[1] for line in lines if line.startswith("FAIL:")] == walks
+        assert all("changed the norm" in line for line in lines if line.startswith("FAIL:"))
+        assert sum(line.startswith("ok:") for line in lines) == 8
+        assert lines[-1] == "selftest: 2/10 checks failed"
 
     @pytest.mark.parametrize("module", ["gatelearn", "gatelearn.cli"])
     def test_runs_as_a_module_from_a_checkout(self, module):

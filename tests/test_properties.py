@@ -24,8 +24,13 @@ from gatelearn.oracle import (
     apply_single_qubit_gate,
     walk_matrix,
 )
-from gatelearn.parameter import invert_about_mean_batch, translate_batch
-from gatelearn.selftest import fourier_draw_deviation, spectrum_deviation, success_map_deviation
+from gatelearn.parameter import translate_batch
+from gatelearn.selftest import (
+    fourier_draw_deviation,
+    inversion_deviation,
+    spectrum_deviation,
+    success_map_deviation,
+)
 
 RNG = np.random.default_rng(20260808)
 
@@ -66,10 +71,8 @@ def test_gate_sequences_preserve_norm_200_cases():
 
 def test_inversion_involution_200_cases():
     for _ in range(200):
-        chi = random_chi(int(RNG.integers(4, 128)))
-        twice = invert_about_mean_batch(invert_about_mean_batch(chi))
-        assert np.abs(twice - chi).max() < 1e-12
-        assert abs(np.linalg.norm(invert_about_mean_batch(chi)) - 1.0) < 1e-12
+        involution, norm = inversion_deviation(random_chi(int(RNG.integers(4, 128))))
+        assert involution < 1e-12 and norm < 1e-12
 
 
 def test_translation_group_law_200_cases():
